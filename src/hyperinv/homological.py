@@ -2,21 +2,29 @@
 complex, via the reduced-homology sum over induced subcomplexes, plus
 regularity, projective dimension, and the Alexander dual.
 
-Ranks are exact: fraction-free integer elimination over the rationals,
-or modular elimination over GF(p).  The reduced chain complex includes
-the empty face, so restrictions whose only face is empty contribute the
-(-1)-dimensional class.
+The Hochster sum runs over the lcm lattice of the edges only.  Ranks are
+exact, over the rationals or GF(p), by one sparse column eliminator that
+pivots on units and falls back to fraction-free cross-multiplication on
+the rational entries that are not +-1.  The reduced chain complex
+includes the empty face, so restrictions whose only face is empty
+contribute the (-1)-dimensional class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from math import gcd
 
-from .complexes import SimplicialComplex, complex_from_facets
+from .complexes import SimplicialComplex
 from .errors import SizeLimitExceeded
-from .hypergraph import Hypergraph, bit_ids, from_masks
+from .hypergraph import (
+    Hypergraph,
+    _edge_subset_unions,
+    _minimal_transversals,
+    bit_ids,
+    from_masks,
+)
 
 DEFAULT_HOMOLOGY_CAP = 14
 DEFAULT_BETTI_CAP = 12
@@ -33,64 +41,43 @@ def parse_field(text: str) -> str:
     raise ValueError(f"unknown field {text!r}")
 
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            mr = m[r]
-            f = mr[col]
-            for c in range(col + 1, ncols):
-                mr[c] = (pv * mr[c] - f * m[row][c]) // prev
-            mr[col] = 0
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def _rank(columns: list[dict[int, int]], field: str) -> int:
+    """Exact rank of the matrix whose columns are sparse {row: entry} dicts.
 
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = [[v % p for v in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(v * inv) % p for v in m[row]]
-        for r in range(row + 1, nrows):
-            f = m[r][col]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _rank(rows: list[list[int]], field: str) -> int:
-    if field == FIELD_Q:
-        return _rank_rational(rows)
-    return _rank_mod_p(rows, int(field[1:]))
+    Each column is reduced by its lowest (largest) nonzero row against the
+    earlier column that owns that row as its pivot.  Over GF(p) every
+    nonzero entry is a unit.  Over Q a pivot of +-1 eliminates in plain
+    integers; any other pivot cross-multiplies and the column is then
+    divided by its content, so entries stay small and exact.
+    """
+    p = 0 if field == FIELD_Q else int(field[1:])
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = {r: x for r, v in col.items() if (x := v % p if p else v)}
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            a, b = col[low], piv[low]
+            unit = p > 0 or b in (1, -1)
+            if unit:
+                f = a * pow(b, -1, p) if p else a * b
+            else:
+                f, col = a, {r: b * v for r, v in col.items()}
+            for r, v in piv.items():
+                x = col.get(r, 0) - f * v
+                if p:
+                    x %= p
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            if not unit and col:
+                g = gcd(*col.values())
+                col = {r: v // g for r, v in col.items()}
+    return len(pivots)
 
 
 def _all_faces(facets: tuple[int, ...]) -> set[int]:
@@ -107,7 +94,11 @@ def _all_faces(facets: tuple[int, ...]) -> set[int]:
 
 
 def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
-    """Reduced Betti numbers keyed by dimension, zero entries omitted."""
+    """Reduced Betti numbers keyed by dimension, zero entries omitted.
+
+    Boundary columns are keyed by the masks of the codimension-one faces,
+    so a column's lowest row is its largest face mask.
+    """
     if not faces:
         return {}
     by_dim: dict[int, list[int]] = {}
@@ -119,14 +110,11 @@ def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
     ranks: dict[int, int] = {}
     boundary_rank: dict[int, int] = {}
     for d in range(0, top + 1):
-        lower = {f: i for i, f in enumerate(by_dim.get(d - 1, []))}
-        cols = by_dim.get(d, [])
-        rows = [[0] * len(cols) for _ in lower]
-        for j, f in enumerate(cols):
-            for sgn_idx, v in enumerate(bit_ids(f)):
-                face = f & ~(1 << v)
-                rows[lower[face]][j] = -1 if sgn_idx % 2 else 1
-        boundary_rank[d] = _rank(rows, field)
+        cols = [
+            {f & ~(1 << v): -1 if k % 2 else 1 for k, v in enumerate(bit_ids(f))}
+            for f in by_dim.get(d, [])
+        ]
+        boundary_rank[d] = _rank(cols, field)
     for d in range(-1, top + 1):
         dim_count = len(by_dim.get(d, []))
         b = dim_count - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
@@ -198,18 +186,21 @@ def betti_table(
 ) -> BettiTable:
     """Exact graded Betti numbers of the quotient by the edge ideal.
 
-    For each vertex subset W, the restriction of the independence complex
-    is the independence complex of the sub-hypergraph of edges inside W;
-    its reduced homology in dimension |W|-i-1 contributes to the (i, |W|)
-    entry.  Results per compressed sub-hypergraph are memoized globally.
+    Hochster's formula: for a vertex subset W, the restriction of the
+    independence complex is the independence complex of the edges inside
+    W, and its reduced homology in dimension |W|-i-1 contributes to the
+    (i, |W|) entry.  Only W in the lcm lattice (nonzero unions of edges)
+    are visited: if W is not the union of the edges inside it, a vertex
+    of W in none of them is a cone point of the restriction, which then
+    has no reduced homology.  Results per compressed sub-hypergraph are
+    memoized globally.
     """
     if h.n > cap:
         raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {cap}")
     if h.void:
         raise SizeLimitExceeded("Betti table of the void-marker hypergraph is undefined")
     entries: dict[tuple[int, int], int] = {}
-    n = h.n
-    for w in range(1, 1 << n):
+    for w in _edge_subset_unions(h.edges)[1:]:
         ids = list(bit_ids(w))
         j = len(ids)
         pos = {old: new for new, old in enumerate(ids)}
@@ -220,14 +211,12 @@ def betti_table(
                 for i in bit_ids(e):
                     m |= 1 << pos[i]
                 sub.append(m)
-        if not sub:
-            continue  # full simplex restriction: no reduced homology
         hom = _subhypergraph_homology(j, tuple(sorted(sub)), field)
         for dim, rank in hom.items():
             i = j - dim - 1
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + rank
-    return BettiTable(entries, n, field)
+    return BettiTable(entries, h.n, field)
 
 
 def reg_and_pd(h: Hypergraph, field: str = FIELD_Q, cap: int = DEFAULT_BETTI_CAP) -> dict:
@@ -240,19 +229,13 @@ def reg_and_pd(h: Hypergraph, field: str = FIELD_Q, cap: int = DEFAULT_BETTI_CAP
 
 
 def minimal_nonfaces(d: SimplicialComplex) -> tuple[int, ...]:
-    """Inclusion-minimal subsets of the ground set that are not faces."""
-    out: list[int] = []
-    for size in range(0, d.n + 1):
-        for combo in combinations(range(d.n), size):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            if d.is_face(m):
-                continue
-            if any(o & m == o for o in out):
-                continue
-            out.append(m)
-    return tuple(sorted(out))
+    """Inclusion-minimal subsets of the ground set that are not faces.
+
+    A set is a non-face iff it meets the complement of every facet, so the
+    minimal non-faces are the minimal transversals of those complements.
+    """
+    full = (1 << d.n) - 1
+    return tuple(sorted(_minimal_transversals([full & ~f for f in d.facets])))
 
 
 def alexander_dual(d: SimplicialComplex) -> SimplicialComplex:

@@ -334,6 +334,14 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(full & ~c for c in covers))
 
 
+def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
+    """Unions of all edge subsets (the lcm lattice), 0 included, ascending."""
+    unions = {0}
+    for e in edges:
+        unions |= {u | e for u in unions}
+    return sorted(unions)
+
+
 def _minimal_transversals(edges: Sequence[int]) -> list[int]:
     results: set[int] = set()
 

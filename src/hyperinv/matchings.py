@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotSemiInduced, SearchLimitExceeded, UnknownEdge
-from .hypergraph import Hypergraph, bit_ids
+from .hypergraph import Hypergraph, _edge_subset_unions, bit_ids
 
 DEFAULT_EDGE_CAP = 20
 
@@ -58,13 +58,6 @@ class MatchingInvariants:
     c_prime: int
     m: int
     witnesses: dict  # name -> EdgeFamily
-
-
-def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
-    unions = {0}
-    for e in edges:
-        unions |= {u | e for u in unions}
-    return sorted(unions)
 
 
 def _family_indices(h: Hypergraph, union: int) -> tuple[int, ...]:

@@ -182,6 +182,12 @@ def oracle_independence_facets(h):
     )
 
 
+def oracle_minimal_nonfaces(facets, n):
+    """Inclusion-minimal non-faces, by scanning every subset of the ground set."""
+    nonfaces = [u for u in range(1 << n) if not any(u & f == u for f in facets)]
+    return tuple(sorted(u for u in nonfaces if not any(o != u and o & u == o for o in nonfaces)))
+
+
 # ---------------------------------------------------------------------------
 # homology oracle: Fraction-based Gaussian elimination over Q
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     oracle_betti_table,
+    oracle_minimal_nonfaces,
     oracle_rank,
     oracle_reduced_homology,
     tiny_hypergraphs,
@@ -22,12 +23,7 @@ from hyperinv import (
 )
 from hyperinv.complexes import SimplicialComplex, complex_from_facets
 from hyperinv.errors import SizeLimitExceeded
-from hyperinv.homological import (
-    _all_faces,
-    _rank_mod_p,
-    _rank_rational,
-    parse_field,
-)
+from hyperinv.homological import _all_faces, _rank, parse_field
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
 # entries are {(i, j): rank}); reg/pd follow as max(j-i)/max(i).
@@ -40,6 +36,22 @@ GOLDEN = {
 }
 
 
+# The real projective plane on six vertices: its homology has 2-torsion,
+# so its Betti numbers over F2 differ from those over Q and F3.
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+
+
+def _rp2():
+    labels = [str(i) for i in range(1, 7)]
+    masks = [sum(1 << (int(c) - 1) for c in f) for f in RP2_FACETS]
+    return complex_from_facets(labels, masks)
+
+
+def _columns(rows):
+    """Sparse {row: entry} columns of a dense row-major matrix."""
+    return [{r: row[c] for r, row in enumerate(rows)} for c in range(len(rows[0]))]
+
+
 class TestRanks:
     def test_rank_functions_match_oracle(self):
         import random
@@ -48,9 +60,22 @@ class TestRanks:
         for _ in range(40):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
             expect = oracle_rank(rows)
-            assert _rank_rational(rows) == expect
+            assert _rank(_columns(rows), "Q") == expect
             # rank over GF(p) can only drop; equal for a large prime here
-            assert _rank_mod_p(rows, 1000003) == expect
+            assert _rank(_columns(rows), "F1000003") == expect
+
+    def test_rank_depends_on_the_field(self):
+        cases = [  # matrix, rank over Q, F2, F3
+            ([[1, 1], [1, -1]], 2, 1, 2),
+            ([[2, 1], [1, 2]], 2, 2, 1),
+            ([[2, 0], [0, 2]], 2, 0, 2),
+            ([[2, 4], [4, 2]], 2, 0, 1),
+            ([[0, 0], [0, 0]], 0, 0, 0),
+        ]
+        for rows, q, f2, f3 in cases:
+            assert oracle_rank(rows) == q
+            got = tuple(_rank(_columns(rows), field) for field in ("Q", "F2", "F3"))
+            assert got == (q, f2, f3), rows
 
     def test_parse_field(self):
         assert parse_field("q") == "Q"
@@ -95,6 +120,12 @@ class TestReducedHomology:
                 continue
             got = reduced_homology(d).ranks
             assert got == oracle_reduced_homology(_all_faces(d.facets))
+
+    def test_torsion_separates_the_fields(self):
+        d = _rp2()
+        assert reduced_homology(d, "F2").ranks == {1: 1, 2: 1}
+        assert reduced_homology(d).ranks == {}
+        assert reduced_homology(d, "F3").ranks == {}
 
     def test_cap(self):
         d = complex_from_facets([f"v{i}" for i in range(16)], [1])
@@ -142,6 +173,13 @@ class TestBettiTable:
         for h in tiny_hypergraphs():
             assert betti_table(h).entries == betti_table(h, field="F2").entries
 
+    def test_torsion_changes_the_table_over_f2(self):
+        h = complex_to_hypergraph(_rp2())
+        tables = {field: betti_table(h, field) for field in ("Q", "F2", "F3")}
+        assert [(t.pd, t.reg) for t in tables.values()] == [(3, 2), (4, 3), (3, 2)]
+        assert tables["F3"].entries == tables["Q"].entries
+        assert tables["F2"].entries == {**tables["Q"].entries, (3, 6): 1, (4, 6): 1}
+
     def test_serialization_sorted(self, star3):
         obj = betti_table(star3).to_json_obj()
         assert obj["entries"] == sorted(obj["entries"])
@@ -169,6 +207,18 @@ class TestAlexanderDuality:
                 continue
             d = independence_complex(h)
             assert set(minimal_nonfaces(d)) == set(h.edges)
+
+    def test_minimal_nonfaces_match_brute_force(self):
+        void = SimplicialComplex(("a", "b"), ())
+        empty = SimplicialComplex(("a", "b", "c"), (0,))
+        assert minimal_nonfaces(void) == (0,)
+        assert minimal_nonfaces(empty) == (0b001, 0b010, 0b100)
+        cases = [void, empty, SimplicialComplex((), ()), SimplicialComplex((), (0,)), _rp2()]
+        for h in tiny_hypergraphs():
+            d = independence_complex(h)
+            cases += [d, alexander_dual(d)]
+        for d in cases:
+            assert minimal_nonfaces(d) == oracle_minimal_nonfaces(d.facets, d.n), d
 
     def test_round_trip_through_hypergraph(self, p3):
         d = independence_complex(p3)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_betti_table
 from hyperinv import (
     betti_table,
     bouquet_invariants,
@@ -16,6 +17,7 @@ from hyperinv import (
     reg_and_pd,
 )
 from hyperinv.complexes import dimension
+from hyperinv.hypergraph import bit_ids
 
 
 @st.composite
@@ -93,6 +95,30 @@ def test_first_betti_column_counts_edge_sizes(h):
     t = betti_table(h)
     for j in range(2, h.n + 1):
         assert t.entries.get((1, j), 0) == sum(1 for e in h.edges if e.bit_count() == j)
+
+
+@st.composite
+def relabelled_pairs(draw, max_n=7, max_edge_size=3, max_edges=5):
+    """A hypergraph with at least one vertex in no edge, and a random
+    relabelling of it."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    free = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    drawn = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=max_edges))
+    raw = [m & ~free for m in drawn if 0 < (m & ~free).bit_count() <= max_edge_size]
+    edges = sorted({m for m in raw if not any(o != m and o & m == o for o in raw)})
+    perm = draw(st.permutations(range(n)))
+    moved = [sum(1 << perm[i] for i in bit_ids(e)) for e in edges]
+    labels = [f"x{i + 1}" for i in range(n)]
+    return from_masks(labels, edges), from_masks(labels, moved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_pairs())
+def test_betti_table_matches_oracle_and_ignores_labels(pair):
+    h, moved = pair
+    entries = betti_table(h).entries
+    assert entries == oracle_betti_table(h)
+    assert betti_table(moved).entries == entries
 
 
 @settings(max_examples=100, deadline=None)
