@@ -26,7 +26,7 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, bit_ids, edge_sort_key
+from .hypergraph import Hypergraph, _edge_subset_unions, bit_ids, edge_sort_key
 from .matchings import classify_family
 
 DEFAULT_EDGE_CAP = 12
@@ -218,13 +218,8 @@ def _max_freed(contested: list[int], r_mask: int) -> tuple[int, list[tuple[int, 
 
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
-    unions = {0}
-    for e in h.edges:
-        unions |= {u | e for u in unions}
     out = []
-    for u in sorted(unions):
-        if u == 0:
-            continue
+    for u in _edge_subset_unions(h.edges)[1:]:
         members = [e for e in h.edges if e & u == e]
         if sum(e.bit_count() for e in members) == u.bit_count():
             out.append(tuple(members))

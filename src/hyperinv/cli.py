@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import combinations
 from typing import Optional
 
 from .bouquets import bouquet_invariants
@@ -24,7 +23,15 @@ from .decomposition import is_codismantlable, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded
 from .generators import FamilySpec, family_from_json
 from .homological import betti_table, parse_field
-from .hypergraph import Hypergraph, find_cycle, from_json, uniformity_profile
+from .hypergraph import (
+    Hypergraph,
+    c2_free,
+    find_cycle,
+    from_json,
+    minimal_vertex_covers,
+    three_cycle_edge_condition,
+    uniformity_profile,
+)
 from .matchings import matching_invariants
 from .suites import SUITES, check_instance, run_suite
 
@@ -43,7 +50,7 @@ def _load_instance(path: str) -> Hypergraph:
             return from_json(fh.read())
     except OSError as exc:
         raise HyperinvError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise HyperinvError(f"malformed instance file {path}: {exc}") from exc
 
 
@@ -62,15 +69,13 @@ def _guarded(fn, *args, **kwargs):
 
 def cmd_invariants(args) -> int:
     h = _load_instance(args.path)
+    field = parse_field(args.field)
     capped = False
     report: dict = {"instance": h.to_json_obj()}
 
-    c2_free = all((a & b).bit_count() < 2 for a, b in combinations(h.edges, 2))
     c5, c5_err = _guarded(find_cycle, h, 5, cycle_limit=max(args.cycle_limit, 5))
-    from .hypergraph import three_cycle_edge_condition
-
     report["structure"] = {
-        "c2_free": c2_free,
+        "c2_free": c2_free(h),
         "c5_free": (c5 is None) if c5_err is None else c5,
         "three_cycle_condition": three_cycle_edge_condition(h),
         "uniformity": uniformity_profile(h) if h.edges else None,
@@ -104,8 +109,6 @@ def cmd_invariants(args) -> int:
     dim = dimension(delta)
     report["complex"] = {"kind": delta.kind, "dim": dim}
 
-    from .hypergraph import minimal_vertex_covers
-
     covers = minimal_vertex_covers(h)
     report["covers"] = {
         "bigheight": covers.bigheight,
@@ -115,7 +118,7 @@ def cmd_invariants(args) -> int:
     if args.skip_homology:
         report["homology"] = {"omitted": "skipped by flag"}
     else:
-        table, err = _guarded(betti_table, h, parse_field(args.field))
+        table, err = _guarded(betti_table, h, field)
         capped = capped or err is not None
         report["homology"] = table.to_json_obj() if err is None else table
 

@@ -14,9 +14,12 @@ from typing import Optional, Sequence
 from .errors import UnknownVertex
 from .hypergraph import (
     Hypergraph,
-    bit_ids,
-    maximal_independent_sets,
+    _compress,
+    _maximal,
     _shift_mask,
+    bit_ids,
+    mask_of,
+    maximal_independent_sets,
 )
 
 KIND_VOID = "void"
@@ -63,11 +66,7 @@ class SimplicialComplex:
 
 def complex_from_facets(labels: Sequence[str], facet_masks: Sequence[int]) -> SimplicialComplex:
     """Normalize an arbitrary face list to its facet antichain."""
-    faces = set(facet_masks)
-    maximal = tuple(
-        sorted(f for f in faces if not any(o != f and o & f == f for o in faces))
-    )
-    return SimplicialComplex(tuple(labels), maximal)
+    return SimplicialComplex(tuple(labels), _maximal(set(facet_masks)))
 
 
 def independence_complex(h: Hypergraph) -> SimplicialComplex:
@@ -75,10 +74,6 @@ def independence_complex(h: Hypergraph) -> SimplicialComplex:
     if h.void:
         return SimplicialComplex(h.labels, ())
     return SimplicialComplex(h.labels, maximal_independent_sets(h))
-
-
-def _maximal(masks: set[int]) -> tuple[int, ...]:
-    return tuple(sorted(f for f in masks if not any(o != f and o & f == f for o in masks)))
 
 
 def link_and_deletion(d: SimplicialComplex, x: str) -> tuple[SimplicialComplex, SimplicialComplex]:
@@ -104,21 +99,12 @@ def dimension(d: SimplicialComplex) -> Optional[int]:
 def induced_subcomplex(d: SimplicialComplex, w: Sequence[str]) -> SimplicialComplex:
     """Restriction to the vertex subset W, reindexed onto W."""
     ids = sorted(d.vertex_id(lab) for lab in w)
-    wmask = 0
-    for i in ids:
-        wmask |= 1 << i
     labels = tuple(d.labels[i] for i in ids)
     if d.kind == KIND_VOID:
         return SimplicialComplex(labels, ())
+    wmask = mask_of(ids)
     restricted = _maximal({f & wmask for f in d.facets})
-    compress = {old: new for new, old in enumerate(ids)}
-    out = []
-    for f in restricted:
-        m = 0
-        for i in bit_ids(f):
-            m |= 1 << compress[i]
-        out.append(m)
-    return SimplicialComplex(labels, tuple(sorted(out)))
+    return SimplicialComplex(labels, tuple(sorted(_compress(restricted, ids))))
 
 
 def is_shedding(d: SimplicialComplex, x: str) -> bool:
@@ -149,15 +135,7 @@ def _profile_permutation(n: int, facets: tuple[int, ...]) -> list[int]:
 
 
 def _compressed_key(n: int, facets: tuple[int, ...]) -> tuple:
-    order = _profile_permutation(n, facets)
-    pos = {old: new for new, old in enumerate(order)}
-    out = []
-    for f in facets:
-        m = 0
-        for i in bit_ids(f):
-            m |= 1 << pos[i]
-        out.append(m)
-    return (n, tuple(sorted(out)))
+    return (n, tuple(sorted(_compress(facets, _profile_permutation(n, facets)))))
 
 
 _VD_MEMO: dict[tuple, bool] = {}
@@ -177,14 +155,8 @@ def _vd_verdict(n: int, facets: tuple[int, ...]) -> bool:
         support |= f
         common &= f
     if common or support != (1 << n) - 1:
-        keep = [i for i in range(n) if support >> i & 1 and not common >> i & 1]
-        pos = {old: new for new, old in enumerate(keep)}
-        stripped = []
-        for f in facets:
-            m = 0
-            for i in bit_ids(f & ~common):
-                m |= 1 << pos[i]
-            stripped.append(m)
+        keep = list(bit_ids(support & ~common))
+        stripped = _compress([f & ~common for f in facets], keep)
         return _vd_verdict(len(keep), tuple(sorted(set(stripped))))
     key = _compressed_key(n, facets)
     hit = _VD_MEMO.get(key)

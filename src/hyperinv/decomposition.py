@@ -13,6 +13,7 @@ from .hypergraph import (
     bit_ids,
     deletion,
     find_cycle,
+    neighborhood_minus,
     three_cycle_edge_condition,
 )
 
@@ -24,20 +25,12 @@ def is_codominated(h: Hypergraph, x: str) -> Optional[int]:
     E\\{x}, N(y\\x) contained in N(x\\y).  Vertices in no edge are never
     codominated.
     """
-    ix = h.vertex_id(x)
-    bx = 1 << ix
+    bx = 1 << h.vertex_id(x)
     for e in h.edges:  # canonical order gives the least witness
-        if not e & bx:
-            continue
-        ok = True
-        for iy in bit_ids(e & ~bx):
-            by = 1 << iy
-            n_y = {f & ~by for f in h.edges if f & by and not f & bx}
-            n_x = {f & ~bx for f in h.edges if f & bx and not f & by}
-            if not n_y <= n_x:
-                ok = False
-                break
-        if ok:
+        if e & bx and all(
+            neighborhood_minus(h, y, x) <= neighborhood_minus(h, x, y)
+            for y in h.edge_labels(e & ~bx)
+        ):
             return e
     return None
 

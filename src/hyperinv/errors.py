@@ -67,3 +67,7 @@ class UnknownFilter(HyperinvError):
 
 class UnknownSuite(HyperinvError):
     pass
+
+
+class UnknownField(HyperinvError, ValueError):
+    """A coefficient field other than q or f<p> for a prime p below 2^31."""

@@ -18,8 +18,10 @@ from .errors import HyperinvError, SizeLimitExceeded, Unsatisfiable, UnknownFilt
 from .hypergraph import (
     Hypergraph,
     build,
+    c2_free,
     find_cycle,
     from_masks,
+    is_graph,
     three_cycle_edge_condition,
     uniformity_profile,
 )
@@ -58,11 +60,18 @@ class FamilySpec:
 
 
 def family_from_json(text: str) -> FamilySpec:
+    """Read a family spec; every field must have the type of its default."""
     obj = json.loads(text)
-    known = {"kind", "n", "max_edge_size", "edge_count", "seed", "count", "name", "dedup", "filters"}
-    bad = set(obj) - known
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise HyperinvError("a family spec is a JSON object with a \"kind\" field")
+    defaults = FamilySpec(kind="").to_json_obj()
+    bad = set(obj) - set(defaults)
     if bad:
         raise HyperinvError(f"unknown family fields: {sorted(bad)}")
+    for key, value in obj.items():
+        want = type(defaults[key])
+        if type(value) is not want or (want is list and not all(isinstance(f, str) for f in value)):
+            raise HyperinvError(f"family field {key!r} must be a JSON {want.__name__}, not {value!r}")
     obj["filters"] = tuple(obj.get("filters", ()))
     return FamilySpec(**obj)
 
@@ -159,17 +168,9 @@ def named_instance(name: str) -> Hypergraph:
 # filters
 
 
-def _is_graph(h: Hypergraph) -> bool:
-    return bool(h.edges) and all(e.bit_count() == 2 for e in h.edges)
-
-
-def _c2_free(h: Hypergraph) -> bool:
-    return all((a & b).bit_count() < 2 for a, b in combinations(h.edges, 2))
-
-
 FILTERS: dict[str, Callable[[Hypergraph], bool]] = {
-    "graph": _is_graph,
-    "c2_free": _c2_free,
+    "graph": lambda h: bool(h.edges) and is_graph(h),
+    "c2_free": c2_free,
     "c5_free": lambda h: find_cycle(h, 5) is None,
     "three_cycle_condition": three_cycle_edge_condition,
     "vertex_decomposable": lambda h: vertex_decomposable(independence_complex(h)),

@@ -13,13 +13,13 @@ contribute the (-1)-dimensional class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from .complexes import SimplicialComplex
-from .errors import SizeLimitExceeded
+from .errors import SizeLimitExceeded, UnknownField
 from .hypergraph import (
     Hypergraph,
+    _compress,
     _edge_subset_unions,
     _minimal_transversals,
     bit_ids,
@@ -33,12 +33,15 @@ FIELD_Q = "Q"
 
 
 def parse_field(text: str) -> str:
+    """"q" for the rationals, "f<p>" for GF(p) with p a prime below 2^31."""
     t = text.strip().lower()
     if t == "q":
         return FIELD_Q
-    if t.startswith("f") and t[1:].isdigit() and int(t[1:]) >= 2:
-        return f"F{int(t[1:])}"
-    raise ValueError(f"unknown field {text!r}")
+    if t.startswith("f") and t[1:].isdecimal() and len(t) <= 11:
+        p = int(t[1:])
+        if 2 <= p < 1 << 31 and all(p % q for q in range(2, isqrt(p) + 1)):
+            return f"F{p}"
+    raise UnknownField(f"unknown field {text!r}: use q, or f<p> for a prime p below 2^31")
 
 
 def _rank(columns: list[dict[int, int]], field: str) -> int:
@@ -81,15 +84,14 @@ def _rank(columns: list[dict[int, int]], field: str) -> int:
 
 
 def _all_faces(facets: tuple[int, ...]) -> set[int]:
+    """Every subset of every facet, walked as the submasks of each facet."""
     faces: set[int] = set()
     for f in facets:
-        ids = list(bit_ids(f))
-        for k in range(len(ids) + 1):
-            for combo in combinations(ids, k):
-                m = 0
-                for i in combo:
-                    m |= 1 << i
-                faces.add(m)
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
     return faces
 
 
@@ -144,16 +146,14 @@ def reduced_homology(
 _SUBGRAPH_HOMOLOGY_MEMO: dict[tuple, dict[int, int]] = {}
 
 
-def _independent_faces(n: int, edges: tuple[int, ...]) -> set[int]:
-    return {u for u in range(1 << n) if not any(e & u == e for e in edges)}
-
-
 def _subhypergraph_homology(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
     """Homology of the independence complex of a (compressed) hypergraph."""
     key = (n, edges, field)
     hit = _SUBGRAPH_HOMOLOGY_MEMO.get(key)
     if hit is None:
-        hit = _homology_from_faces(_independent_faces(n, edges), field)
+        full = (1 << n) - 1
+        facets = tuple(full & ~c for c in _minimal_transversals(edges))
+        hit = _homology_from_faces(_all_faces(facets), field)
         _SUBGRAPH_HOMOLOGY_MEMO[key] = hit
     return hit
 
@@ -203,14 +203,7 @@ def betti_table(
     for w in _edge_subset_unions(h.edges)[1:]:
         ids = list(bit_ids(w))
         j = len(ids)
-        pos = {old: new for new, old in enumerate(ids)}
-        sub = []
-        for e in h.edges:
-            if e & w == e:
-                m = 0
-                for i in bit_ids(e):
-                    m |= 1 << pos[i]
-                sub.append(m)
+        sub = _compress([e for e in h.edges if e & w == e], ids)
         hom = _subhypergraph_homology(j, tuple(sorted(sub)), field)
         for dim, rank in hom.items():
             i = j - dim - 1
@@ -235,7 +228,7 @@ def minimal_nonfaces(d: SimplicialComplex) -> tuple[int, ...]:
     minimal non-faces are the minimal transversals of those complements.
     """
     full = (1 << d.n) - 1
-    return tuple(sorted(_minimal_transversals([full & ~f for f in d.facets])))
+    return _minimal_transversals([full & ~f for f in d.facets])
 
 
 def alexander_dual(d: SimplicialComplex) -> SimplicialComplex:

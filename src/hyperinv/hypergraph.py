@@ -8,6 +8,12 @@ order for deterministic witnesses.
 A hypergraph produced by contracting a singleton edge carries the
 ``void`` flag: its conceptual edge set is exactly {∅}, no vertex set is
 independent, and its independence complex is the void complex.
+
+One dualization primitive, ``_minimal_transversals`` (Berge's
+branching on the first edge not yet hit), yields the minimal vertex
+covers; the maximal independent sets are their complements, and the
+minimal non-faces and Alexander dual of a complex in ``homological`` are
+the transversals of its facet complements.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AntichainViolation,
@@ -49,6 +55,31 @@ def mask_of(ids: Sequence[int]) -> int:
 
 def edge_sort_key(mask: int) -> tuple:
     return (mask.bit_count(), tuple(bit_ids(mask)))
+
+
+def _minimal(masks: set[int]) -> tuple[int, ...]:
+    """The inclusion-minimal members of a set of masks, ascending."""
+    return tuple(sorted(m for m in masks if not any(o != m and o & m == o for o in masks)))
+
+
+def _maximal(masks: set[int]) -> tuple[int, ...]:
+    """The inclusion-maximal members of a set of masks, ascending."""
+    return tuple(sorted(m for m in masks if not any(o != m and o & m == m for o in masks)))
+
+
+def _compress(masks: Iterable[int], order: Sequence[int]) -> list[int]:
+    """Renumber the bits of each mask: bit ``order[k]`` becomes bit k.
+
+    Every set bit of every mask must occur in ``order``.
+    """
+    pos = {old: 1 << new for new, old in enumerate(order)}
+    out = []
+    for m in masks:
+        c = 0
+        for i in bit_ids(m):
+            c |= pos[i]
+        out.append(c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,8 +146,19 @@ def build(vertex_labels: Sequence[str], edge_lists: Sequence[Sequence[str]]) -> 
     return Hypergraph(labels, tuple(masks))
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
 def from_json_obj(obj: dict) -> Hypergraph:
-    return build(obj["vertices"], obj["edges"])
+    """Read ``{"vertices": [str, ...], "edges": [[str, ...], ...]}``."""
+    obj = obj if isinstance(obj, dict) else {}
+    vertices, edges = obj.get("vertices"), obj.get("edges")
+    if not (_is_str_list(vertices) and isinstance(edges, list) and all(map(_is_str_list, edges))):
+        raise HyperinvError(
+            'an instance is {"vertices": a list of strings, "edges": a list of lists of strings}'
+        )
+    return build(vertices, edges)
 
 
 def from_json(text: str) -> Hypergraph:
@@ -127,10 +169,6 @@ def from_masks(labels: Sequence[str], masks: Sequence[int], void: bool = False) 
     """Internal constructor from already-validated edge masks."""
     canon = tuple(sorted(set(masks), key=edge_sort_key))
     return Hypergraph(tuple(labels), canon, void)
-
-
-def _check_vertex(h: Hypergraph, x: str) -> int:
-    return h.vertex_id(x)
 
 
 def _drop_vertex_labels(h: Hypergraph, i: int) -> tuple[str, ...]:
@@ -146,7 +184,7 @@ def _shift_mask(mask: int, i: int) -> int:
 
 def deletion(h: Hypergraph, x: str) -> Hypergraph:
     """H\\x: drop the vertex and every edge through it."""
-    i = _check_vertex(h, x)
+    i = h.vertex_id(x)
     bit = 1 << i
     kept = [_shift_mask(e, i) for e in h.edges if not e & bit]
     return from_masks(_drop_vertex_labels(h, i), kept)
@@ -154,22 +192,19 @@ def deletion(h: Hypergraph, x: str) -> Hypergraph:
 
 def contraction(h: Hypergraph, x: str) -> Hypergraph:
     """H/x: remove x from every edge and keep the inclusion-minimal results."""
-    i = _check_vertex(h, x)
+    i = h.vertex_id(x)
     bit = 1 << i
     stripped = {e & ~bit for e in h.edges}
     if 0 in stripped:
         # {x} was an edge: the contraction's only "edge" is the empty set.
         return Hypergraph(_drop_vertex_labels(h, i), (), void=True)
-    minimal = [
-        e for e in stripped if not any(o != e and o & e == o for o in stripped)
-    ]
-    shifted = [_shift_mask(e, i) for e in minimal]
+    shifted = [_shift_mask(e, i) for e in _minimal(stripped)]
     return from_masks(_drop_vertex_labels(h, i), shifted)
 
 
 def neighborhood_minus(h: Hypergraph, x: str, y: str) -> set[int]:
     """{E \\ {x} : E edge, x in E, y not in E}, as a set of masks."""
-    ix, iy = _check_vertex(h, x), _check_vertex(h, y)
+    ix, iy = h.vertex_id(x), h.vertex_id(y)
     if ix == iy:
         raise SameVertex(f"vertices coincide: {x!r}")
     bx, by = 1 << ix, 1 << iy
@@ -295,6 +330,16 @@ def three_cycle_edge_condition(h: Hypergraph) -> bool:
     return True
 
 
+def is_graph(h: Hypergraph) -> bool:
+    """True iff every edge has two vertices (so also when there is no edge)."""
+    return all(e.bit_count() == 2 for e in h.edges)
+
+
+def c2_free(h: Hypergraph) -> bool:
+    """True iff no two edges share two vertices (no Berge 2-cycle)."""
+    return all((a & b).bit_count() < 2 for a, b in combinations(h.edges, 2))
+
+
 def uniformity_profile(h: Hypergraph) -> dict:
     """Edge-cardinality uniformity and the pairwise d-1 intersection property."""
     if not h.edges:
@@ -310,28 +355,14 @@ def uniformity_profile(h: Hypergraph) -> dict:
 
 
 def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
-    """All maximal independent vertex sets, as masks in ascending mask order."""
+    """All maximal independent vertex sets, as masks in ascending mask order.
+
+    They are the complements of the minimal vertex covers.
+    """
     if h.void:
         return ()
-    n = h.n
-    edges = h.edges
-    if not edges:
-        return (h.full_mask,)
-    if n <= 16:
-        independent = []
-        for u in range(1 << n):
-            if not any(e & u == e for e in edges):
-                independent.append(u)
-        ind_set = set(independent)
-        out = []
-        for u in independent:
-            if all((u | (1 << v)) not in ind_set for v in range(n) if not u >> v & 1):
-                out.append(u)
-        return tuple(sorted(out))
-    # complement route: minimal transversals of the edge set
-    covers = _minimal_transversals(edges)
     full = h.full_mask
-    return tuple(sorted(full & ~c for c in covers))
+    return tuple(sorted(full & ~c for c in _minimal_transversals(h.edges)))
 
 
 def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
@@ -342,7 +373,12 @@ def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
     return sorted(unions)
 
 
-def _minimal_transversals(edges: Sequence[int]) -> list[int]:
+def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:
+    """Minimal sets meeting every edge, ascending; ``(0,)`` for no edges.
+
+    Branches on the vertices of the first edge the partial choice misses,
+    then keeps the inclusion-minimal leaves.
+    """
     results: set[int] = set()
 
     def rec(chosen: int, idx: int) -> None:
@@ -354,9 +390,7 @@ def _minimal_transversals(edges: Sequence[int]) -> list[int]:
         results.add(chosen)
 
     rec(0, 0)
-    return [
-        c for c in results if not any(o != c and o & c == o for o in results)
-    ]
+    return _minimal(results)
 
 
 @dataclass(frozen=True)
@@ -369,10 +403,9 @@ class CoverList:
 
 
 def minimal_vertex_covers(h: Hypergraph) -> CoverList:
-    """Minimal vertex covers = complements of the independence-complex facets."""
+    """Minimal vertex covers: the minimal transversals of the edges."""
     if h.void:
         return CoverList((), 0)
-    full = h.full_mask
-    covers = tuple(sorted(full & ~f for f in maximal_independent_sets(h)))
+    covers = _minimal_transversals(h.edges)
     big = max((c.bit_count() for c in covers), default=0)
     return CoverList(covers, big)

@@ -27,9 +27,12 @@ from .homological import reg_and_pd
 from .hypergraph import (
     Hypergraph,
     bit_ids,
+    c2_free,
     contraction,
     deletion,
     find_cycle,
+    is_graph,
+    minimal_vertex_covers,
     three_cycle_edge_condition,
     uniformity_profile,
 )
@@ -61,15 +64,6 @@ def _skip(**details) -> SuiteResult:
 
 def _verdict(ok: bool, **details) -> SuiteResult:
     return SuiteResult(True, ok, details)
-
-
-def _is_graph(h: Hypergraph) -> bool:
-    return all(e.bit_count() == 2 for e in h.edges)
-
-
-def _c2_free(h: Hypergraph) -> bool:
-    es = h.edges
-    return all((es[i] & es[j]).bit_count() < 2 for i in range(len(es)) for j in range(i + 1, len(es)))
 
 
 def _is_vd(h: Hypergraph) -> bool:
@@ -108,7 +102,7 @@ def _check_lemma_codominated(h: Hypergraph) -> SuiteResult:
 
 
 def _check_graph_cc(h: Hypergraph) -> SuiteResult:
-    if not _is_graph(h):
+    if not is_graph(h):
         return _skip(graph=False)
     inv = matching_invariants(h)
     return _verdict(inv.c == inv.c_prime, c=inv.c, c_prime=inv.c_prime)
@@ -154,14 +148,14 @@ def _check_prop_cd(h: Hypergraph) -> SuiteResult:
     inv = matching_invariants(h)
     binv = bouquet_invariants(h)
     ok = inv.c <= binv.d <= binv.d_prime
-    c2 = _c2_free(h)
+    c2 = c2_free(h)
     if c2:
         ok = ok and inv.c_prime <= binv.d_prime
     return _verdict(ok, c=inv.c, c_prime=inv.c_prime, d=binv.d, d_prime=binv.d_prime, c2_free=c2)
 
 
 def _check_theorem_reg(h: Hypergraph) -> SuiteResult:
-    c2 = _c2_free(h)
+    c2 = c2_free(h)
     c5 = find_cycle(h, 5) is None
     if not (c2 and c5 and _is_vd(h)):
         return _skip(c2_free=c2, c5_free=c5)
@@ -186,10 +180,8 @@ def _check_theorem_pd(h: Hypergraph) -> SuiteResult:
 
 
 def _check_theorem_final(h: Hypergraph) -> SuiteResult:
-    from .hypergraph import minimal_vertex_covers
-
-    if not (_is_graph(h) and _is_vd(h)):
-        return _skip(graph=_is_graph(h))
+    if not (is_graph(h) and _is_vd(h)):
+        return _skip(graph=is_graph(h))
     binv = bouquet_invariants(h)
     covers = minimal_vertex_covers(h)
     hom = reg_and_pd(h)

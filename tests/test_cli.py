@@ -82,6 +82,29 @@ class TestInvariants:
         code, _, _ = run_cli(capsys, "invariants", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"vertices": ["a", "b"], "edges": "ab"}',
+            '{"vertices": "ab", "edges": [["a", "b"]]}',
+            '{"vertices": ["a", "b"], "edges": [["a", 1]]}',
+            '{"vertices": ["a", "b"]}',
+            '[["a", "b"]]',
+        ],
+    )
+    def test_instance_of_wrong_shape_exit_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: an instance is")
+
+    @pytest.mark.parametrize("field", ["zz", "f4", "f6"])
+    def test_unknown_field_exit_two(self, capsys, h1_file, field):
+        code, out, err = run_cli(capsys, "invariants", h1_file, "--field", field)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown field") and "Traceback" not in err
+
     def test_missing_file_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "invariants", "/does/not/exist.json")
         assert code == 2
@@ -149,6 +172,12 @@ class TestVerify:
     def test_invalid_family_exit_two(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "graph-cc", "--family", "{nope")
         assert code == 2
+
+    def test_family_field_of_wrong_type_exit_two(self, capsys):
+        family = '{"kind": "all_graphs", "n": "3"}'
+        code, out, err = run_cli(capsys, "verify", "graph-cc", "--family", family)
+        assert code == 2 and out == ""
+        assert "family field 'n' must be a JSON int" in err
 
     def test_self_test_exit_one_and_rerunnable(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -130,6 +130,26 @@ class TestSpecs:
         with pytest.raises(HyperinvError):
             family_from_json('{"kind": "all_graphs", "bogus": 1}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "all_graphs", "n": "3"}',
+            '{"kind": "all_graphs", "n": true}',
+            '{"kind": "all_graphs", "n": 3.0}',
+            '{"kind": "all_graphs", "n": 3, "dedup": 1}',
+            '{"kind": "all_graphs", "n": 3, "filters": "c5_free"}',
+            '{"kind": "all_graphs", "n": 3, "filters": [5]}',
+            '{"kind": 4}',
+            '{"n": 3}',
+            '[{"kind": "all_graphs"}]',
+        ],
+    )
+    def test_field_types_checked(self, text):
+        from hyperinv.errors import HyperinvError
+
+        with pytest.raises(HyperinvError):
+            family_from_json(text)
+
     def test_named_stream(self):
         spec = FamilySpec(kind="named", name="p3")
         [(i, h)] = list(stream(spec))

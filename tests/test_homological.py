@@ -22,7 +22,7 @@ from hyperinv import (
     reg_and_pd,
 )
 from hyperinv.complexes import SimplicialComplex, complex_from_facets
-from hyperinv.errors import SizeLimitExceeded
+from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
 from hyperinv.homological import _all_faces, _rank, parse_field
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
@@ -81,10 +81,11 @@ class TestRanks:
         assert parse_field("q") == "Q"
         assert parse_field("f2") == "F2"
         assert parse_field("F7") == "F7"
-        with pytest.raises(ValueError):
-            parse_field("f1")
-        with pytest.raises(ValueError):
-            parse_field("zz")
+        assert parse_field("f2147483647") == "F2147483647"  # the prime 2^31 - 1
+        for text in ("f1", "zz", "f4", "f6", "f", "f-3", "f2147483659"):
+            with pytest.raises(UnknownField):
+                parse_field(text)
+        assert issubclass(UnknownField, HyperinvError) and issubclass(UnknownField, ValueError)
 
 
 class TestReducedHomology:

@@ -10,6 +10,8 @@ from hyperinv import (
     deletion,
     find_cycle,
     from_json,
+    from_masks,
+    maximal_independent_sets,
     minimal_vertex_covers,
     neighborhood_minus,
     three_cycle_edge_condition,
@@ -190,6 +192,16 @@ class TestCovers:
     def test_edgeless(self):
         cl = minimal_vertex_covers(build(["a", "b"], []))
         assert cl.covers == (0,) and cl.bigheight == 0
+
+    def test_nine_disjoint_edges_on_eighteen_vertices(self):
+        # one vertex from each edge: 2^9 maximal independent sets and covers
+        h = from_masks([f"x{i + 1}" for i in range(18)], [0b11 << 2 * k for k in range(9)])
+        mis = maximal_independent_sets(h)
+        assert len(mis) == 512 and {m.bit_count() for m in mis} == {9}
+        assert all(not any(e & m == e for e in h.edges) for m in mis)
+        cl = minimal_vertex_covers(h)
+        assert cl.bigheight == 9
+        assert cl.covers == tuple(sorted(h.full_mask & ~m for m in mis))
 
     def test_covers_cover_and_are_minimal(self, tiny=None):
         from conftest import tiny_hypergraphs

@@ -1,8 +1,8 @@
 """Property-based invariant checks over randomly drawn hypergraphs."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_betti_table
+from conftest import oracle_betti_table, oracle_independence_facets
 from hyperinv import (
     betti_table,
     bouquet_invariants,
@@ -14,10 +14,11 @@ from hyperinv import (
     is_codominated,
     is_shedding_vertex,
     matching_invariants,
+    minimal_vertex_covers,
     reg_and_pd,
 )
 from hyperinv.complexes import dimension
-from hyperinv.hypergraph import bit_ids
+from hyperinv.hypergraph import _maximal, _minimal, bit_ids
 
 
 @st.composite
@@ -56,6 +57,39 @@ def test_deletion_and_contraction_stay_simple(h):
             for a in derived.edges:
                 assert a
                 assert not any(b != a and b & a == b for b in derived.edges)
+        # H/x from the definition: the inclusion-minimal sets E \ {x}
+        stripped = {frozenset(e) - {x} for e in h.edges_as_labels()}
+        ctr = contraction(h, x)
+        assert ctr.void == (frozenset() in stripped)
+        if not ctr.void:
+            want = {e for e in stripped if not any(o < e for o in stripped)}
+            assert {frozenset(e) for e in ctr.edges_as_labels()} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=12))
+def test_antichain_helpers_match_brute_force(masks):
+    as_sets = {m: frozenset(bit_ids(m)) for m in masks}
+    assert _minimal(masks) == tuple(
+        sorted(m for m in masks if not any(as_sets[o] < as_sets[m] for o in masks))
+    )
+    assert _maximal(masks) == tuple(
+        sorted(m for m in masks if not any(as_sets[m] < as_sets[o] for o in masks))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=10, max_edge_size=4, max_edges=8))
+@example(from_masks([f"x{i + 1}" for i in range(6)], [0b000001, 0b000110, 0b011010]))
+@example(from_masks([f"x{i + 1}" for i in range(4)], []))
+def test_independent_sets_and_covers_match_oracle(h):
+    """Both come from one dualization; singleton edges and vertices in no
+    edge are drawn too (the example has both: {x1} and the free x6)."""
+    facets = oracle_independence_facets(h)
+    assert independence_complex(h).facets == facets
+    covers = minimal_vertex_covers(h)
+    assert covers.covers == tuple(sorted(h.full_mask & ~f for f in facets))
+    assert covers.bigheight == max(c.bit_count() for c in covers.covers)
 
 
 @settings(max_examples=150, deadline=None)
