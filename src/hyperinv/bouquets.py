@@ -6,17 +6,24 @@ set can be rewritten, without losing flowers or adding roots, as a set
 of single-stem bouquets whose roots are singletons: a multi-stem bouquet
 rooted at its stem intersection only loses flowers compared to splitting
 its stems into single-stem bouquets sharing one chosen root vertex.  The
-search therefore ranges over independent root sets R and per-edge root
-assignments.  The d maximization ranges over induced matchings (the
-chosen stem system), a hub vertex inside each chosen stem (a member of
-the final stem intersection), and assignments of the remaining edges to
-hubs they contain.
+search therefore ranges over independent root sets R, walked as the
+faces of the independence complex (submasks of the maximal independent
+sets), and per-edge root assignments.  The d maximization ranges over
+induced matchings (the chosen stem system), a hub vertex inside each
+chosen stem (a member of the final stem intersection), and assignments
+of the remaining edges to hubs they contain.
+
+Both searches score each candidate by its flower count on bitmasks
+alone, in a fixed order with strict improvement, and build and classify
+the bouquet set of the first best candidate only, once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .errors import (
@@ -26,7 +33,7 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, _edge_subset_unions, bit_ids, edge_sort_key
+from .hypergraph import Hypergraph, _all_faces, bit_ids, edge_sort_key, maximal_independent_sets
 from .matchings import classify_family
 
 DEFAULT_EDGE_CAP = 12
@@ -158,37 +165,55 @@ def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Bouqu
 
 
 def _dprime_search(h: Hypergraph) -> tuple[int, BouquetSet]:
-    best = (-1, None)
-    for r_mask in range(1, 1 << h.n):
-        if not _independent(h, r_mask):
-            continue
-        touched = [e for e in h.edges if e & r_mask]
-        if not touched:
-            continue
-        base = 0
-        for e in touched:
-            base |= e
-        base &= ~r_mask
-        forced: list[tuple[int, int]] = []
+    """Root sets R are the faces of the independence complex inside the
+    edge support, in ascending mask order; a root set that also holds
+    vertices in no edge scores the same as its part inside the support,
+    which comes first.  Only the first best R gets a witness."""
+    support = reduce(or_, h.edges)
+    faces = _all_faces(f & support for f in maximal_independent_sets(h))
+    best, best_r = 0, 0
+    for r_mask in sorted(faces)[1:]:
+        union = 0
         contested: list[int] = []
-        for e in touched:
+        for e in h.edges:
             common = e & r_mask
-            if common.bit_count() == 1:
-                forced.append((e, common))
-            else:
-                contested.append(e)
-        freed, choices = _max_freed(contested, r_mask)
-        size = base.bit_count() + freed.bit_count()
-        if size > best[0]:
-            assign = forced + choices
-            bouquets = tuple(
-                Bouquet((e,), root) for e, root in sorted(assign, key=lambda p: edge_sort_key(p[0]))
-            )
-            best = (size, classify_bouquet_set(h, bouquets))
-    if best[1] is None:
+            if common:
+                union |= e
+                if common & (common - 1):
+                    contested.append(common)
+        # the base and the freed roots both lie in the union of touched edges
+        if union.bit_count() <= best:
+            continue
+        size = (union & ~r_mask).bit_count() + _max_freed_size(contested)
+        if size > best:
+            best, best_r = size, r_mask
+    if not best_r:
         # no independent root set touches an edge (all edges are singletons)
         return 0, classify_bouquet_set(h, ())
-    return best
+    return best, _dprime_witness(h, best_r)
+
+
+def _max_freed_size(commons: list[int]) -> int:
+    """Largest union of freed roots: each edge meeting R in ``common``
+    keeps one root of it and frees the others."""
+    states = {0}
+    for common in commons:
+        frees = [common & ~(1 << v) for v in bit_ids(common)]
+        states = {s | f for s in states for f in frees}
+    return max(s.bit_count() for s in states)
+
+
+def _dprime_witness(h: Hypergraph, r_mask: int) -> BouquetSet:
+    """The single-stem bouquet set of root set R: forced roots where an
+    edge meets R once, the freed-set optimum elsewhere."""
+    touched = [e for e in h.edges if e & r_mask]
+    forced = [(e, e & r_mask) for e in touched if (e & r_mask).bit_count() == 1]
+    contested = [e for e in touched if (e & r_mask).bit_count() >= 2]
+    assign = forced + _max_freed(contested, r_mask)[1]
+    bouquets = tuple(
+        Bouquet((e,), root) for e, root in sorted(assign, key=lambda p: edge_sort_key(p[0]))
+    )
+    return classify_bouquet_set(h, bouquets)
 
 
 def _max_freed(contested: list[int], r_mask: int) -> tuple[int, list[tuple[int, int]]]:
@@ -218,59 +243,102 @@ def _max_freed(contested: list[int], r_mask: int) -> tuple[int, list[tuple[int, 
 
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
-    out = []
-    for u in _edge_subset_unions(h.edges)[1:]:
-        members = [e for e in h.edges if e & u == e]
-        if sum(e.bit_count() for e in members) == u.bit_count():
-            out.append(tuple(members))
-    return out
+    """Pairwise disjoint edge sets with no other edge inside their union,
+    ascending by union.  An edge inside the union stays inside it when
+    the matching grows, so only induced matchings are extended."""
+    edges = h.edges
+    found: list[tuple[int, tuple[int, ...]]] = []
+
+    def grow(start: int, union: int, chosen: tuple[int, ...]) -> None:
+        for i in range(start, len(edges)):
+            if edges[i] & union:
+                continue
+            u, m = union | edges[i], chosen + (edges[i],)
+            if sum(1 for e in edges if e & u == e) == len(m):
+                found.append((u, m))
+                grow(i + 1, u, m)
+
+    grow(0, 0, ())
+    return [m for _, m in sorted(found)]
 
 
 def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
-    best = (0, classify_bouquet_set(h, ()))
-    edges = h.edges
+    """Each (matching, hubs, assignment) is scored on masks; only the
+    first best one is turned into bouquets."""
+    best_val, best = 0, None
     for matching in _induced_matchings(h):
-        in_matching = set(matching)
+        rest = [e for e in h.edges if e not in matching]
         for hubs in product(*[tuple(bit_ids(e)) for e in matching]):
+            slot = {1 << hub: i for i, hub in enumerate(hubs)}
+            hub_mask = sum(slot)
             stems: list[list[int]] = [[e] for e in matching]
             contested: list[tuple[int, list[int]]] = []
-            for e in edges:
-                if e in in_matching:
-                    continue
-                owners = [i for i, hub in enumerate(hubs) if e >> hub & 1]
-                if len(owners) == 1:
-                    stems[owners[0]].append(e)
-                elif owners:
-                    contested.append((e, owners))
-            for assignment in _assignments(contested):
-                groups = [list(s) for s in stems]
-                for e, i in assignment:
-                    groups[i].append(e)
-                val, bouquets = _score_groups(h, groups, hubs)
-                if val > best[0]:
-                    best = (val, classify_bouquet_set(h, bouquets))
+            for e in rest:
+                hit = e & hub_mask
+                if hit & (hit - 1):
+                    contested.append((e, sorted(slot[1 << v] for v in bit_ids(hit))))
+                elif hit:
+                    stems[slot[hit]].append(e)
+            # every flower lies in a stem
+            reach = reduce(or_, [e for s in stems for e in s] + [e for e, _ in contested])
+            if reach.bit_count() <= best_val:
+                continue
+            base = [(reduce(or_, s), reduce(and_, s), len(s)) for s in stems]
+            # the first contested edge varies fastest; with strict ">" this
+            # order decides which of equally good candidates is reported
+            for pick in product(*[[(e, i) for i in o] for e, o in reversed(contested)]):
+                groups = base[:]
+                for e, i in pick:
+                    u, x, c = groups[i]
+                    groups[i] = (u | e, x & e, c + 1)
+                val = _grouped_flowers(groups, best_val)
+                if val > best_val:
+                    best_val = val
+                    best = [s + [e for e, j in reversed(pick) if j == i] for i, s in enumerate(stems)]
+    if best is None:
+        return 0, classify_bouquet_set(h, ())
+    _, bouquets = _score_groups(h, best)
+    return best_val, classify_bouquet_set(h, bouquets)
+
+
+def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> int:
+    """The flower count ``_score_groups`` finds for stem groups given as
+    (union, intersection, size); ``floor`` when it cannot beat ``floor``."""
+    fixed = 0
+    singles: list[int] = []
+    for u, x, c in groups:
+        if c >= 2:
+            fixed |= u & ~x
+        elif u & (u - 1):
+            singles.append(u)
+    if reduce(or_, singles, fixed).bit_count() <= floor:
+        return floor
+    return _single_roots(fixed, singles)[0]
+
+
+def _single_roots(fixed: int, singles: list[int]) -> tuple[int, tuple[int, ...]]:
+    """The first choice of one root per single stem with the most flowers
+    on top of ``fixed``: (flower count, root ids)."""
+    ceiling = reduce(or_, singles, fixed).bit_count()
+    best: tuple[int, tuple[int, ...]] = (-1, ())
+    for roots in product(*[tuple(bit_ids(e)) for e in singles]):
+        flowers = fixed
+        for e, r in zip(singles, roots):
+            flowers |= e & ~(1 << r)
+        if flowers.bit_count() > best[0]:
+            best = (flowers.bit_count(), roots)
+            if best[0] == ceiling:
+                break
     return best
 
 
-def _assignments(contested: list[tuple[int, list[int]]]):
-    if not contested:
-        yield []
-        return
-    e, owners = contested[0]
-    for rest in _assignments(contested[1:]):
-        for i in owners:
-            yield [(e, i)] + rest
-
-
-def _score_groups(
-    h: Hypergraph, groups: list[list[int]], hubs: tuple[int, ...]
-) -> tuple[int, tuple[Bouquet, ...]]:
-    """Flowers of the grouped bouquets; single-stem roots picked greedily
-    from an exhaustive scan over singleton roots."""
+def _score_groups(h: Hypergraph, groups: list[list[int]]) -> tuple[int, tuple[Bouquet, ...]]:
+    """Flowers of the grouped bouquets; single-stem roots picked by an
+    exhaustive scan over singleton roots."""
     fixed = 0
     singles: list[int] = []
     bouquets: list[Bouquet] = []
-    for grp, hub in zip(groups, hubs):
+    for grp in groups:
         if len(grp) >= 2:
             b = make_bouquet(h, grp)
             fixed |= b.flowers
@@ -278,18 +346,10 @@ def _score_groups(
         elif grp[0].bit_count() >= 2:
             singles.append(grp[0])
         # a lone singleton edge admits no root choice and forms no bouquet
-    best_extra = (-1, [])
-    for roots in product(*[tuple(bit_ids(e)) for e in singles]):
-        extra = 0
-        for e, r in zip(singles, roots):
-            extra |= e & ~(1 << r)
-        total = (fixed | extra).bit_count()
-        if total > best_extra[0]:
-            best_extra = (total, list(roots))
-    for e, r in zip(singles, best_extra[1]):
-        bouquets.append(make_bouquet(h, [e], 1 << r))
+    total, roots = _single_roots(fixed, singles)
+    bouquets += [make_bouquet(h, [e], 1 << r) for e, r in zip(singles, roots)]
     bouquets.sort(key=lambda b: edge_sort_key(b.stems[0]))
-    return best_extra[0], tuple(bouquets)
+    return total, tuple(bouquets)
 
 
 # ---------------------------------------------------------------------------

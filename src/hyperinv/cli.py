@@ -122,9 +122,15 @@ def cmd_invariants(args) -> int:
         capped = capped or err is not None
         report["homology"] = table.to_json_obj() if err is None else table
 
-    report["vertex_classification"] = theorem_main_report(h).to_json_obj()
-    order = is_codismantlable(h)
-    report["codismantlable"] = {"order": list(order.order)} if order else None
+    classes, err = _guarded(theorem_main_report, h)
+    capped = capped or err is not None
+    report["vertex_classification"] = classes.to_json_obj() if err is None else classes
+    order, err = _guarded(is_codismantlable, h)
+    capped = capped or err is not None
+    if err is None:
+        report["codismantlable"] = {"order": list(order.order)} if order else None
+    else:
+        report["codismantlable"] = order
 
     checklist = {}
     for name in sorted(SUITES):

@@ -174,9 +174,8 @@ FILTERS: dict[str, Callable[[Hypergraph], bool]] = {
     "c5_free": lambda h: find_cycle(h, 5) is None,
     "three_cycle_condition": three_cycle_edge_condition,
     "vertex_decomposable": lambda h: vertex_decomposable(independence_complex(h)),
-    "d_uniform_strong": lambda h: bool(h.edges)
-    and uniformity_profile(h)["d"] is not None
-    and uniformity_profile(h)["strong_intersection"],
+    # the strong intersection property is only ever set for a uniform H
+    "d_uniform_strong": lambda h: bool(h.edges) and uniformity_profile(h)["strong_intersection"],
     "has_edges": lambda h: bool(h.edges),
 }
 

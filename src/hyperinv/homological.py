@@ -19,6 +19,7 @@ from .complexes import SimplicialComplex
 from .errors import SizeLimitExceeded, UnknownField
 from .hypergraph import (
     Hypergraph,
+    _all_faces,
     _compress,
     _edge_subset_unions,
     _minimal_transversals,
@@ -81,18 +82,6 @@ def _rank(columns: list[dict[int, int]], field: str) -> int:
                 g = gcd(*col.values())
                 col = {r: v // g for r, v in col.items()}
     return len(pivots)
-
-
-def _all_faces(facets: tuple[int, ...]) -> set[int]:
-    """Every subset of every facet, walked as the submasks of each facet."""
-    faces: set[int] = set()
-    for f in facets:
-        s = f
-        while s:
-            faces.add(s)
-            s = (s - 1) & f
-        faces.add(0)
-    return faces
 
 
 def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:

@@ -58,13 +58,37 @@ def edge_sort_key(mask: int) -> tuple:
 
 
 def _minimal(masks: set[int]) -> tuple[int, ...]:
-    """The inclusion-minimal members of a set of masks, ascending."""
-    return tuple(sorted(m for m in masks if not any(o != m and o & m == o for o in masks)))
+    """The inclusion-minimal members of a set of masks, ascending.
+
+    A mask can only contain masks of smaller popcount, so walking in
+    popcount order each mask is tested against the minimal ones kept so far.
+    """
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
 
 
 def _maximal(masks: set[int]) -> tuple[int, ...]:
     """The inclusion-maximal members of a set of masks, ascending."""
-    return tuple(sorted(m for m in masks if not any(o != m and o & m == m for o in masks)))
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(k & m == m for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+def _all_faces(facets: Iterable[int]) -> set[int]:
+    """Every subset of every facet, walked as the submasks of each facet."""
+    faces: set[int] = set()
+    for f in facets:
+        s = f
+        while s:
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
+    return faces
 
 
 def _compress(masks: Iterable[int], order: Sequence[int]) -> list[int]:

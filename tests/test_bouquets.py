@@ -1,7 +1,12 @@
 """Bouquet validation, disjointness classification, d/d', cover replay."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+import hyperinv.bouquets as bouquets
 from conftest import oracle_bouquet_numbers, tiny_hypergraphs
 
 from hyperinv import (
@@ -10,6 +15,7 @@ from hyperinv import (
     classify_bouquet_set,
     cover_from_bouquets,
     enumerate_graphs,
+    from_masks,
     make_bouquet,
     matching_invariants,
     minimal_vertex_covers,
@@ -23,6 +29,9 @@ from hyperinv.errors import (
     SearchLimitExceeded,
 )
 from hyperinv.generators import FamilySpec
+
+NAMED = ("h1", "h2", "star3", "p3", "single_edge", "two_disjoint_edges", "c4", "c5")
+GOLDEN_WITNESSES = Path(__file__).with_name("bouquet_witnesses.json")
 
 
 def edge_by_labels(h, labels):
@@ -191,3 +200,66 @@ class TestCoverFromBouquets:
         assert not bs.semi_strongly_disjoint
         with pytest.raises(NotSemiStronglyDisjoint):
             cover_from_bouquets(p3, bs)
+
+
+def seeded_witness_stream(seed, n_range, draws, sizes, count=60):
+    """Seeded hypergraphs: ``draws`` random edges with sizes drawn from
+    ``sizes``, reduced to their inclusion-minimal members."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(*n_range)
+        raw = set()
+        for _ in range(rng.randint(*draws)):
+            size = min(n, rng.choice(sizes))
+            raw.add(sum(1 << v for v in rng.sample(range(n), size)))
+        edges = [m for m in raw if not any(o != m and o & m == o for o in raw)]
+        yield from_masks([f"x{i + 1}" for i in range(n)], edges)
+
+
+def witness_cases():
+    """(name, hypergraph) for every named instance and two seeded streams:
+    one where singleton edges and vertices in no edge are common, and one
+    of 8-12 edges of size 2-4, where hubs and roots are often contested."""
+    cases = [(name, named_instance(name)) for name in NAMED]
+    mixed = seeded_witness_stream(4, (2, 9), (2, 12), (1, 2, 2, 2, 2, 3, 3, 3, 4))
+    dense = seeded_witness_stream(6, (5, 8), (8, 12), (2, 2, 3, 3, 3, 4))
+    cases += [(f"mixed-{i}", h) for i, h in enumerate(mixed)]
+    cases += [(f"dense-{i}", h) for i, h in enumerate(dense)]
+    return cases
+
+
+def witness_record(name, h):
+    inv = bouquet_invariants(h)
+    return {
+        "name": name,
+        "instance": h.to_json_obj(),
+        "d": inv.witnesses["d"].to_json_obj(h),
+        "d_prime": inv.witnesses["d_prime"].to_json_obj(h),
+    }
+
+
+def test_each_search_classifies_one_bouquet_set(monkeypatch):
+    """Candidates are scored on masks; only the reported witness is built
+    and classified."""
+    calls = []
+
+    def counted(h, bset):
+        calls.append(bset)
+        return classify_bouquet_set(h, bset)
+
+    monkeypatch.setattr(bouquets, "classify_bouquet_set", counted)
+    for _, h in witness_cases():
+        for search in (bouquets._d_search, bouquets._dprime_search):
+            calls.clear()
+            search(h)
+            assert len(calls) == 1, search.__name__
+
+
+def test_golden_witnesses():
+    """The d and d' witnesses, tie-breaks included, as recorded from the
+    searches that built a witness for every improving candidate."""
+    golden = json.loads(GOLDEN_WITNESSES.read_text())
+    got = [witness_record(name, h) for name, h in witness_cases()]
+    assert len(got) == len(golden)
+    for g, want in zip(got, golden):
+        assert g == want, g["name"]

@@ -115,6 +115,24 @@ class TestInvariants:
         report = json.loads(out)
         assert "omitted" in report["matchings"]
 
+    def test_k8_partial_report_exit_three(self, capsys, tmp_path):
+        """K8 has 28 edges: past the cycle-search cap (20), so the vertex
+        classification is omitted instead of ending the run."""
+        labels = [f"x{i + 1}" for i in range(8)]
+        edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
+        path = tmp_path / "k8.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": edges}))
+        code, out, _ = run_cli(capsys, "invariants", str(path))
+        assert code == 3
+        report = json.loads(out)
+        for key in ("matchings", "bouquets", "vertex_classification"):
+            assert "exceed" in report[key]["omitted"], key
+        assert "omitted" in report["structure"]["c5_free"]
+        assert "omitted" in report["theorems"]["theorem-main"]
+        assert report["codismantlable"] == {"order": labels[:7]}
+        assert report["homology"]["pd"] == 7
+        assert report["covers"]["bigheight"] == 7
+
     def test_output_byte_stable(self, capsys, h1_file):
         _, out1, _ = run_cli(capsys, "invariants", h1_file)
         _, out2, _ = run_cli(capsys, "invariants", h1_file)

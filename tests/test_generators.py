@@ -1,10 +1,11 @@
 """Instance generators: enumeration counts, determinism, filters."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from hyperinv import enumerate_graphs, random_hypergraph
+from hyperinv import enumerate_graphs, generators, random_hypergraph
 from hyperinv.errors import SizeLimitExceeded, UnknownFilter, Unsatisfiable
 from hyperinv.generators import (
     FILTERS,
@@ -14,6 +15,7 @@ from hyperinv.generators import (
     named_instance,
     stream,
 )
+from hyperinv.hypergraph import uniformity_profile
 
 # frozen at first build from the deterministic generator
 GOLDEN_RANDOM = {
@@ -96,6 +98,31 @@ class TestFilters:
         assert FILTERS["d_uniform_strong"](p3)
         assert not FILTERS["d_uniform_strong"](h1)  # |E2 ∩ E3| = 1 != 2
         assert not FILTERS["d_uniform_strong"](h2)  # mixed sizes
+
+    def test_d_uniform_strong_profiles_each_draw_once(self, monkeypatch):
+        """One uniformity profile per draw, and the stream the definition
+        (d-uniform, every two edges meet in 0 or d-1 vertices) selects."""
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return uniformity_profile(h)
+
+        monkeypatch.setattr(generators, "uniformity_profile", counted)
+        spec = FamilySpec(kind="random_hypergraph", n=5, max_edge_size=3,
+                          edge_count=3, seed=2, count=200)
+        draws = [h for _, h in stream(spec)]
+        kept = [h for _, h in stream(replace(spec, filters=("d_uniform_strong",)))]
+        assert len(calls) == len(draws)
+
+        def definition(h):
+            sizes = {e.bit_count() for e in h.edges}
+            return len(sizes) == 1 and all(
+                (a & b).bit_count() in (0, min(sizes) - 1) for a, b in combinations(h.edges, 2)
+            )
+
+        assert kept == [h for h in draws if definition(h)]
+        assert 0 < len(kept) < len(draws)
 
     def test_unknown_filter(self):
         with pytest.raises(UnknownFilter):

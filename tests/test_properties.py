@@ -2,7 +2,7 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_betti_table, oracle_independence_facets
+from conftest import oracle_betti_table, oracle_bouquet_numbers, oracle_independence_facets
 from hyperinv import (
     betti_table,
     bouquet_invariants,
@@ -113,6 +113,18 @@ def test_chain_c_d_dprime(h):
     c = matching_invariants(h).c
     b = bouquet_invariants(h)
     assert c <= b.d <= b.d_prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=6, max_edge_size=3, max_edges=5))
+@example(from_masks([f"x{i + 1}" for i in range(5)], [0b00001, 0b00110, 0b01100]))
+@example(from_masks([f"x{i + 1}" for i in range(3)], [0b001, 0b010]))
+def test_bouquet_numbers_match_oracle(h):
+    """Singleton edges and vertices in no edge are drawn too: the first
+    example has the singleton {x1} and the free x5, the second only
+    singletons and the free x3."""
+    inv = bouquet_invariants(h)
+    assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
 
 @settings(max_examples=150, deadline=None)
