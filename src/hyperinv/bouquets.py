@@ -16,6 +16,8 @@ of the remaining edges to hubs they contain.
 Both searches score each candidate by its flower count on bitmasks
 alone, in a fixed order with strict improvement, and build and classify
 the bouquet set of the first best candidate only, once.
+``dprime_invariant`` runs the d' search alone; ``bouquet_invariants``
+adds the d search.
 """
 
 from __future__ import annotations
@@ -149,14 +151,20 @@ class BouquetInvariants:
     witnesses: dict  # name -> BouquetSet
 
 
-def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> BouquetInvariants:
+def dprime_invariant(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, BouquetSet]:
+    """d' with its witness, without the d search."""
     if len(h.edges) > edge_cap:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
     if not h.edges:
-        empty = classify_bouquet_set(h, ())
-        return BouquetInvariants(0, 0, {"d": empty, "d_prime": empty})
+        return 0, classify_bouquet_set(h, ())
+    return _dprime_search(h)
+
+
+def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> BouquetInvariants:
+    dp_val, dp_wit = dprime_invariant(h, edge_cap)
+    if not h.edges:
+        return BouquetInvariants(0, 0, {"d": dp_wit, "d_prime": dp_wit})
     d_val, d_wit = _d_search(h)
-    dp_val, dp_wit = _dprime_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
 
@@ -357,16 +365,21 @@ def _score_groups(h: Hypergraph, groups: list[list[int]]) -> tuple[int, tuple[Bo
 
 
 def cover_from_bouquets(
-    h: Hypergraph, bset: BouquetSet, edge_cap: int = DEFAULT_EDGE_CAP
+    h: Hypergraph,
+    bset: BouquetSet,
+    edge_cap: int = DEFAULT_EDGE_CAP,
+    d_prime: Optional[int] = None,
 ) -> int:
     """Minimal vertex cover of H inside the flower set of an optimal
-    semi-strongly disjoint bouquet set."""
+    semi-strongly disjoint bouquet set.  Optimality is checked against
+    ``d_prime``, the d' of H, which is computed when not given."""
     if not bset.semi_strongly_disjoint:
         raise NotSemiStronglyDisjoint("bouquet set has dependent roots")
-    inv = bouquet_invariants(h, edge_cap=edge_cap)
-    if bset.flowers.bit_count() != inv.d_prime:
+    if d_prime is None:
+        d_prime = dprime_invariant(h, edge_cap)[0]
+    if bset.flowers.bit_count() != d_prime:
         raise NotOptimalWitness(
-            f"|F|={bset.flowers.bit_count()} does not realize d'={inv.d_prime}"
+            f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}"
         )
     stem_set = set(bset.stems)
     ordered = [e for e in h.edges if e not in stem_set] + [e for e in h.edges if e in stem_set]

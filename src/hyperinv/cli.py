@@ -17,22 +17,15 @@ import json
 import sys
 from typing import Optional
 
-from .bouquets import bouquet_invariants
-from .complexes import dimension, independence_complex
-from .decomposition import is_codismantlable, theorem_main_report
+from .bouquets import DEFAULT_EDGE_CAP as BOUQUET_EDGE_CAP, bouquet_invariants
+from .complexes import dimension
+from .decomposition import theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded
 from .generators import FamilySpec, family_from_json
-from .homological import betti_table, parse_field
-from .hypergraph import (
-    Hypergraph,
-    c2_free,
-    find_cycle,
-    from_json,
-    minimal_vertex_covers,
-    three_cycle_edge_condition,
-    uniformity_profile,
-)
-from .matchings import matching_invariants
+from .homological import parse_field
+from .hypergraph import Hypergraph, c2_free, from_json, uniformity_profile
+from .matchings import DEFAULT_EDGE_CAP as MATCHING_EDGE_CAP, matching_invariants
+from .profile import profile_of
 from .suites import SUITES, check_instance, run_suite
 
 EXIT_OK = 0
@@ -70,19 +63,27 @@ def _guarded(fn, *args, **kwargs):
 def cmd_invariants(args) -> int:
     h = _load_instance(args.path)
     field = parse_field(args.field)
+    # Every invariant is read from the instance's profile, which the suite
+    # checks below share; a search under a non-default cap runs on its own.
+    p = profile_of(h)
     capped = False
     report: dict = {"instance": h.to_json_obj()}
 
-    c5, c5_err = _guarded(find_cycle, h, 5, cycle_limit=max(args.cycle_limit, 5))
+    # the C5 search needs length 5, so a lower --cycle-limit is raised to 5
+    # and no limit can change the result
+    c5, c5_err = _guarded(lambda: p.c5_free)
+    hypotheses = {"c5_free": c5, "three_cycle_condition": p.three_cycle_condition}
     report["structure"] = {
         "c2_free": c2_free(h),
-        "c5_free": (c5 is None) if c5_err is None else c5,
-        "three_cycle_condition": three_cycle_edge_condition(h),
+        **hypotheses,
         "uniformity": uniformity_profile(h) if h.edges else None,
     }
     capped = capped or c5_err is not None
 
-    minv, err = _guarded(matching_invariants, h, edge_cap=args.edge_cap)
+    if args.edge_cap == MATCHING_EDGE_CAP:
+        minv, err = _guarded(lambda: p.matchings)
+    else:
+        minv, err = _guarded(matching_invariants, h, edge_cap=args.edge_cap)
     capped = capped or err is not None
     if err is None:
         report["matchings"] = {
@@ -94,7 +95,11 @@ def cmd_invariants(args) -> int:
     else:
         report["matchings"] = minv
 
-    binv, err = _guarded(bouquet_invariants, h, edge_cap=min(args.edge_cap, 12))
+    bouquet_cap = min(args.edge_cap, BOUQUET_EDGE_CAP)
+    if bouquet_cap == BOUQUET_EDGE_CAP:
+        binv, err = _guarded(lambda: p.bouquets)
+    else:
+        binv, err = _guarded(bouquet_invariants, h, edge_cap=bouquet_cap)
     capped = capped or err is not None
     if err is None:
         report["bouquets"] = {
@@ -105,32 +110,24 @@ def cmd_invariants(args) -> int:
     else:
         report["bouquets"] = binv
 
-    delta = independence_complex(h)
-    dim = dimension(delta)
-    report["complex"] = {"kind": delta.kind, "dim": dim}
+    report["complex"] = {"kind": p.complex.kind, "dim": dimension(p.complex)}
 
-    covers = minimal_vertex_covers(h)
     report["covers"] = {
-        "bigheight": covers.bigheight,
-        "minimal_covers": covers.as_labels(h),
+        "bigheight": p.covers.bigheight,
+        "minimal_covers": p.covers.as_labels(h),
     }
 
     if args.skip_homology:
         report["homology"] = {"omitted": "skipped by flag"}
     else:
-        table, err = _guarded(betti_table, h, field)
+        table, err = _guarded(p.betti, field)
         capped = capped or err is not None
         report["homology"] = table.to_json_obj() if err is None else table
 
-    classes, err = _guarded(theorem_main_report, h)
-    capped = capped or err is not None
-    report["vertex_classification"] = classes.to_json_obj() if err is None else classes
-    order, err = _guarded(is_codismantlable, h)
-    capped = capped or err is not None
-    if err is None:
-        report["codismantlable"] = {"order": list(order.order)} if order else None
-    else:
-        report["codismantlable"] = order
+    classes = theorem_main_report(h, p.shedding, p.codominated, hypotheses)
+    report["vertex_classification"] = classes.to_json_obj()
+    order = p.codismantle_order
+    report["codismantlable"] = {"order": list(order.order)} if order else None
 
     checklist = {}
     for name in sorted(SUITES):

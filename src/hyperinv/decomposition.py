@@ -5,15 +5,16 @@ report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .complexes import independence_complex, is_shedding
+from .errors import SearchLimitExceeded
 from .hypergraph import (
     Hypergraph,
+    _neighborhood_minus,
     bit_ids,
     deletion,
     find_cycle,
-    neighborhood_minus,
     three_cycle_edge_condition,
 )
 
@@ -26,10 +27,11 @@ def is_codominated(h: Hypergraph, x: str) -> Optional[int]:
     codominated.
     """
     bx = 1 << h.vertex_id(x)
-    for e in h.edges:  # canonical order gives the least witness
+    edges = h.edges
+    for e in edges:  # canonical order gives the least witness
         if e & bx and all(
-            neighborhood_minus(h, y, x) <= neighborhood_minus(h, x, y)
-            for y in h.edge_labels(e & ~bx)
+            _neighborhood_minus(edges, 1 << y, bx) <= _neighborhood_minus(edges, bx, 1 << y)
+            for y in bit_ids(e & ~bx)
         ):
             return e
     return None
@@ -45,7 +47,9 @@ class EliminationOrder:
     valid: bool
 
 
-def _codismantle_order(h: Hypergraph, memo_fail: set) -> Optional[list[str]]:
+def _codismantle_order(
+    h: Hypergraph, memo_fail: set, witnesses: Optional[Sequence[Optional[int]]] = None
+) -> Optional[list[str]]:
     if not h.edges:
         return []
     state = frozenset(h.edges)
@@ -56,7 +60,8 @@ def _codismantle_order(h: Hypergraph, memo_fail: set) -> Optional[list[str]]:
         support |= e
     for i in bit_ids(support):
         x = h.labels[i]
-        if is_codominated(h, x) is None:
+        witness = witnesses[i] if witnesses is not None else is_codominated(h, x)
+        if witness is None:
             continue
         rest = _codismantle_order(deletion(h, x), memo_fail)
         if rest is not None:
@@ -65,9 +70,15 @@ def _codismantle_order(h: Hypergraph, memo_fail: set) -> Optional[list[str]]:
     return None
 
 
-def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
-    """Backtracking search for a codominated-vertex elimination order."""
-    order = _codismantle_order(h, set())
+def is_codismantlable(
+    h: Hypergraph, witnesses: Optional[Sequence[Optional[int]]] = None
+) -> Optional[EliminationOrder]:
+    """Backtracking search for a codominated-vertex elimination order.
+
+    ``witnesses``, when given, holds ``is_codominated`` of each vertex of
+    H by vertex id, so the first step does not test them again.
+    """
+    order = _codismantle_order(h, set(), witnesses)
     if order is None:
         return None
     return EliminationOrder(tuple(order), True)
@@ -97,28 +108,39 @@ class VertexClassification:
         }
 
 
-def theorem_main_report(h: Hypergraph) -> VertexClassification:
-    """Per-vertex shedding/codominated table with the equivalence verdict."""
-    delta = independence_complex(h)
-    rows = []
-    shed_set, codom_set = set(), set()
-    for x in h.labels:
-        shed = is_shedding(delta, x)
-        witness = is_codominated(h, x)
-        if shed:
-            shed_set.add(x)
-        if witness is not None:
-            codom_set.add(x)
-        rows.append(
-            {
-                "vertex": x,
-                "shedding": shed,
-                "codominated": witness is not None,
-                "codominated_witness": list(h.edge_labels(witness)) if witness is not None else None,
-            }
-        )
-    hyp = {
-        "c5_free": find_cycle(h, 5) is None,
-        "three_cycle_condition": three_cycle_edge_condition(h),
-    }
-    return VertexClassification(tuple(rows), hyp, shed_set == codom_set)
+def theorem_main_report(
+    h: Hypergraph,
+    shedding: Optional[Sequence[bool]] = None,
+    witnesses: Optional[Sequence[Optional[int]]] = None,
+    hypotheses: Optional[dict] = None,
+) -> VertexClassification:
+    """Per-vertex shedding/codominated table with the equivalence verdict.
+
+    ``shedding`` and ``witnesses`` hold ``is_shedding`` on the independence
+    complex and ``is_codominated`` of each vertex by vertex id, and
+    ``hypotheses`` the ``c5_free`` and ``three_cycle_condition`` verdicts,
+    when the caller has them.  The rows need no cycle search: when the C5
+    search hits its cap, only that hypothesis is marked omitted.
+    """
+    if shedding is None:
+        delta = independence_complex(h)
+        shedding = [is_shedding(delta, x) for x in h.labels]
+    if witnesses is None:
+        witnesses = [is_codominated(h, x) for x in h.labels]
+    if hypotheses is None:
+        try:
+            c5 = find_cycle(h, 5) is None
+        except SearchLimitExceeded as exc:
+            c5 = {"omitted": str(exc)}
+        hypotheses = {"c5_free": c5, "three_cycle_condition": three_cycle_edge_condition(h)}
+    rows = tuple(
+        {
+            "vertex": x,
+            "shedding": shed,
+            "codominated": witness is not None,
+            "codominated_witness": list(h.edge_labels(witness)) if witness is not None else None,
+        }
+        for x, shed, witness in zip(h.labels, shedding, witnesses)
+    )
+    equivalence = all(shed == (witness is not None) for shed, witness in zip(shedding, witnesses))
+    return VertexClassification(rows, hypotheses, equivalence)

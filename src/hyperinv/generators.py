@@ -13,18 +13,16 @@ from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional
 
-from .complexes import independence_complex, vertex_decomposable
 from .errors import HyperinvError, SizeLimitExceeded, Unsatisfiable, UnknownFilter
 from .hypergraph import (
     Hypergraph,
     build,
     c2_free,
-    find_cycle,
     from_masks,
     is_graph,
-    three_cycle_edge_condition,
     uniformity_profile,
 )
+from .profile import profile_of
 
 MAX_ENUM_VERTICES = 7
 
@@ -168,12 +166,14 @@ def named_instance(name: str) -> Hypergraph:
 # filters
 
 
+# The costly filters read the instance's profile, so the suite check that
+# follows reuses their verdicts.
 FILTERS: dict[str, Callable[[Hypergraph], bool]] = {
     "graph": lambda h: bool(h.edges) and is_graph(h),
     "c2_free": c2_free,
-    "c5_free": lambda h: find_cycle(h, 5) is None,
-    "three_cycle_condition": three_cycle_edge_condition,
-    "vertex_decomposable": lambda h: vertex_decomposable(independence_complex(h)),
+    "c5_free": lambda h: profile_of(h).c5_free,
+    "three_cycle_condition": lambda h: profile_of(h).three_cycle_condition,
+    "vertex_decomposable": lambda h: profile_of(h).vertex_decomposable,
     # the strong intersection property is only ever set for a uniform H
     "d_uniform_strong": lambda h: bool(h.edges) and uniformity_profile(h)["strong_intersection"],
     "has_edges": lambda h: bool(h.edges),
@@ -202,19 +202,25 @@ def filter_stream(src: Iterator, names) -> Iterator:
 # spec-driven streams
 
 
-def raw_stream(spec: FamilySpec) -> Iterator[tuple[int, Hypergraph]]:
+def raw_stream(spec: FamilySpec, shard: int = 0, jobs: int = 1) -> Iterator[tuple[int, Hypergraph]]:
+    """The instances of a family with their indices; with ``jobs`` > 1 only
+    those whose index is ``shard`` modulo ``jobs``.  Random instances of
+    other shards are never drawn."""
     if spec.kind == "all_graphs":
         for i, h in enumerate(enumerate_graphs(spec.n, dedup=spec.dedup)):
-            yield i, h
+            if i % jobs == shard:
+                yield i, h
     elif spec.kind == "random_hypergraph":
-        for i in range(spec.count):
+        for i in range(shard, spec.count, jobs):
             yield i, random_hypergraph(spec, i)
     elif spec.kind == "named":
-        yield 0, named_instance(spec.name)
+        if shard == 0:
+            yield 0, named_instance(spec.name)
     else:
         raise HyperinvError(f"unknown family kind {spec.kind!r}")
 
 
-def stream(spec: FamilySpec) -> Iterator[tuple[int, Hypergraph]]:
+def stream(spec: FamilySpec, shard: int = 0, jobs: int = 1) -> Iterator[tuple[int, Hypergraph]]:
+    """The instances of ``raw_stream`` that pass the family's filters."""
     check_filters(spec.filters)
-    return filter_stream(raw_stream(spec), spec.filters)
+    return filter_stream(raw_stream(spec, shard, jobs), spec.filters)

@@ -231,8 +231,12 @@ def neighborhood_minus(h: Hypergraph, x: str, y: str) -> set[int]:
     ix, iy = h.vertex_id(x), h.vertex_id(y)
     if ix == iy:
         raise SameVertex(f"vertices coincide: {x!r}")
-    bx, by = 1 << ix, 1 << iy
-    return {e & ~bx for e in h.edges if e & bx and not e & by}
+    return _neighborhood_minus(h.edges, 1 << ix, 1 << iy)
+
+
+def _neighborhood_minus(edges: Sequence[int], bx: int, by: int) -> set[int]:
+    """``neighborhood_minus`` on the bits of two distinct vertices."""
+    return {e & ~bx for e in edges if e & bx and not e & by}
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Verification suites: each suite pins one statement about hypergraph
 invariants and checks it on every instance of a family whose hypotheses
 hold.  Reports are deterministic; parallel runs shard by instance index
-and merge in order, so worker count never changes the output bytes.
+before drawing and filtering, and merge in order, so worker count never
+changes the output bytes.  Each check reads the instance's invariants
+from its profile, where the family's filters left theirs.
 """
 
 from __future__ import annotations
@@ -12,36 +14,25 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bouquets import bouquet_invariants, cover_from_bouquets
-from .complexes import dimension, independence_complex, vertex_decomposable
-from .decomposition import (
-    is_codismantlable,
-    is_codominated,
-    is_shedding_vertex,
-    replay_elimination,
-    theorem_main_report,
-)
+from .bouquets import cover_from_bouquets, dprime_invariant
+from .complexes import dimension
+from .decomposition import replay_elimination, theorem_main_report
 from .errors import UnknownSuite
 from .generators import FamilySpec, stream
-from .homological import reg_and_pd
 from .hypergraph import (
     Hypergraph,
-    bit_ids,
     c2_free,
     contraction,
     deletion,
-    find_cycle,
     is_graph,
-    minimal_vertex_covers,
-    three_cycle_edge_condition,
     uniformity_profile,
 )
 from .matchings import (
     independent_set_from_semi_induced,
     is_two_collage,
-    matching_invariants,
     maximal_matchings,
 )
+from .profile import Profile, profile_of
 
 
 @dataclass(frozen=True)
@@ -66,37 +57,34 @@ def _verdict(ok: bool, **details) -> SuiteResult:
     return SuiteResult(True, ok, details)
 
 
-def _is_vd(h: Hypergraph) -> bool:
-    return vertex_decomposable(independence_complex(h))
-
-
-def _shedding_vertices(h: Hypergraph) -> list[str]:
-    support = 0
-    for e in h.edges:
-        support |= e
-    return [h.labels[i] for i in bit_ids(support) if is_shedding_vertex(h, h.labels[i])]
+def _dim_plus_one(p: Profile) -> int:
+    dim = dimension(p.complex)
+    return (dim if dim is not None else -1) + 1
 
 
 # ---------------------------------------------------------------------------
-# suite checks
+# suite checks: each reads the instance's invariants from its profile
 
 
 def _check_theorem_main(h: Hypergraph) -> SuiteResult:
-    c5 = find_cycle(h, 5) is None
-    tcc = three_cycle_edge_condition(h)
+    p = profile_of(h)
+    c5 = p.c5_free
+    tcc = p.three_cycle_condition
     if not (c5 and tcc):
         return _skip(c5_free=c5, three_cycle_condition=tcc)
-    rep = theorem_main_report(h)
+    hyp = {"c5_free": c5, "three_cycle_condition": tcc}
+    rep = theorem_main_report(h, p.shedding, p.codominated, hyp)
     shed = sorted(r["vertex"] for r in rep.rows if r["shedding"])
     codom = sorted(r["vertex"] for r in rep.rows if r["codominated"])
     return _verdict(rep.equivalence_holds, shedding=shed, codominated=codom)
 
 
 def _check_lemma_codominated(h: Hypergraph) -> SuiteResult:
+    p = profile_of(h)
     bad = [
         x
-        for x in h.labels
-        if is_codominated(h, x) is not None and not is_shedding_vertex(h, x)
+        for x, witness, shed in zip(h.labels, p.codominated, p.shedding)
+        if witness is not None and not shed
     ]
     return _verdict(not bad, codominated_not_shedding=bad)
 
@@ -104,14 +92,14 @@ def _check_lemma_codominated(h: Hypergraph) -> SuiteResult:
 def _check_graph_cc(h: Hypergraph) -> SuiteResult:
     if not is_graph(h):
         return _skip(graph=False)
-    inv = matching_invariants(h)
+    inv = profile_of(h).matchings
     return _verdict(inv.c == inv.c_prime, c=inv.c, c_prime=inv.c_prime)
 
 
 def _check_lemma_dim(h: Hypergraph) -> SuiteResult:
-    inv = matching_invariants(h)
-    dim = dimension(independence_complex(h))
-    top = (dim if dim is not None else -1) + 1
+    p = profile_of(h)
+    inv = p.matchings
+    top = _dim_plus_one(p)
     ok = inv.c <= inv.c_prime <= top
     g = independent_set_from_semi_induced(h, list(inv.witnesses["c_prime"].edges))
     ok = ok and g.bit_count() >= inv.c_prime
@@ -130,23 +118,25 @@ def _check_prop_mh(h: Hypergraph) -> SuiteResult:
     prof = uniformity_profile(h)
     if prof["d"] is None or not prof["strong_intersection"]:
         return _skip(uniform=prof["d"] is not None, strong_intersection=False)
-    inv = matching_invariants(h)
+    p = profile_of(h)
+    inv = p.matchings
     collage_ok = all(is_two_collage(h, mm) for mm in maximal_matchings(h))
-    hom = reg_and_pd(h)
-    ok = inv.c <= inv.c_prime <= inv.m and collage_ok and inv.c <= hom["reg"] <= inv.m
+    reg = p.betti().reg
+    ok = inv.c <= inv.c_prime <= inv.m and collage_ok and inv.c <= reg <= inv.m
     return _verdict(
         ok,
         c=inv.c,
         c_prime=inv.c_prime,
         m=inv.m,
-        reg=hom["reg"],
+        reg=reg,
         maximal_matchings_are_two_collages=collage_ok,
     )
 
 
 def _check_prop_cd(h: Hypergraph) -> SuiteResult:
-    inv = matching_invariants(h)
-    binv = bouquet_invariants(h)
+    p = profile_of(h)
+    inv = p.matchings
+    binv = p.bouquets
     ok = inv.c <= binv.d <= binv.d_prime
     c2 = c2_free(h)
     if c2:
@@ -155,72 +145,67 @@ def _check_prop_cd(h: Hypergraph) -> SuiteResult:
 
 
 def _check_theorem_reg(h: Hypergraph) -> SuiteResult:
+    p = profile_of(h)
     c2 = c2_free(h)
-    c5 = find_cycle(h, 5) is None
-    if not (c2 and c5 and _is_vd(h)):
+    c5 = p.c5_free
+    if not (c2 and c5 and p.vertex_decomposable):
         return _skip(c2_free=c2, c5_free=c5)
-    inv = matching_invariants(h)
-    dim = dimension(independence_complex(h))
-    top = (dim if dim is not None else -1) + 1
-    hom = reg_and_pd(h)
-    return _verdict(
-        hom["reg"] <= inv.c_prime <= top,
-        reg=hom["reg"],
-        c_prime=inv.c_prime,
-        dim_plus_one=top,
-    )
+    c_prime = p.matchings.c_prime
+    top = _dim_plus_one(p)
+    reg = p.betti().reg
+    return _verdict(reg <= c_prime <= top, reg=reg, c_prime=c_prime, dim_plus_one=top)
 
 
 def _check_theorem_pd(h: Hypergraph) -> SuiteResult:
-    if not _is_vd(h):
+    p = profile_of(h)
+    if not p.vertex_decomposable:
         return _skip(vertex_decomposable=False)
-    binv = bouquet_invariants(h)
-    hom = reg_and_pd(h)
-    return _verdict(hom["pd"] <= binv.d_prime, pd=hom["pd"], d_prime=binv.d_prime)
+    d_prime = p.dprime[0]
+    pd = p.betti().pd
+    return _verdict(pd <= d_prime, pd=pd, d_prime=d_prime)
 
 
 def _check_theorem_final(h: Hypergraph) -> SuiteResult:
-    if not (is_graph(h) and _is_vd(h)):
+    p = profile_of(h)
+    if not (is_graph(h) and p.vertex_decomposable):
         return _skip(graph=is_graph(h))
-    binv = bouquet_invariants(h)
-    covers = minimal_vertex_covers(h)
-    hom = reg_and_pd(h)
-    cover = cover_from_bouquets(h, binv.witnesses["d_prime"])
-    flowers = binv.witnesses["d_prime"].flowers
+    d_prime, witness = p.dprime
+    covers = p.covers
+    pd = p.betti().pd
+    cover = cover_from_bouquets(h, witness, d_prime=d_prime)
+    flowers = witness.flowers
     # Theorem final (ii): with size-two stems the flower set itself covers
     flowers_are_cover = flowers in covers.covers
-    ok = covers.bigheight == hom["pd"] == binv.d_prime and flowers_are_cover and cover == flowers
+    ok = covers.bigheight == pd == d_prime and flowers_are_cover and cover == flowers
     return _verdict(
         ok,
         bigheight=covers.bigheight,
-        pd=hom["pd"],
-        d_prime=binv.d_prime,
+        pd=pd,
+        d_prime=d_prime,
         flowers_minimal_cover=flowers_are_cover,
     )
 
 
 def _check_corollary_codis(h: Hypergraph) -> SuiteResult:
-    c5 = find_cycle(h, 5) is None
-    tcc = three_cycle_edge_condition(h)
-    if not (c5 and tcc and _is_vd(h)):
+    p = profile_of(h)
+    c5 = p.c5_free
+    tcc = p.three_cycle_condition
+    if not (c5 and tcc and p.vertex_decomposable):
         return _skip(c5_free=c5, three_cycle_condition=tcc)
-    order = is_codismantlable(h)
+    order = p.codismantle_order
     ok = order is not None and replay_elimination(h, order)
     return _verdict(ok, elimination_order=list(order.order) if order else None)
 
 
-def _dprime(h: Hypergraph) -> int:
-    return bouquet_invariants(h).d_prime
-
-
 def _check_lemmas_dprime(h: Hypergraph) -> SuiteResult:
-    dp = _dprime(h)
+    p = profile_of(h)
+    dp = p.dprime[0]
     rows = []
     ok = True
-    for x in _shedding_vertices(h):
+    for x in p.shedding_vertices:
         ctr = contraction(h, x)
-        dp_ctr = None if ctr.void else _dprime(ctr)
-        dp_del = _dprime(deletion(h, x))
+        dp_ctr = None if ctr.void else dprime_invariant(ctr)[0]
+        dp_del = dprime_invariant(deletion(h, x))[0]
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
@@ -228,38 +213,28 @@ def _check_lemmas_dprime(h: Hypergraph) -> SuiteResult:
 
 
 def _check_recursion_pd(h: Hypergraph) -> SuiteResult:
-    if not _is_vd(h):
+    p = profile_of(h)
+    if not p.vertex_decomposable:
         return _skip(vertex_decomposable=False)
-    pd = reg_and_pd(h)["pd"]
-    rows = []
-    ok = True
-    for x in _shedding_vertices(h):
-        ctr = contraction(h, x)
-        if ctr.void:
-            continue
-        pd_del = reg_and_pd(deletion(h, x))["pd"]
-        pd_ctr = reg_and_pd(ctr)["pd"]
-        good = pd == max(pd_del + 1, pd_ctr)
-        ok = ok and good
-        rows.append({"vertex": x, "pd_deletion": pd_del, "pd_contraction": pd_ctr})
+    pd = p.betti().pd
+    rows = [
+        {"vertex": x, "pd_deletion": dele.pd, "pd_contraction": ctr.pd}
+        for x, dele, ctr in p.shedding_splits
+    ]
+    ok = all(pd == max(r["pd_deletion"] + 1, r["pd_contraction"]) for r in rows)
     return _verdict(ok, pd=pd, shedding=rows)
 
 
 def _check_recursion_reg(h: Hypergraph) -> SuiteResult:
-    if not _is_vd(h):
+    p = profile_of(h)
+    if not p.vertex_decomposable:
         return _skip(vertex_decomposable=False)
-    reg = reg_and_pd(h)["reg"]
-    rows = []
-    ok = True
-    for x in _shedding_vertices(h):
-        ctr = contraction(h, x)
-        if ctr.void:
-            continue
-        reg_del = reg_and_pd(deletion(h, x))["reg"]
-        reg_ctr = reg_and_pd(ctr)["reg"]
-        good = reg <= max(reg_del, reg_ctr + 1)
-        ok = ok and good
-        rows.append({"vertex": x, "reg_deletion": reg_del, "reg_contraction": reg_ctr})
+    reg = p.betti().reg
+    rows = [
+        {"vertex": x, "reg_deletion": dele.reg, "reg_contraction": ctr.reg}
+        for x, dele, ctr in p.shedding_splits
+    ]
+    ok = all(reg <= max(r["reg_deletion"], r["reg_contraction"] + 1) for r in rows)
     return _verdict(ok, reg=reg, shedding=rows)
 
 
@@ -433,9 +408,7 @@ def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) ->
     spec = FamilySpec(**fam_obj)
     check = get_suite(name).check
     out = []
-    for idx, h in stream(spec):
-        if idx % jobs != shard:
-            continue
+    for idx, h in stream(spec, shard, jobs):
         res = check(h)
         out.append((fam_idx, idx, h.to_json_obj(), res.to_json_obj()))
     return out

@@ -14,6 +14,7 @@ from hyperinv import (
     build,
     classify_bouquet_set,
     cover_from_bouquets,
+    dprime_invariant,
     enumerate_graphs,
     from_masks,
     make_bouquet,
@@ -263,3 +264,17 @@ def test_golden_witnesses():
     assert len(got) == len(golden)
     for g, want in zip(got, golden):
         assert g == want, g["name"]
+
+
+def test_dprime_entry_point_matches_bouquet_invariants():
+    """The d'-only search gives the d' and the witness of
+    ``bouquet_invariants`` on every golden instance."""
+    golden = json.loads(GOLDEN_WITNESSES.read_text())
+    for want in golden:
+        obj = want["instance"]
+        h = build(obj["vertices"], obj["edges"])
+        value, witness = dprime_invariant(h)
+        assert value == bouquet_invariants(h).d_prime == len(want["d_prime"]["flowers"])
+        assert witness.to_json_obj(h) == want["d_prime"], want["name"]
+    with pytest.raises(SearchLimitExceeded):
+        dprime_invariant(named_instance("h1"), edge_cap=2)

@@ -115,9 +115,32 @@ class TestInvariants:
         report = json.loads(out)
         assert "omitted" in report["matchings"]
 
+    def test_non_default_caps_are_honoured(self, capsys, tmp_path, h1_file):
+        """The profile holds default-cap results only: another --edge-cap
+        runs its own search, and the C5 search ignores --cycle-limit,
+        which is raised to the length 5 it needs."""
+        _, default, _ = run_cli(capsys, "invariants", h1_file)
+        code, out, _ = run_cli(capsys, "invariants", h1_file, "--edge-cap", "2")
+        assert code == 3
+        report = json.loads(out)
+        assert "omitted" in report["matchings"] and "omitted" in report["bouquets"]
+        assert report["theorems"] == json.loads(default)["theorems"]
+        for argv in (("--edge-cap", "3"), ("--cycle-limit", "2"), ("--cycle-limit", "9")):
+            code, out, _ = run_cli(capsys, "invariants", h1_file, *argv)
+            assert (code, out) == (0, default), argv
+        k8 = tmp_path / "k8.json"
+        labels = [f"x{i + 1}" for i in range(8)]
+        k8.write_text(json.dumps({"vertices": labels, "edges": [
+            [a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]}))
+        code, out, _ = run_cli(capsys, "invariants", str(k8), "--edge-cap", "30")
+        assert code == 3
+        report = json.loads(out)
+        assert (report["matchings"]["c"], report["matchings"]["m"]) == (1, 4)
+        assert "exceed cap 12" in report["bouquets"]["omitted"]
+
     def test_k8_partial_report_exit_three(self, capsys, tmp_path):
-        """K8 has 28 edges: past the cycle-search cap (20), so the vertex
-        classification is omitted instead of ending the run."""
+        """K8 has 28 edges: past the cycle-search cap (20), so its C5
+        hypothesis is omitted instead of ending the run."""
         labels = [f"x{i + 1}" for i in range(8)]
         edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
         path = tmp_path / "k8.json"
@@ -125,8 +148,12 @@ class TestInvariants:
         code, out, _ = run_cli(capsys, "invariants", str(path))
         assert code == 3
         report = json.loads(out)
-        for key in ("matchings", "bouquets", "vertex_classification"):
+        for key in ("matchings", "bouquets"):
             assert "exceed" in report[key]["omitted"], key
+        classes = report["vertex_classification"]
+        assert "exceed" in classes["hypotheses"]["c5_free"]["omitted"]
+        assert [row["vertex"] for row in classes["vertices"]] == labels
+        assert classes["equivalence_holds"] is True
         assert "omitted" in report["structure"]["c5_free"]
         assert "omitted" in report["theorems"]["theorem-main"]
         assert report["codismantlable"] == {"order": labels[:7]}

@@ -5,6 +5,7 @@ from conftest import tiny_hypergraphs
 from hyperinv import (
     build,
     deletion,
+    enumerate_graphs,
     is_codismantlable,
     is_codominated,
     is_shedding_vertex,
@@ -91,6 +92,16 @@ class TestEquivalenceReport:
             for x in h.labels:
                 if is_codominated(h, x) is not None:
                     assert is_shedding_vertex(h, x)
+
+    def test_equivalence_is_equality_of_the_vertex_sets(self):
+        mixed = 0
+        for h in enumerate_graphs(5):
+            rep = theorem_main_report(h)
+            shed = {r["vertex"] for r in rep.rows if r["shedding"]}
+            codom = {r["vertex"] for r in rep.rows if r["codominated"]}
+            assert rep.equivalence_holds == (shed == codom)
+            mixed += len({r["shedding"] == r["codominated"] for r in rep.rows}) == 2
+        assert mixed  # instances where some vertices agree and some do not
 
     def test_report_serializes(self, h1):
         obj = theorem_main_report(h1).to_json_obj()

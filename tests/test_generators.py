@@ -189,3 +189,33 @@ class TestSpecs:
         a = [(i, h.edges) for i, h in stream(spec)]
         b = [(i, h.edges) for i, h in stream(spec)]
         assert a == b
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(kind="all_graphs", n=4, filters=("c5_free", "vertex_decomposable")),
+    FamilySpec(kind="random_hypergraph", n=6, max_edge_size=3, edge_count=4, seed=41,
+               count=50, filters=("c5_free", "three_cycle_condition", "vertex_decomposable")),
+    FamilySpec(kind="named", name="h1"),
+])
+def test_shards_split_the_stream_before_drawing(monkeypatch, spec):
+    """The shards of a stream are its instances at the indices of each
+    residue class, and a random shard draws only its own indices."""
+    drawn = []
+
+    def counted(spec, index):
+        drawn.append(index)
+        return random_hypergraph(spec, index)
+
+    monkeypatch.setattr(generators, "random_hypergraph", counted)
+    whole = [(i, h.to_json()) for i, h in stream(spec)]
+    assert whole
+    for jobs in (1, 2, 3):
+        shards = []
+        for shard in range(jobs):
+            drawn.clear()
+            part = [(i, h.to_json()) for i, h in stream(spec, shard, jobs)]
+            assert all(i % jobs == shard for i, _ in part)
+            if spec.kind == "random_hypergraph":
+                assert drawn == list(range(shard, spec.count, jobs))
+            shards += part
+        assert sorted(shards) == whole

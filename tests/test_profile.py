@@ -1,0 +1,139 @@
+"""Per-instance profile: each invariant of a hypergraph is computed once
+per report and per suite check, and d runs only where it is read."""
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+import hyperinv.bouquets as bouquets
+import hyperinv.decomposition as decomposition
+from hyperinv import (
+    SUITES,
+    check_instance,
+    from_masks,
+    named_instance,
+    profile_of,
+    random_hypergraph,
+    run_suite,
+)
+from hyperinv.cli import main
+from hyperinv.generators import FamilySpec
+
+# The public functions that fill a profile.  is_codominated is counted
+# apart: replay_elimination re-tests each step of an order on purpose.
+PROFILED = {
+    "complexes": ("independence_complex", "vertex_decomposable"),
+    "hypergraph": ("find_cycle", "three_cycle_edge_condition", "minimal_vertex_covers"),
+    "matchings": ("matching_invariants",),
+    "bouquets": ("bouquet_invariants", "dprime_invariant"),
+    "homological": ("betti_table",),
+    "decomposition": ("is_codismantlable",),
+}
+
+
+def _key(obj):
+    facets = getattr(obj, "facets", None)
+    if facets is not None:
+        return ("complex", obj.labels, facets)
+    return ("hypergraph", obj.labels, obj.edges, obj.void)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counter of (function, argument) calls, over every reference to each
+    profiled function inside the package, plus the d search."""
+    seen = Counter()
+
+    def counted(name, fn):
+        def wrapper(obj, *args, **kwargs):
+            seen[(name, _key(obj))] += 1
+            return fn(obj, *args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]
+    for mod_name, names in PROFILED.items():
+        for name in names:
+            orig = getattr(sys.modules[f"hyperinv.{mod_name}"], name)
+            wrapped = counted(name, orig)
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    d_search = bouquets._d_search
+    monkeypatch.setattr(bouquets, "_d_search",
+                        counted("_d_search", lambda h: d_search(h)))
+    codominated = decomposition.is_codominated
+    for mod in modules:
+        if getattr(mod, "is_codominated", None) is codominated:
+            monkeypatch.setattr(mod, "is_codominated",
+                                counted("is_codominated", lambda h, x: codominated(h, x)))
+    return seen
+
+
+def instances():
+    """Named instances plus random ones with 4-8 edges of size 2-3."""
+    out = [named_instance(name) for name in ("h1", "h2", "star3", "p3", "c4", "c5")]
+    spec = FamilySpec(kind="random_hypergraph", n=7, max_edge_size=3, edge_count=8, seed=5)
+    out += [random_hypergraph(spec, i) for i in range(6)]
+    return out
+
+
+def _d_searches(counts):
+    return sum(c for key, c in counts.items() if key[0] == "_d_search")
+
+
+def _profiled(counts):
+    """The counts of the profiled functions: is_codominated is called once
+    per vertex of a hypergraph."""
+    return Counter({key: c for key, c in counts.items() if key[0] != "is_codominated"})
+
+
+@pytest.mark.parametrize("flags", [["--skip-homology"], []])
+def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys, flags):
+    """Also with homology: the recursion checks share the Betti tables of
+    the deletions and contractions at the shedding vertices."""
+    for k, h in enumerate(instances()):
+        path = tmp_path / f"instance-{k}.json"
+        path.write_text(h.to_json())
+        counts.clear()
+        assert main(["invariants", str(path), *flags]) == 0
+        capsys.readouterr()
+        tested = counts[("is_codominated", _key(h))]
+        assert max(_profiled(counts).values()) == 1, counts.most_common(3)
+        # d is read by the report and by prop-cd, and computed once for both
+        assert _d_searches(counts) == 1
+        # each vertex once, for the rows and the elimination order, plus the
+        # replay of the order's first step by corollary-codis
+        assert h.n <= tested <= h.n + 1
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_each_check_computes_each_invariant_once(counts, name):
+    for base in instances():
+        h = from_masks(base.labels, base.edges)  # a new object: a new profile
+        counts.clear()
+        check_instance(name, h)
+        if _profiled(counts):
+            assert max(_profiled(counts).values()) == 1, counts.most_common(3)
+        assert _d_searches(counts) == (1 if name == "prop-cd" else 0)
+
+
+def test_filter_verdicts_are_reused_by_the_check(counts, tmp_path):
+    """A family filtered on C5 and vertex decomposability: the check reads
+    the filters' verdicts instead of computing them again."""
+    family = FamilySpec(kind="all_graphs", n=4, filters=("c5_free", "vertex_decomposable"))
+    rep = run_suite("corollary-codis", [family], out_dir=str(tmp_path))
+    assert rep.hypotheses_passed > 0
+    assert max(_profiled(counts).values()) == 1
+    assert sum(c for key, c in counts.items() if key[0] == "find_cycle") == 64
+
+
+def test_profile_reads_d_prime_from_bouquets_when_d_was_read(counts):
+    p = profile_of(named_instance("h1"))
+    assert p.bouquets.d_prime == p.dprime[0] == 5
+    assert json.dumps(p.dprime[1].to_json_obj(p.h)) == json.dumps(
+        p.bouquets.witnesses["d_prime"].to_json_obj(p.h))
+    assert sum(c for key, c in counts.items() if key[0] == "dprime_invariant") == 1

@@ -102,6 +102,25 @@ class TestRunner:
             b.to_json_obj(), sort_keys=True
         )
 
+    @pytest.mark.parametrize("name,families", [
+        ("theorem-reg", None),
+        ("corollary-codis", None),
+        ("theorem-pd", [FamilySpec(kind="all_graphs", n=5,
+                                   filters=("c5_free", "vertex_decomposable"))]),
+    ])
+    def test_filtered_families_byte_identical_across_jobs(self, tmp_path, name, families):
+        """Shards filter only their own draws; reports and the planted
+        fault's index are the same at every worker count."""
+        for self_test in (False, True):
+            blobs = []
+            for jobs in (1, 2, 3):
+                rep = run_suite(name, families, jobs=jobs, self_test=self_test,
+                                out_dir=str(tmp_path))
+                assert rep.hypotheses_passed > 0
+                assert len(rep.counterexamples) == self_test
+                blobs.append(json.dumps(rep.to_json_obj(), sort_keys=True))
+            assert blobs[0] == blobs[1] == blobs[2]
+
     def test_elapsed_not_serialized(self, tmp_path):
         rep = run_suite("graph-cc", self.FAM, out_dir=str(tmp_path))
         assert "elapsed" not in rep.to_json_obj()
