@@ -364,19 +364,15 @@ def _score_groups(h: Hypergraph, groups: list[list[int]]) -> tuple[int, tuple[Bo
 # constructive minimal cover (Theorem on covers inside F(B))
 
 
-def cover_from_bouquets(
-    h: Hypergraph,
-    bset: BouquetSet,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-    d_prime: Optional[int] = None,
-) -> int:
+def cover_from_bouquets(h: Hypergraph, bset: BouquetSet) -> int:
     """Minimal vertex cover of H inside the flower set of an optimal
     semi-strongly disjoint bouquet set.  Optimality is checked against
-    ``d_prime``, the d' of H, which is computed when not given."""
+    the d' of H's profile."""
+    from .profile import profile_of  # the profile module builds on this one
+
     if not bset.semi_strongly_disjoint:
         raise NotSemiStronglyDisjoint("bouquet set has dependent roots")
-    if d_prime is None:
-        d_prime = dprime_invariant(h, edge_cap)[0]
+    d_prime = profile_of(h).dprime[0]
     if bset.flowers.bit_count() != d_prime:
         raise NotOptimalWitness(
             f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}"

@@ -66,19 +66,14 @@ def cmd_invariants(args) -> int:
     # Every invariant is read from the instance's profile, which the suite
     # checks below share; a search under a non-default cap runs on its own.
     p = profile_of(h)
-    capped = False
     report: dict = {"instance": h.to_json_obj()}
 
-    # the C5 search needs length 5, so a lower --cycle-limit is raised to 5
-    # and no limit can change the result
-    c5, c5_err = _guarded(lambda: p.c5_free)
-    hypotheses = {"c5_free": c5, "three_cycle_condition": p.three_cycle_condition}
     report["structure"] = {
         "c2_free": c2_free(h),
-        **hypotheses,
+        **p.hypotheses,
         "uniformity": uniformity_profile(h) if h.edges else None,
     }
-    capped = capped or c5_err is not None
+    capped = isinstance(p.hypotheses["c5_free"], dict)  # the C5 search hit its cap
 
     if args.edge_cap == MATCHING_EDGE_CAP:
         minv, err = _guarded(lambda: p.matchings)
@@ -124,8 +119,7 @@ def cmd_invariants(args) -> int:
         capped = capped or err is not None
         report["homology"] = table.to_json_obj() if err is None else table
 
-    classes = theorem_main_report(h, p.shedding, p.codominated, hypotheses)
-    report["vertex_classification"] = classes.to_json_obj()
+    report["vertex_classification"] = theorem_main_report(h).to_json_obj()
     order = p.codismantle_order
     report["codismantlable"] = {"order": list(order.order)} if order else None
 

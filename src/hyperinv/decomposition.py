@@ -5,17 +5,15 @@ report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional
 
 from .complexes import independence_complex, is_shedding
-from .errors import SearchLimitExceeded
 from .hypergraph import (
     Hypergraph,
     _neighborhood_minus,
     bit_ids,
     deletion,
-    find_cycle,
-    three_cycle_edge_condition,
 )
 
 
@@ -48,8 +46,10 @@ class EliminationOrder:
 
 
 def _codismantle_order(
-    h: Hypergraph, memo_fail: set, witnesses: Optional[Sequence[Optional[int]]] = None
+    h: Hypergraph, witness: Callable[[str], Optional[int]], memo_fail: set
 ) -> Optional[list[str]]:
+    """An elimination order of h, or None; ``witness(x)`` is
+    ``is_codominated(h, x)``, asked only as the search reaches x."""
     if not h.edges:
         return []
     state = frozenset(h.edges)
@@ -60,25 +60,24 @@ def _codismantle_order(
         support |= e
     for i in bit_ids(support):
         x = h.labels[i]
-        witness = witnesses[i] if witnesses is not None else is_codominated(h, x)
-        if witness is None:
+        if witness(x) is None:
             continue
-        rest = _codismantle_order(deletion(h, x), memo_fail)
+        rest_h = deletion(h, x)
+        rest = _codismantle_order(rest_h, partial(is_codominated, rest_h), memo_fail)
         if rest is not None:
             return [x] + rest
     memo_fail.add(state)
     return None
 
 
-def is_codismantlable(
-    h: Hypergraph, witnesses: Optional[Sequence[Optional[int]]] = None
-) -> Optional[EliminationOrder]:
+def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
     """Backtracking search for a codominated-vertex elimination order.
 
-    ``witnesses``, when given, holds ``is_codominated`` of each vertex of
-    H by vertex id, so the first step does not test them again.
+    Its first step reads the codominated witnesses of H's profile.
     """
-    order = _codismantle_order(h, set(), witnesses)
+    from .profile import profile_of  # the profile module builds on this one
+
+    order = _codismantle_order(h, profile_of(h).codominated_witness, set())
     if order is None:
         return None
     return EliminationOrder(tuple(order), True)
@@ -108,31 +107,13 @@ class VertexClassification:
         }
 
 
-def theorem_main_report(
-    h: Hypergraph,
-    shedding: Optional[Sequence[bool]] = None,
-    witnesses: Optional[Sequence[Optional[int]]] = None,
-    hypotheses: Optional[dict] = None,
-) -> VertexClassification:
-    """Per-vertex shedding/codominated table with the equivalence verdict.
+def theorem_main_report(h: Hypergraph) -> VertexClassification:
+    """Per-vertex shedding/codominated table with the equivalence verdict,
+    read from H's profile.  The rows need no cycle search: when the C5
+    search hits its cap, only that hypothesis is marked omitted."""
+    from .profile import profile_of  # the profile module builds on this one
 
-    ``shedding`` and ``witnesses`` hold ``is_shedding`` on the independence
-    complex and ``is_codominated`` of each vertex by vertex id, and
-    ``hypotheses`` the ``c5_free`` and ``three_cycle_condition`` verdicts,
-    when the caller has them.  The rows need no cycle search: when the C5
-    search hits its cap, only that hypothesis is marked omitted.
-    """
-    if shedding is None:
-        delta = independence_complex(h)
-        shedding = [is_shedding(delta, x) for x in h.labels]
-    if witnesses is None:
-        witnesses = [is_codominated(h, x) for x in h.labels]
-    if hypotheses is None:
-        try:
-            c5 = find_cycle(h, 5) is None
-        except SearchLimitExceeded as exc:
-            c5 = {"omitted": str(exc)}
-        hypotheses = {"c5_free": c5, "three_cycle_condition": three_cycle_edge_condition(h)}
+    p = profile_of(h)
     rows = tuple(
         {
             "vertex": x,
@@ -140,7 +121,7 @@ def theorem_main_report(
             "codominated": witness is not None,
             "codominated_witness": list(h.edge_labels(witness)) if witness is not None else None,
         }
-        for x, shed, witness in zip(h.labels, shedding, witnesses)
+        for x, shed, witness in zip(h.labels, p.shedding, p.codominated)
     )
-    equivalence = all(shed == (witness is not None) for shed, witness in zip(shedding, witnesses))
-    return VertexClassification(rows, hypotheses, equivalence)
+    equivalence = all(r["shedding"] == r["codominated"] for r in rows)
+    return VertexClassification(rows, p.hypotheses, equivalence)

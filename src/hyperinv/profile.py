@@ -16,6 +16,7 @@ from typing import Optional
 from .bouquets import BouquetInvariants, BouquetSet, bouquet_invariants, dprime_invariant
 from .complexes import SimplicialComplex, independence_complex, is_shedding, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
+from .errors import SearchLimitExceeded
 from .homological import FIELD_Q, BettiTable, betti_table
 from .hypergraph import (
     CoverList,
@@ -36,6 +37,7 @@ class Profile:
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
         self._betti: dict[str, BettiTable] = {}
+        self._codominated: dict[str, Optional[int]] = {}
 
     @cached_property
     def complex(self) -> SimplicialComplex:
@@ -52,6 +54,16 @@ class Profile:
     @cached_property
     def three_cycle_condition(self) -> bool:
         return three_cycle_edge_condition(self.h)
+
+    @cached_property
+    def hypotheses(self) -> dict:
+        """The ``c5_free`` and ``three_cycle_condition`` verdicts, with
+        ``c5_free`` marked omitted when the C5 search hits its cap."""
+        try:
+            c5 = self.c5_free
+        except SearchLimitExceeded as exc:
+            c5 = {"omitted": str(exc)}
+        return {"c5_free": c5, "three_cycle_condition": self.three_cycle_condition}
 
     @cached_property
     def matchings(self) -> MatchingInvariants:
@@ -97,16 +109,20 @@ class Profile:
                 splits.append((x, betti_table(deletion(self.h, x)), betti_table(ctr)))
         return splits
 
+    def codominated_witness(self, x: str) -> Optional[int]:
+        """The least codominated witness of x, or None."""
+        if x not in self._codominated:
+            self._codominated[x] = is_codominated(self.h, x)
+        return self._codominated[x]
+
     @cached_property
     def codominated(self) -> tuple[Optional[int], ...]:
         """The least codominated witness of each vertex, by id, or None."""
-        return tuple(is_codominated(self.h, x) for x in self.h.labels)
+        return tuple(self.codominated_witness(x) for x in self.h.labels)
 
     @cached_property
     def codismantle_order(self) -> Optional[EliminationOrder]:
-        """The elimination order; it reuses the per-vertex witnesses when
-        they were read, and otherwise tests vertices only until it succeeds."""
-        return is_codismantlable(self.h, self.__dict__.get("codominated"))
+        return is_codismantlable(self.h)
 
     def betti(self, field: str = FIELD_Q) -> BettiTable:
         table = self._betti.get(field)

@@ -72,8 +72,7 @@ def _check_theorem_main(h: Hypergraph) -> SuiteResult:
     tcc = p.three_cycle_condition
     if not (c5 and tcc):
         return _skip(c5_free=c5, three_cycle_condition=tcc)
-    hyp = {"c5_free": c5, "three_cycle_condition": tcc}
-    rep = theorem_main_report(h, p.shedding, p.codominated, hyp)
+    rep = theorem_main_report(h)
     shed = sorted(r["vertex"] for r in rep.rows if r["shedding"])
     codom = sorted(r["vertex"] for r in rep.rows if r["codominated"])
     return _verdict(rep.equivalence_holds, shedding=shed, codominated=codom)
@@ -172,7 +171,7 @@ def _check_theorem_final(h: Hypergraph) -> SuiteResult:
     d_prime, witness = p.dprime
     covers = p.covers
     pd = p.betti().pd
-    cover = cover_from_bouquets(h, witness, d_prime=d_prime)
+    cover = cover_from_bouquets(h, witness)
     flowers = witness.flowers
     # Theorem final (ii): with size-two stems the flower set itself covers
     flowers_are_cover = flowers in covers.covers
