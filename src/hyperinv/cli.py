@@ -5,7 +5,8 @@ Three commands: ``invariants`` computes every invariant of one instance,
 ``verify`` runs a statement suite over a whole instance family.
 
 Exit codes: 0 success / no counterexample, 1 counterexample found,
-2 input error, 3 search or size cap exceeded (partial report emitted).
+2 input error or an unwritable output file, 3 search or size cap exceeded
+(partial report emitted), 4 internal error (traceback on standard error).
 Reports go to standard output as JSON with stable key order; a short
 human-readable summary goes to standard error.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from .bouquets import DEFAULT_EDGE_CAP as BOUQUET_EDGE_CAP, bouquet_invariants
@@ -26,12 +28,13 @@ from .homological import parse_field
 from .hypergraph import Hypergraph, c2_free, from_json, uniformity_profile
 from .matchings import DEFAULT_EDGE_CAP as MATCHING_EDGE_CAP, matching_invariants
 from .profile import profile_of
-from .suites import SUITES, check_instance, run_suite
+from .suites import SUITES, check_instance, run_suite, write_json
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 _HOMOLOGY_SUITES = {"prop-mh", "theorem-reg", "theorem-pd", "theorem-final",
                     "recursion-pd", "recursion-reg"}
@@ -183,9 +186,7 @@ def cmd_verify(args) -> int:
     obj = report.to_json_obj()
     _emit(obj)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, obj)
     print(
         f"suite {args.suite}: {report.instances_tested} instances, "
         f"{report.hypotheses_passed} met hypotheses, "
@@ -207,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--field", default="q", help="coefficient field: q, f2, f<p>")
     inv.add_argument("--skip-homology", action="store_true")
     inv.add_argument("--edge-cap", type=int, default=20)
-    inv.add_argument("--cycle-limit", type=int, default=7)
     inv.set_defaults(fn=cmd_invariants)
 
     chk = sub.add_parser("check", help="check one pinned statement on one instance")
@@ -235,6 +235,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (HyperinvError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

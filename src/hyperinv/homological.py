@@ -8,6 +8,13 @@ pivots on units and falls back to fraction-free cross-multiplication on
 the rational entries that are not +-1.  The reduced chain complex
 includes the empty face, so restrictions whose only face is empty
 contribute the (-1)-dimensional class.
+
+Clearing (Chen and Kerber 2011) and apparent pivots (Bauer, Ripser 2021)
+leave most boundary columns unbuilt.  Dimensions are reduced top-down, and
+a face that is the pivot row of a reduced column one dimension up is
+skipped: its column would reduce to zero.  A face whose lowest boundary
+row, the face minus its lowest vertex, has no pivot yet becomes that row's
+pivot unbuilt; its column is built only if another column reduces against it.
 """
 
 from __future__ import annotations
@@ -45,25 +52,42 @@ def parse_field(text: str) -> str:
     raise UnknownField(f"unknown field {text!r}: use q, or f<p> for a prime p below 2^31")
 
 
-def _rank(columns: list[dict[int, int]], field: str) -> int:
-    """Exact rank of the matrix whose columns are sparse {row: entry} dicts.
+def _boundary(f: int, p: int) -> dict[int, int]:
+    """Boundary column of face f, keyed by its codimension-one faces, mod p (0: over Z)."""
+    neg = p - 1 if p else -1
+    return {f & ~(1 << v): neg if k % 2 else 1 for k, v in enumerate(bit_ids(f))}
 
-    Each column is reduced by its lowest (largest) nonzero row against the
-    earlier column that owns that row as its pivot.  Over GF(p) every
-    nonzero entry is a unit.  Over Q a pivot of +-1 eliminates in plain
-    integers; any other pivot cross-multiplies and the column is then
-    divided by its content, so entries stay small and exact.
+
+def _reduce(columns: list[dict[int, int] | int], field: str) -> dict[int, dict[int, int] | int]:
+    """Pivot columns of an exact column reduction, keyed by their lowest row.
+
+    A column is a sparse {row: entry} dict, or a face mask that stands for
+    its boundary and becomes an apparent pivot when it can.  Each column is
+    reduced by its lowest (largest) nonzero row against the earlier column
+    that owns that row as its pivot.  Over GF(p) every nonzero entry is a
+    unit.  Over Q a pivot of +-1 eliminates in plain integers; any other
+    pivot cross-multiplies and the column is then divided by its content,
+    so entries stay small and exact.
     """
     p = 0 if field == FIELD_Q else int(field[1:])
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict[int, int] | int] = {}
     for col in columns:
-        col = {r: x for r, v in col.items() if (x := v % p if p else v)}
+        if isinstance(col, int):
+            low = col & (col - 1)  # the face minus its lowest vertex
+            if low not in pivots:
+                pivots[low] = col
+                continue
+            col = _boundary(col, p)
+        else:
+            col = {r: x for r, v in col.items() if (x := v % p if p else v)}
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
                 break
+            if isinstance(piv, int):
+                piv = pivots[low] = _boundary(piv, p)
             a, b = col[low], piv[low]
             unit = p > 0 or b in (1, -1)
             if unit:
@@ -81,37 +105,34 @@ def _rank(columns: list[dict[int, int]], field: str) -> int:
             if not unit and col:
                 g = gcd(*col.values())
                 col = {r: v // g for r, v in col.items()}
-    return len(pivots)
+    return pivots
+
+
+def _rank(columns: list[dict[int, int]], field: str) -> int:
+    """Exact rank of the matrix whose columns are sparse {row: entry} dicts."""
+    return len(_reduce(columns, field))
 
 
 def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
     """Reduced Betti numbers keyed by dimension, zero entries omitted.
 
     Boundary columns are keyed by the masks of the codimension-one faces,
-    so a column's lowest row is its largest face mask.
+    so a column's lowest row is its largest face mask.  Faces are reduced
+    in increasing mask order, dimensions top-down, with clearing.
     """
     if not faces:
         return {}
     by_dim: dict[int, list[int]] = {}
-    for f in faces:
+    for f in sorted(faces):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    for lst in by_dim.values():
-        lst.sort()
     top = max(by_dim)
-    ranks: dict[int, int] = {}
-    boundary_rank: dict[int, int] = {}
-    for d in range(0, top + 1):
-        cols = [
-            {f & ~(1 << v): -1 if k % 2 else 1 for k, v in enumerate(bit_ids(f))}
-            for f in by_dim.get(d, [])
-        ]
-        boundary_rank[d] = _rank(cols, field)
-    for d in range(-1, top + 1):
-        dim_count = len(by_dim.get(d, []))
-        b = dim_count - boundary_rank.get(d, 0) - boundary_rank.get(d + 1, 0)
-        if b:
-            ranks[d] = b
-    return ranks
+    rank: dict[int, int] = {}
+    pivots: dict = {}  # rows of the reduced map one dimension up: cleared
+    for d in range(top, -1, -1):
+        pivots = _reduce([f for f in by_dim[d] if f not in pivots], field)
+        rank[d] = len(pivots)
+    betti = {d: len(fs) - rank.get(d, 0) - rank.get(d + 1, 0) for d, fs in by_dim.items()}
+    return {d: b for d, b in betti.items() if b}
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,8 @@ def find_cycle(
         raise SearchLimitExceeded(f"cycle length {n} exceeds cap {cycle_limit}")
     if len(h.edges) > edge_cap:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cycle-search cap {edge_cap}")
+    if len(h.edges) < n or h.n < n:  # an n-cycle has n distinct edges and n distinct vertices
+        return None
     for w in _cycles(h, n):
         return _canonical_witness(w)
     return None
@@ -341,19 +343,9 @@ def three_cycle_edge_condition(h: Hypergraph) -> bool:
         if max(a.bit_count(), b.bit_count(), c.bit_count()) == 2:
             continue
         iab, ibc, ica = a & b, b & c, c & a
-        if not (iab and ibc and ica):
-            continue
-        found = False
-        for u in bit_ids(iab):
-            for v in bit_ids(ibc):
-                if v == u:
-                    continue
-                if ica & ~(1 << u) & ~(1 << v):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
+        if ica and any(
+            ica & ~(1 << u) & ~(1 << v) for u in bit_ids(iab) for v in bit_ids(ibc) if v != u
+        ):
             return False
     return True
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .bouquets import cover_from_bouquets, dprime_invariant
 from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
-from .errors import UnknownSuite
+from .errors import HyperinvError, UnknownSuite
 from .generators import FamilySpec, stream
 from .hypergraph import (
     Hypergraph,
@@ -413,6 +413,15 @@ def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) ->
     return out
 
 
+def write_json(path: str, obj) -> None:
+    """Write obj as stable JSON; a failed write is an input error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise HyperinvError(f"cannot write {path}: {exc}") from exc
+
+
 def run_suite(
     name: str,
     families: Optional[Sequence[FamilySpec]] = None,
@@ -466,9 +475,7 @@ def run_suite(
     base = out_dir or os.getcwd()
     for ce in counterexamples:
         path = os.path.join(base, f"counterexample-{name}-{ce['family']}-{ce['index']}.json")
-        with open(path, "w") as fh:
-            json.dump(ce["instance"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, ce["instance"])
         files.append(path)
     status = 1 if counterexamples else 0
     return VerificationReport(

@@ -2,9 +2,9 @@
 
 The oracles deliberately avoid the package's algorithms: raw subset
 enumeration for matching numbers, definition-level enumeration of
-bouquet sets, naive recursion for vertex decomposability, and
-fraction-based Gaussian elimination for homology ranks.  Tests freeze
-oracle outputs and compare the package against them.
+bouquet sets, naive recursion for vertex decomposability, and dense
+Gaussian elimination (Fractions, or integers mod p) for homology ranks.
+Tests freeze oracle outputs and compare the package against them.
 """
 
 from __future__ import annotations
@@ -189,13 +189,18 @@ def oracle_minimal_nonfaces(facets, n):
 
 
 # ---------------------------------------------------------------------------
-# homology oracle: Fraction-based Gaussian elimination over Q
+# homology oracle: dense Gauss-Jordan elimination, over Q with Fractions
+# or over GF(p) with integers mod p
 
 
-def oracle_rank(rows):
+def oracle_rank(rows, p=None):
     if not rows or not rows[0]:
         return 0
-    m = [[Fraction(v) for v in r] for r in rows]
+    m = [[v % p if p else Fraction(v) for v in r] for r in rows]
+
+    def norm(x):
+        return x % p if p else x
+
     nrows, ncols = len(m), len(m[0])
     rank = 0
     row = 0
@@ -204,12 +209,12 @@ def oracle_rank(rows):
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [v * inv for v in m[row]]
+        inv = pow(m[row][col], -1, p) if p else 1 / m[row][col]
+        m[row] = [norm(v * inv) for v in m[row]]
         for r in range(nrows):
             if r != row and m[r][col]:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+                m[r] = [norm(a - f * b) for a, b in zip(m[r], m[row])]
         rank += 1
         row += 1
         if row == nrows:
@@ -217,8 +222,9 @@ def oracle_rank(rows):
     return rank
 
 
-def oracle_reduced_homology(faces):
-    """Reduced Betti numbers of a face set (masks), dims from -1 up."""
+def oracle_reduced_homology(faces, p=None):
+    """Reduced Betti numbers of a face set (masks), dims from -1 up, over Q
+    or, given a prime p, over GF(p)."""
     if not faces:
         return {}
     by_dim = {}
@@ -235,7 +241,7 @@ def oracle_reduced_homology(faces):
         for j, f in enumerate(cols):
             for k, v in enumerate(bit_ids(f)):
                 rows[lower[f & ~(1 << v)]][j] = -1 if k % 2 else 1
-        bdr[d] = oracle_rank(rows)
+        bdr[d] = oracle_rank(rows, p)
     out = {}
     for d in range(-1, top + 1):
         b = len(by_dim.get(d, [])) - bdr.get(d, 0) - bdr.get(d + 1, 0)

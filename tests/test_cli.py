@@ -64,6 +64,12 @@ class TestInvariants:
         assert report["homology"] == {"omitted": "skipped by flag"}
         assert report["theorems"]["theorem-pd"] == {"omitted": "homology skipped"}
 
+    def test_cycle_limit_option_is_gone(self, capsys, h1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", h1_file, "--cycle-limit", "5"])
+        assert exc.value.code == 2
+        assert "--cycle-limit" in capsys.readouterr().err
+
     def test_field_flag(self, capsys, h1_file):
         code, out, _ = run_cli(capsys, "invariants", h1_file, "--field", "f2")
         assert code == 0
@@ -270,3 +276,40 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
         _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert out1 == out2
+
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "r.json"
+        code, _, err = run_cli(capsys, "verify", "lemma-dim", "--out", str(missing))
+        assert code == 2
+        assert f"error: cannot write {missing}" in err and "Traceback" not in err
+
+    def test_unwritable_counterexample_file_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "graph-cc",
+            "--family",
+            '{"kind": "all_graphs", "n": 3}',
+            "--self-test",
+            "--out-dir",
+            str(missing),
+        )
+        assert code == 2 and out == ""
+        assert f"error: cannot write {missing}" in err and "Traceback" not in err
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_four_with_traceback(
+        self, capsys, monkeypatch, h1_file
+    ):
+        import hyperinv.cli as cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("planted bug")
+
+        monkeypatch.setattr(cli, "check_instance", boom)
+        code, out, err = run_cli(capsys, "check", h1_file, "--theorem", "lemma-dim")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: planted bug" in err

@@ -1,6 +1,7 @@
 """Reduced homology, Betti tables, reg/pd, Alexander duality."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     oracle_betti_table,
@@ -23,7 +24,8 @@ from hyperinv import (
 )
 from hyperinv.complexes import SimplicialComplex, complex_from_facets
 from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
-from hyperinv.homological import _all_faces, _rank, parse_field
+import hyperinv.homological as homological
+from hyperinv.homological import _all_faces, _rank, _reduce, parse_field
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
 # entries are {(i, j): rank}); reg/pd follow as max(j-i)/max(i).
@@ -132,6 +134,55 @@ class TestReducedHomology:
         d = complex_from_facets([f"v{i}" for i in range(16)], [1])
         with pytest.raises(SizeLimitExceeded):
             reduced_homology(d)
+
+
+@st.composite
+def facet_sets(draw, max_n=8, max_size=5):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    facet = st.integers(min_value=0, max_value=(1 << n) - 1).filter(
+        lambda m: m.bit_count() <= max_size
+    )
+    return n, draw(st.lists(facet, min_size=1, max_size=6))
+
+
+class TestKernel:
+    """Clearing and apparent pivots change the work, never the ranks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(facet_sets())
+    def test_reduced_homology_matches_dense_oracle(self, case):
+        n, masks = case
+        d = complex_from_facets([f"v{i}" for i in range(n)], masks)
+        faces = _all_faces(d.facets)
+        for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
+            assert reduced_homology(d, field).ranks == oracle_reduced_homology(faces, p), field
+
+    def test_oracle_rank_over_prime_fields(self):
+        assert oracle_rank([[1, 1], [1, -1]], 2) == 1
+        assert oracle_rank([[2, 1], [1, 2]], 3) == 1
+        assert oracle_rank([[2, 4], [4, 2]], 2) == 0
+        assert oracle_rank([[2, 4], [4, 2]], 5) == 2
+
+    def test_columns_are_built_only_when_a_reduction_needs_them(self, monkeypatch):
+        built = []
+        real = homological._boundary
+        monkeypatch.setattr(homological, "_boundary", lambda f, p: built.append(f) or real(f, p))
+        # The boundary of the 5-simplex has 62 faces and is a 4-sphere.  Only
+        # the columns of its six facets are built: every other face is
+        # cleared or is an apparent pivot that no later column reduces against.
+        full = 0b111111
+        d = complex_from_facets([f"v{i}" for i in range(6)], [full & ~(1 << i) for i in range(6)])
+        assert reduced_homology(d).ranks == {4: 1}
+        assert sorted(built) == [full & ~(1 << i) for i in reversed(range(6))]
+
+    def test_lazy_pivots_are_stored_mod_p(self):
+        faces = sorted(_all_faces([0b11111]))
+        for field, p in (("F2", 2), ("F3", 3)):
+            for d in (2, 3, 4):
+                pivots = _reduce([f for f in faces if f.bit_count() == d], field)
+                for col in pivots.values():
+                    if isinstance(col, dict):
+                        assert all(0 < v < p for v in col.values()), (field, col)
 
 
 class TestBettiTable:

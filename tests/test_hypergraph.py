@@ -129,6 +129,22 @@ class TestCycles:
     def test_witness_deterministic(self, h1):
         assert find_cycle(h1, 2) == find_cycle(h1, 2)
 
+    def test_too_few_edges_or_vertices_skip_the_search(self, monkeypatch):
+        import hyperinv.hypergraph as hg
+
+        entered = []
+        real = hg._cycles
+        monkeypatch.setattr(hg, "_cycles", lambda h, n: entered.append(n) or real(h, n))
+        labels = [f"x{i}" for i in range(1, 9)]
+        four = build(labels, [["x1", "x2"], ["x2", "x3"], ["x3", "x4"], ["x4", "x1"]])
+        assert find_cycle(four, 5) is None
+        k4 = build(["a", "b", "c", "d"], [[u, v] for u in "abcd" for v in "abcd" if u < v])
+        assert find_cycle(k4, 5) is None  # six edges, but only four vertices
+        assert entered == []
+        assert find_cycle(four, 4) is not None and entered == [4]
+        with pytest.raises(SearchLimitExceeded):  # the caps are checked first
+            find_cycle(four, 9)
+
 
 class TestThreeCycleCondition:
     def test_h1_true(self, h1):

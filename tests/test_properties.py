@@ -18,7 +18,7 @@ from hyperinv import (
     reg_and_pd,
 )
 from hyperinv.complexes import dimension
-from hyperinv.hypergraph import _maximal, _minimal, bit_ids
+from hyperinv.hypergraph import _canonical_witness, _cycles, _maximal, _minimal, bit_ids, find_cycle
 
 
 @st.composite
@@ -200,3 +200,12 @@ def test_graph_c_equals_c_prime(h):
         return
     inv = matching_invariants(h)
     assert inv.c == inv.c_prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=7, max_edge_size=3, max_edges=7))
+def test_find_cycle_is_the_first_enumerated_cycle(h):
+    """The early exit on too few edges or vertices changes no answer."""
+    for n in range(2, 8):
+        first = next(_cycles(h, n), None)
+        assert find_cycle(h, n) == (first and _canonical_witness(first))
