@@ -13,11 +13,13 @@ induced matchings (the chosen stem system), a hub vertex inside each
 chosen stem (a member of the final stem intersection), and assignments
 of the remaining edges to hubs they contain.
 
-Both searches score each candidate by its flower count on bitmasks
-alone, in a fixed order with strict improvement, and build and classify
-the bouquet set of the first best candidate only, once.
-``dprime_invariant`` runs the d' search alone; ``bouquet_invariants``
-adds the d search.
+Each search is one pass.  It scores every candidate by its flower count
+on bitmasks, in a fixed order with strict improvement, and the scorer
+returns the choices behind the count with it: the root each contested
+edge keeps for d', the stem groups and single-stem roots for d.  The
+first best candidate keeps its choices, and only its bouquet set is
+built and classified, once.  ``dprime_invariant`` runs the d' search
+alone; ``bouquet_invariants`` adds the d search.
 """
 
 from __future__ import annotations
@@ -48,10 +50,7 @@ class Bouquet:
 
     @property
     def union(self) -> int:
-        u = 0
-        for s in self.stems:
-            u |= s
-        return u
+        return reduce(or_, self.stems, 0)
 
     @property
     def flowers(self) -> int:
@@ -69,9 +68,7 @@ def make_bouquet(h: Hypergraph, stems: Sequence[int], roots: Optional[int] = Non
         if s not in h.edges:
             raise InvalidBouquet(f"stem is not an edge: {tuple(bit_ids(s))}")
     if len(stem_list) >= 2:
-        inter = stem_list[0]
-        for s in stem_list[1:]:
-            inter &= s
+        inter = reduce(and_, stem_list)
         if not inter:
             raise InvalidBouquet("stems have empty common intersection")
         if roots is not None and roots != inter:
@@ -108,24 +105,16 @@ class BouquetSet:
         }
 
 
-def _independent(h: Hypergraph, mask: int) -> bool:
-    return not any(e & mask == e for e in h.edges)
-
-
 def classify_bouquet_set(h: Hypergraph, bouquets: Sequence[Bouquet]) -> BouquetSet:
-    seen: set[int] = set()
-    for b in bouquets:
-        for s in b.stems:
-            if s in seen:
-                raise InvalidBouquet("an edge is a stem of two bouquets")
-            seen.add(s)
     flowers = roots = 0
     stems: list[int] = []
     for b in bouquets:
         flowers |= b.flowers
         roots |= b.roots
         stems.extend(b.stems)
-    semi = _independent(h, roots)
+    if len(set(stems)) != len(stems):
+        raise InvalidBouquet("an edge is a stem of two bouquets")
+    semi = not any(e & roots == e for e in h.edges)  # the roots are independent
     strong_witness: Optional[tuple[int, ...]] = () if not bouquets else None
     for choice in product(*[b.stems for b in bouquets]) if bouquets else ():
         if len(set(choice)) != len(choice):
@@ -155,15 +144,11 @@ def dprime_invariant(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[i
     """d' with its witness, without the d search."""
     if len(h.edges) > edge_cap:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
-    if not h.edges:
-        return 0, classify_bouquet_set(h, ())
     return _dprime_search(h)
 
 
 def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> BouquetInvariants:
     dp_val, dp_wit = dprime_invariant(h, edge_cap)
-    if not h.edges:
-        return BouquetInvariants(0, 0, {"d": dp_wit, "d_prime": dp_wit})
     d_val, d_wit = _d_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
@@ -176,10 +161,12 @@ def _dprime_search(h: Hypergraph) -> tuple[int, BouquetSet]:
     """Root sets R are the faces of the independence complex inside the
     edge support, in ascending mask order; a root set that also holds
     vertices in no edge scores the same as its part inside the support,
-    which comes first.  Only the first best R gets a witness."""
-    support = reduce(or_, h.edges)
+    which comes first.  The first best R keeps its root choices, and only
+    it gets a witness; with no R that touches an edge (no edges, or only
+    singleton edges) the witness is empty."""
+    support = reduce(or_, h.edges, 0)
     faces = _all_faces(f & support for f in maximal_independent_sets(h))
-    best, best_r = 0, 0
+    best, best_r, best_kept = 0, 0, ()
     for r_mask in sorted(faces)[1:]:
         union = 0
         contested: list[int] = []
@@ -192,58 +179,35 @@ def _dprime_search(h: Hypergraph) -> tuple[int, BouquetSet]:
         # the base and the freed roots both lie in the union of touched edges
         if union.bit_count() <= best:
             continue
-        size = (union & ~r_mask).bit_count() + _max_freed_size(contested)
+        freed, kept = _max_freed(contested)
+        size = (union & ~r_mask).bit_count() + freed
         if size > best:
-            best, best_r = size, r_mask
-    if not best_r:
-        # no independent root set touches an edge (all edges are singletons)
-        return 0, classify_bouquet_set(h, ())
-    return best, _dprime_witness(h, best_r)
-
-
-def _max_freed_size(commons: list[int]) -> int:
-    """Largest union of freed roots: each edge meeting R in ``common``
-    keeps one root of it and frees the others."""
-    states = {0}
-    for common in commons:
-        frees = [common & ~(1 << v) for v in bit_ids(common)]
-        states = {s | f for s in states for f in frees}
-    return max(s.bit_count() for s in states)
-
-
-def _dprime_witness(h: Hypergraph, r_mask: int) -> BouquetSet:
-    """The single-stem bouquet set of root set R: forced roots where an
-    edge meets R once, the freed-set optimum elsewhere."""
-    touched = [e for e in h.edges if e & r_mask]
-    forced = [(e, e & r_mask) for e in touched if (e & r_mask).bit_count() == 1]
-    contested = [e for e in touched if (e & r_mask).bit_count() >= 2]
-    assign = forced + _max_freed(contested, r_mask)[1]
+            best, best_r, best_kept = size, r_mask, kept
+    # one single-stem bouquet per touched edge, in canonical edge order:
+    # the forced root where the edge meets R once, the kept root elsewhere
+    kept_roots = iter(best_kept)
     bouquets = tuple(
-        Bouquet((e,), root) for e, root in sorted(assign, key=lambda p: edge_sort_key(p[0]))
+        Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
+        for e in h.edges
+        if (c := e & best_r)
     )
-    return classify_bouquet_set(h, bouquets)
+    return best, classify_bouquet_set(h, bouquets)
 
 
-def _max_freed(contested: list[int], r_mask: int) -> tuple[int, list[tuple[int, int]]]:
-    """Root assignments for edges meeting R twice or more.
-
-    Picking root r for edge e leaves the other R-vertices of e as
-    flowers; maximize the union of such freed vertices.
-    """
-    if not contested:
-        return 0, []
-    states: dict[int, list[tuple[int, int]]] = {0: []}
-    for e in contested:
-        roots = [1 << v for v in bit_ids(e & r_mask)]
-        nxt: dict[int, list[tuple[int, int]]] = {}
-        for freed, assign in states.items():
-            for rb in roots:
-                f2 = freed | ((e & r_mask) & ~rb)
-                if f2 not in nxt:
-                    nxt[f2] = assign + [(e, rb)]
+def _max_freed(commons: list[int]) -> tuple[int, tuple[int, ...]]:
+    """Largest union of freed roots: each edge meeting R in ``common``
+    keeps one root of it and frees the others.  Returns its size and the
+    root bit each edge keeps; the first choice reaching a union wins, and
+    of the largest unions the least mask."""
+    states: dict[int, tuple[int, ...]] = {0: ()}
+    for common in commons:
+        nxt: dict[int, tuple[int, ...]] = {}
+        for freed, kept in states.items():
+            for v in bit_ids(common):
+                nxt.setdefault(freed | (common & ~(1 << v)), kept + (1 << v,))
         states = nxt
-    best_freed = max(states, key=lambda f: (f.bit_count(), -f))
-    return best_freed, states[best_freed]
+    best = max(states, key=lambda f: (f.bit_count(), -f))
+    return best.bit_count(), states[best]
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +235,10 @@ def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
 
 
 def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
-    """Each (matching, hubs, assignment) is scored on masks; only the
-    first best one is turned into bouquets."""
-    best_val, best = 0, None
+    """Each (matching, hubs, assignment) is scored on masks; the first best
+    one records its stem groups and single-stem roots, and only it is
+    turned into bouquets."""
+    best_val, best = 0, ([], ())
     for matching in _induced_matchings(h):
         rest = [e for e in h.edges if e not in matching]
         for hubs in product(*[tuple(bit_ids(e)) for e in matching]):
@@ -299,19 +264,26 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
                 for e, i in pick:
                     u, x, c = groups[i]
                     groups[i] = (u | e, x & e, c + 1)
-                val = _grouped_flowers(groups, best_val)
+                val, roots = _grouped_flowers(groups, best_val)
                 if val > best_val:
                     best_val = val
-                    best = [s + [e for e, j in reversed(pick) if j == i] for i, s in enumerate(stems)]
-    if best is None:
-        return 0, classify_bouquet_set(h, ())
-    _, bouquets = _score_groups(h, best)
-    return best_val, classify_bouquet_set(h, bouquets)
+                    picked = [s + [e for e, j in reversed(pick) if j == i] for i, s in enumerate(stems)]
+                    best = picked, roots
+    picked, roots = best
+    # a lone singleton edge admits no root choice and forms no bouquet
+    singles = [g[0] for g in picked if len(g) == 1 and g[0] & (g[0] - 1)]
+    bouquets = [make_bouquet(h, g) for g in picked if len(g) >= 2]
+    bouquets += [make_bouquet(h, [e], 1 << r) for e, r in zip(singles, roots)]
+    bouquets.sort(key=lambda b: edge_sort_key(b.stems[0]))
+    return best_val, classify_bouquet_set(h, tuple(bouquets))
 
 
-def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> int:
-    """The flower count ``_score_groups`` finds for stem groups given as
-    (union, intersection, size); ``floor`` when it cannot beat ``floor``."""
+def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> tuple[int, tuple[int, ...]]:
+    """Flowers of stem groups given as (union, intersection, size): a group
+    of two or more stems is rooted at its intersection, and each single
+    stem of two or more vertices at one of them, the first choice with
+    the most flowers.  Returns (flower count, root ids of the single
+    stems), or (``floor``, ()) when the groups cannot beat ``floor``."""
     fixed = 0
     singles: list[int] = []
     for u, x, c in groups:
@@ -319,15 +291,9 @@ def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> int:
             fixed |= u & ~x
         elif u & (u - 1):
             singles.append(u)
-    if reduce(or_, singles, fixed).bit_count() <= floor:
-        return floor
-    return _single_roots(fixed, singles)[0]
-
-
-def _single_roots(fixed: int, singles: list[int]) -> tuple[int, tuple[int, ...]]:
-    """The first choice of one root per single stem with the most flowers
-    on top of ``fixed``: (flower count, root ids)."""
     ceiling = reduce(or_, singles, fixed).bit_count()
+    if ceiling <= floor:
+        return floor, ()
     best: tuple[int, tuple[int, ...]] = (-1, ())
     for roots in product(*[tuple(bit_ids(e)) for e in singles]):
         flowers = fixed
@@ -338,26 +304,6 @@ def _single_roots(fixed: int, singles: list[int]) -> tuple[int, tuple[int, ...]]
             if best[0] == ceiling:
                 break
     return best
-
-
-def _score_groups(h: Hypergraph, groups: list[list[int]]) -> tuple[int, tuple[Bouquet, ...]]:
-    """Flowers of the grouped bouquets; single-stem roots picked by an
-    exhaustive scan over singleton roots."""
-    fixed = 0
-    singles: list[int] = []
-    bouquets: list[Bouquet] = []
-    for grp in groups:
-        if len(grp) >= 2:
-            b = make_bouquet(h, grp)
-            fixed |= b.flowers
-            bouquets.append(b)
-        elif grp[0].bit_count() >= 2:
-            singles.append(grp[0])
-        # a lone singleton edge admits no root choice and forms no bouquet
-    total, roots = _single_roots(fixed, singles)
-    bouquets += [make_bouquet(h, [e], 1 << r) for e, r in zip(singles, roots)]
-    bouquets.sort(key=lambda b: edge_sort_key(b.stems[0]))
-    return total, tuple(bouquets)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
     print(
         f"suite {args.suite}: {report.instances_tested} instances, "
         f"{report.hypotheses_passed} met hypotheses, "
-        f"{len(report.counterexamples)} counterexamples "
+        f"{len(report.counterexamples)} counterexamples, {len(report.omitted)} omitted "
         f"({report.elapsed:.2f}s)",
         file=sys.stderr,
     )

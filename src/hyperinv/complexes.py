@@ -81,11 +81,10 @@ def link_and_deletion(d: SimplicialComplex, x: str) -> tuple[SimplicialComplex, 
     i = d.vertex_id(x)
     bit = 1 << i
     labels = d.labels[:i] + d.labels[i + 1 :]
-    del_facets = _maximal({f & ~bit for f in d.facets})
     link_facets = _maximal({f & ~bit for f in d.facets if f & bit})
     shift = lambda fs: tuple(sorted(_shift_mask(f, i) for f in fs))
     link = SimplicialComplex(labels, shift(link_facets))
-    deletion = SimplicialComplex(labels, shift(del_facets))
+    deletion = SimplicialComplex(labels, shift(_deletion(d.facets, bit)[0]))
     return link, deletion
 
 
@@ -100,20 +99,21 @@ def induced_subcomplex(d: SimplicialComplex, w: Sequence[str]) -> SimplicialComp
     """Restriction to the vertex subset W, reindexed onto W."""
     ids = sorted(d.vertex_id(lab) for lab in w)
     labels = tuple(d.labels[i] for i in ids)
-    if d.kind == KIND_VOID:
-        return SimplicialComplex(labels, ())
     wmask = mask_of(ids)
     restricted = _maximal({f & wmask for f in d.facets})
     return SimplicialComplex(labels, tuple(sorted(_compress(restricted, ids))))
 
 
+def _deletion(facets: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], bool]:
+    """Facets of the deletion of the vertex with this bit, and whether the
+    vertex sheds: every facet of the deletion is a facet of the complex."""
+    del_facets = _maximal({f & ~bit for f in facets})
+    return del_facets, set(del_facets) <= set(facets)
+
+
 def is_shedding(d: SimplicialComplex, x: str) -> bool:
     """True iff every facet of del(x) is a facet of D."""
-    i = d.vertex_id(x)
-    bit = 1 << i
-    del_facets = _maximal({f & ~bit for f in d.facets})
-    facet_set = set(d.facets)
-    return all(f in facet_set for f in del_facets)
+    return _deletion(d.facets, 1 << d.vertex_id(x))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +162,14 @@ def _vd_verdict(n: int, facets: tuple[int, ...]) -> bool:
     hit = _VD_MEMO.get(key)
     if hit is not None:
         return hit
-    facet_set = set(facets)
     verdict = False
     for v in range(n):
         bit = 1 << v
-        del_facets = _maximal({f & ~bit for f in facets})
-        if not all(f in facet_set for f in del_facets):
-            continue
-        link_facets = _maximal({f & ~bit for f in facets if f & bit})
-        if _vd_verdict(n, del_facets) and _vd_verdict(n, link_facets):
+        del_facets, sheds = _deletion(facets, bit)
+        # the link is built only for a shedding vertex whose deletion is VD
+        if sheds and _vd_verdict(n, del_facets) and _vd_verdict(
+            n, _maximal({f & ~bit for f in facets if f & bit})
+        ):
             verdict = True
             break
     _VD_MEMO[key] = verdict
@@ -193,46 +192,34 @@ def _is_simplex(d: SimplicialComplex) -> bool:
     return len(d.facets) == 1 and d.facets[0] == (1 << d.n) - 1
 
 
-def _certificate(d: SimplicialComplex) -> Optional[dict]:
-    """Literal recursion; shedding candidates tried in ascending vertex id."""
-    if d.kind == KIND_VOID:
-        return {"base": "void"}
-    if d.kind == KIND_EMPTY:
-        return {"base": "empty"}
-    if _is_simplex(d):
-        return {"base": "simplex"}
-    for x in d.labels:
-        if not is_shedding(d, x):
-            continue
-        link, dele = link_and_deletion(d, x)
-        if not (vertex_decomposable(link) and vertex_decomposable(dele)):
-            continue
-        return {
-            "vertex": x,
-            "deletion": _certificate(dele),
-            "link": _certificate(link),
-        }
-    return None
-
-
 def is_vertex_decomposable(d: SimplicialComplex) -> VDCertificate:
-    tree = _certificate(d)
-    if tree is not None:
-        return VDCertificate(True, tree, None)
-    return VDCertificate(False, None, _failure_witness(d))
+    """Literal recursion; shedding candidates tried in ascending vertex id.
 
-
-def _failure_witness(d: SimplicialComplex) -> dict:
-    """First subcomplex reached where no vertex passes as a usable shedding vertex."""
+    A VD complex gets the tree of its first shedding vertex whose deletion
+    and link are both VD.  Any other complex gets a failure witness: the
+    walk follows the first shedding vertex into its side that is not VD,
+    the deletion before the link, down to a complex where none is left.
+    """
+    if d.kind != KIND_ORDINARY or _is_simplex(d):
+        # the base cases are named "void", "empty" and "simplex"
+        return VDCertificate(True, {"base": d.kind if d.kind != KIND_ORDINARY else "simplex"}, None)
+    failing: Optional[SimplicialComplex] = None
     for x in d.labels:
         if not is_shedding(d, x):
             continue
         link, dele = link_and_deletion(d, x)
-        if not vertex_decomposable(dele):
-            return _failure_witness(dele)
-        if not vertex_decomposable(link):
-            return _failure_witness(link)
-    return d.to_json_obj()
+        del_vd, link_vd = vertex_decomposable(dele), vertex_decomposable(link)
+        if del_vd and link_vd:
+            tree = {
+                "vertex": x,
+                "deletion": is_vertex_decomposable(dele).tree,
+                "link": is_vertex_decomposable(link).tree,
+            }
+            return VDCertificate(True, tree, None)
+        if failing is None:
+            failing = link if del_vd else dele
+    witness = d.to_json_obj() if failing is None else is_vertex_decomposable(failing).failure_witness
+    return VDCertificate(False, None, witness)
 
 
 def verify_certificate(d: SimplicialComplex, cert: VDCertificate) -> bool:

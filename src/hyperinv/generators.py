@@ -130,7 +130,6 @@ def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
         if any(e & m == e for e in edges):
             continue  # the draw contains an existing edge: discard the superset
         edges = [e for e in edges if e & m != m or e == m]
-        edges = [e for e in edges if not (m & e == m and e != m)]
         edges.append(m)
     return from_masks(_labels(n), edges)
 

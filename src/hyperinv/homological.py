@@ -135,19 +135,13 @@ def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
     return {d: b for d, b in betti.items() if b}
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
-    ranks: dict  # dimension -> rank, zero entries omitted
-
-
 def reduced_homology(
     d: SimplicialComplex, field: str = FIELD_Q, cap: int = DEFAULT_HOMOLOGY_CAP
-) -> HomologyProfile:
+) -> dict[int, int]:
+    """Reduced Betti numbers of D keyed by dimension, zero entries omitted."""
     if d.n > cap:
         raise SizeLimitExceeded(f"ground set {d.n} exceeds homology cap {cap}")
-    if d.kind == "void":
-        return HomologyProfile({})
-    return HomologyProfile(_homology_from_faces(_all_faces(d.facets), field))
+    return _homology_from_faces(_all_faces(d.facets), field)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .bouquets import cover_from_bouquets, dprime_invariant
 from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
-from .errors import HyperinvError, UnknownSuite
+from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded, UnknownSuite
 from .generators import FamilySpec, stream
 from .hypergraph import (
     Hypergraph,
@@ -389,9 +389,10 @@ class VerificationReport:
     exit_status: int
     counterexample_files: tuple[str, ...] = ()
     elapsed: float = 0.0  # informational only; excluded from the report JSON
+    omitted: tuple[dict, ...] = ()  # instances whose check hit a cap
 
     def to_json_obj(self) -> dict:
-        return {
+        obj = {
             "suite": self.suite,
             "families": [f.to_json_obj() for f in self.families],
             "instances_tested": self.instances_tested,
@@ -399,6 +400,9 @@ class VerificationReport:
             "counterexamples": list(self.counterexamples),
             "exit_status": self.exit_status,
         }
+        if self.omitted:
+            obj["omitted"] = list(self.omitted)
+        return obj
 
 
 def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) -> list[tuple]:
@@ -408,8 +412,11 @@ def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) ->
     check = get_suite(name).check
     out = []
     for idx, h in stream(spec, shard, jobs):
-        res = check(h)
-        out.append((fam_idx, idx, h.to_json_obj(), res.to_json_obj()))
+        try:
+            res = check(h).to_json_obj()
+        except (SizeLimitExceeded, SearchLimitExceeded) as exc:
+            res = {"omitted": str(exc)}
+        out.append((fam_idx, idx, h.to_json_obj(), res))
     return out
 
 
@@ -439,7 +446,8 @@ def run_suite(
         for fi, spec in enumerate(fams):
             rows.extend(_run_shard(name, spec.to_json_obj(), fi, 0, 1))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # shards are still counted by jobs; only the pool is bounded
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(_run_shard, name, spec.to_json_obj(), fi, shard, jobs)
                 for fi, spec in enumerate(fams)
@@ -448,6 +456,12 @@ def run_suite(
             for fut in futures:
                 rows.extend(fut.result())
     rows.sort(key=lambda r: (r[0], r[1]))
+    omitted = tuple(
+        {"family": fi, "index": idx, "reason": res["omitted"]}
+        for fi, idx, _, res in rows
+        if "omitted" in res
+    )
+    rows = [r for r in rows if "omitted" not in r[3]]
 
     if self_test:
         # planted comparator fault: flip the first evaluated verdict
@@ -477,7 +491,8 @@ def run_suite(
         path = os.path.join(base, f"counterexample-{name}-{ce['family']}-{ce['index']}.json")
         write_json(path, ce["instance"])
         files.append(path)
-    status = 1 if counterexamples else 0
+    # 1: counterexample, 3: some check hit a cap (partial report), 0: ok
+    status = 1 if counterexamples else 3 if omitted else 0
     return VerificationReport(
         name,
         fams,
@@ -487,4 +502,5 @@ def run_suite(
         status,
         tuple(files),
         time.monotonic() - start,
+        omitted,
     )

@@ -298,6 +298,32 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: cannot write {missing}" in err and "Traceback" not in err
 
+    CAPPED = ('{"kind": "random_hypergraph", "n": 13, "max_edge_size": 2, '
+              '"edge_count": 12, "seed": 1, "count": 3}')
+
+    def test_cap_inside_a_check_exits_three_with_omitted_instances(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "verify", "theorem-pd", "--family", self.CAPPED, "--out-dir", str(tmp_path)
+        )
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["exit_status"] == 3 and report["instances_tested"] == 0
+        assert report["omitted"] == [
+            {"family": 0, "index": i, "reason": "13 vertices exceed Betti cap 12"}
+            for i in range(3)
+        ]
+
+    def test_counterexample_outranks_omitted_instances(self, capsys, tmp_path):
+        families = f'[{self.CAPPED}, {{"kind": "all_graphs", "n": 3}}]'
+        code, out, _ = run_cli(
+            capsys, "verify", "theorem-pd", "--family", families, "--self-test",
+            "--out-dir", str(tmp_path),
+        )
+        report = json.loads(out)
+        assert code == 1 and report["exit_status"] == 1
+        assert len(report["counterexamples"]) == 1 and len(report["omitted"]) == 3
+        assert report["instances_tested"] == 8
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_four_with_traceback(

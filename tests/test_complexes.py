@@ -1,6 +1,7 @@
 """Independence complexes, links/deletions, shedding, vertex decomposability."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import oracle_independence_facets, oracle_vd, tiny_hypergraphs
 
@@ -138,3 +139,31 @@ class TestVertexDecomposability:
         assert vertex_decomposable(path)
         cone2 = complex_from_facets(["a", "b", "c", "e"], [f | 0b1000 for f in path.facets])
         assert vertex_decomposable(cone2)
+
+
+@st.composite
+def complexes(draw, max_n=7):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    masks = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=6))
+    return complex_from_facets([f"v{i}" for i in range(n)], masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes())
+def test_vd_certificate_agrees_with_verdict(d):
+    """A positive certificate replays.  A failure witness is a complex that
+    is not VD, and none of its shedding vertices has a VD link and deletion:
+    the walk stops only where no vertex sheds."""
+    cert = is_vertex_decomposable(d)
+    assert cert.verdict == vertex_decomposable(d)
+    if cert.verdict:
+        assert cert.failure_witness is None and verify_certificate(d, cert)
+        return
+    assert cert.tree is None
+    ground = cert.failure_witness["ground_set"]
+    w = SimplicialComplex(
+        tuple(ground),
+        tuple(mask_of([ground.index(x) for x in f]) for f in cert.failure_witness["facets"]),
+    )
+    assert not vertex_decomposable(w)
+    assert not any(is_shedding(w, x) for x in w.labels)

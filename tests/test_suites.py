@@ -1,9 +1,11 @@
 """Suite registry behaviour, runner determinism, self-test fault."""
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
+import hyperinv.suites as suites_module
 from hyperinv import SUITES, check_instance, named_instance, run_suite
 from hyperinv.errors import UnknownSuite
 from hyperinv.generators import FamilySpec
@@ -124,6 +126,36 @@ class TestRunner:
     def test_elapsed_not_serialized(self, tmp_path):
         rep = run_suite("graph-cc", self.FAM, out_dir=str(tmp_path))
         assert "elapsed" not in rep.to_json_obj()
+        assert "omitted" not in rep.to_json_obj()  # written only when non-empty
+
+    @pytest.mark.parametrize("cpus,jobs,workers", [(2, 64, 2), (None, 64, 1), (8, 3, 3)])
+    def test_worker_pool_bounded_by_cpu_count(self, tmp_path, monkeypatch, cpus, jobs, workers):
+        """``--jobs`` still sets the shard count; the pool never exceeds the
+        CPUs.  The pool runs its tasks inline, so no process is started."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(suites_module, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(suites_module.os, "cpu_count", lambda: cpus)
+        fams = [FamilySpec(kind="all_graphs", n=4)]
+        serial = run_suite("lemma-dim", fams, out_dir=str(tmp_path))
+        pooled = run_suite("lemma-dim", fams, jobs=jobs, out_dir=str(tmp_path))
+        assert pools == [workers]
+        assert pooled.to_json_obj() == serial.to_json_obj()
 
     def test_default_families_used_when_none_given(self, tmp_path):
         rep = run_suite("graph-cc", out_dir=str(tmp_path))
