@@ -36,10 +36,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-_HOMOLOGY_SUITES = {"prop-mh", "theorem-reg", "theorem-pd", "theorem-final",
-                    "recursion-pd", "recursion-reg"}
-
-
 def _load_instance(path: str) -> Hypergraph:
     try:
         with open(path) as fh:
@@ -128,7 +124,7 @@ def cmd_invariants(args) -> int:
 
     checklist = {}
     for name in sorted(SUITES):
-        if args.skip_homology and name in _HOMOLOGY_SUITES:
+        if args.skip_homology and SUITES[name].homology:
             checklist[name] = {"omitted": "homology skipped"}
             continue
         res, err = _guarded(check_instance, name, h)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .complexes import SimplicialComplex
-from .errors import SizeLimitExceeded, UnknownField
+from .errors import HyperinvError, SizeLimitExceeded, UnknownField
 from .hypergraph import (
     Hypergraph,
     _all_faces,
@@ -202,7 +202,7 @@ def betti_table(
     if h.n > cap:
         raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {cap}")
     if h.void:
-        raise SizeLimitExceeded("Betti table of the void-marker hypergraph is undefined")
+        raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     entries: dict[tuple[int, int], int] = {}
     for w in _edge_subset_unions(h.edges)[1:]:
         ids = list(bit_ids(w))

@@ -319,7 +319,7 @@ def find_cycle(
 ) -> Optional[CycleWitness]:
     """Exhaustive search for a Berge cycle of length n; None if absent."""
     if n < 2:
-        raise SearchLimitExceeded("cycle length must be at least 2")
+        raise HyperinvError("cycle length must be at least 2")
     if n > cycle_limit:
         raise SearchLimitExceeded(f"cycle length {n} exceeds cap {cycle_limit}")
     if len(h.edges) > edge_cap:

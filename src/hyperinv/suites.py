@@ -1,8 +1,9 @@
-"""Verification suites: each suite pins one statement about hypergraph
-invariants and checks it on every instance of a family whose hypotheses
-hold.  Reports are deterministic; parallel runs shard by instance index
-before drawing and filtering, and merge in order, so worker count never
-changes the output bytes.  Each check reads the instance's invariants
+"""Verification suites: each suite is one row of a table, a statement
+about hypergraph invariants split into named hypotheses and a conclusion,
+checked on every instance of a family whose hypotheses hold.  Reports are
+deterministic; parallel runs shard by instance index before drawing and
+filtering, and merge in order, so worker count never changes the output
+bytes.  Each check reads the instance's invariants
 from its profile, where the family's filters left theirs.
 """
 
@@ -12,20 +13,20 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .bouquets import cover_from_bouquets, dprime_invariant
 from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded, UnknownSuite
-from .generators import FamilySpec, stream
+from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
 from .hypergraph import (
     Hypergraph,
     c2_free,
     contraction,
     deletion,
     is_graph,
-    uniformity_profile,
 )
 from .matchings import (
     independent_set_from_semi_induced,
@@ -49,61 +50,71 @@ class SuiteResult:
         }
 
 
-def _skip(**details) -> SuiteResult:
-    return SuiteResult(False, None, details)
-
-
-def _verdict(ok: bool, **details) -> SuiteResult:
-    return SuiteResult(True, ok, details)
-
-
 def _dim_plus_one(p: Profile) -> int:
     dim = dimension(p.complex)
     return (dim if dim is not None else -1) + 1
 
 
 # ---------------------------------------------------------------------------
-# suite checks: each reads the instance's invariants from its profile
+# hypotheses: named tests on H, most of them family filters
 
 
-def _check_theorem_main(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    c5 = p.c5_free
-    tcc = p.three_cycle_condition
-    if not (c5 and tcc):
-        return _skip(c5_free=c5, three_cycle_condition=tcc)
+HYPOTHESES: dict[str, Callable[[Hypergraph], bool]] = {
+    **{name: FILTERS[name]
+       for name in ("c2_free", "c5_free", "three_cycle_condition", "vertex_decomposable")},
+    "graph": is_graph,  # unlike the graph filter, an edgeless H counts
+    "uniform": lambda h: len({e.bit_count() for e in h.edges}) == 1,
+    "strong_intersection": FILTERS["d_uniform_strong"],
+}
+
+
+def _check(hypotheses: tuple[str, ...], conclusion: Callable, h: Hypergraph) -> SuiteResult:
+    # The one skip rule: every named hypothesis other than vertex
+    # decomposability is evaluated and reported.  VD, the costly one, is
+    # read only after those hold, and reported (as false) only in a suite
+    # that names no other hypothesis.
+    held = {name: HYPOTHESES[name](h) for name in hypotheses if name != "vertex_decomposable"}
+    if not all(held.values()) or (
+        "vertex_decomposable" in hypotheses and not HYPOTHESES["vertex_decomposable"](h)
+    ):
+        return SuiteResult(False, None, held or {"vertex_decomposable": False})
+    ok, details = conclusion(h, profile_of(h))
+    return SuiteResult(True, ok, details)
+
+
+# ---------------------------------------------------------------------------
+# conclusions: each reads the instance's invariants from its profile and
+# returns (verdict, details)
+
+
+def _theorem_main(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     rep = theorem_main_report(h)
     shed = sorted(r["vertex"] for r in rep.rows if r["shedding"])
     codom = sorted(r["vertex"] for r in rep.rows if r["codominated"])
-    return _verdict(rep.equivalence_holds, shedding=shed, codominated=codom)
+    return rep.equivalence_holds, dict(shedding=shed, codominated=codom)
 
 
-def _check_lemma_codominated(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
+def _lemma_codominated(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     bad = [
         x
         for x, witness, shed in zip(h.labels, p.codominated, p.shedding)
         if witness is not None and not shed
     ]
-    return _verdict(not bad, codominated_not_shedding=bad)
+    return not bad, dict(codominated_not_shedding=bad)
 
 
-def _check_graph_cc(h: Hypergraph) -> SuiteResult:
-    if not is_graph(h):
-        return _skip(graph=False)
-    inv = profile_of(h).matchings
-    return _verdict(inv.c == inv.c_prime, c=inv.c, c_prime=inv.c_prime)
+def _graph_cc(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
+    inv = p.matchings
+    return inv.c == inv.c_prime, dict(c=inv.c, c_prime=inv.c_prime)
 
 
-def _check_lemma_dim(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
+def _lemma_dim(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     inv = p.matchings
     top = _dim_plus_one(p)
     ok = inv.c <= inv.c_prime <= top
     g = independent_set_from_semi_induced(h, list(inv.witnesses["c_prime"].edges))
     ok = ok and g.bit_count() >= inv.c_prime
-    return _verdict(
-        ok,
+    return ok, dict(
         c=inv.c,
         c_prime=inv.c_prime,
         dim_plus_one=top,
@@ -111,19 +122,12 @@ def _check_lemma_dim(h: Hypergraph) -> SuiteResult:
     )
 
 
-def _check_prop_mh(h: Hypergraph) -> SuiteResult:
-    if not h.edges:
-        return _skip(uniform=False)
-    prof = uniformity_profile(h)
-    if prof["d"] is None or not prof["strong_intersection"]:
-        return _skip(uniform=prof["d"] is not None, strong_intersection=False)
-    p = profile_of(h)
+def _prop_mh(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     inv = p.matchings
     collage_ok = all(is_two_collage(h, mm) for mm in maximal_matchings(h))
     reg = p.betti().reg
     ok = inv.c <= inv.c_prime <= inv.m and collage_ok and inv.c <= reg <= inv.m
-    return _verdict(
-        ok,
+    return ok, dict(
         c=inv.c,
         c_prime=inv.c_prime,
         m=inv.m,
@@ -132,42 +136,30 @@ def _check_prop_mh(h: Hypergraph) -> SuiteResult:
     )
 
 
-def _check_prop_cd(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
+def _prop_cd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     inv = p.matchings
     binv = p.bouquets
     ok = inv.c <= binv.d <= binv.d_prime
     c2 = c2_free(h)
     if c2:
         ok = ok and inv.c_prime <= binv.d_prime
-    return _verdict(ok, c=inv.c, c_prime=inv.c_prime, d=binv.d, d_prime=binv.d_prime, c2_free=c2)
+    return ok, dict(c=inv.c, c_prime=inv.c_prime, d=binv.d, d_prime=binv.d_prime, c2_free=c2)
 
 
-def _check_theorem_reg(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    c2 = c2_free(h)
-    c5 = p.c5_free
-    if not (c2 and c5 and p.vertex_decomposable):
-        return _skip(c2_free=c2, c5_free=c5)
+def _theorem_reg(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     c_prime = p.matchings.c_prime
     top = _dim_plus_one(p)
     reg = p.betti().reg
-    return _verdict(reg <= c_prime <= top, reg=reg, c_prime=c_prime, dim_plus_one=top)
+    return reg <= c_prime <= top, dict(reg=reg, c_prime=c_prime, dim_plus_one=top)
 
 
-def _check_theorem_pd(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    if not p.vertex_decomposable:
-        return _skip(vertex_decomposable=False)
+def _theorem_pd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     d_prime = p.dprime[0]
     pd = p.betti().pd
-    return _verdict(pd <= d_prime, pd=pd, d_prime=d_prime)
+    return pd <= d_prime, dict(pd=pd, d_prime=d_prime)
 
 
-def _check_theorem_final(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    if not (is_graph(h) and p.vertex_decomposable):
-        return _skip(graph=is_graph(h))
+def _theorem_final(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     d_prime, witness = p.dprime
     covers = p.covers
     pd = p.betti().pd
@@ -176,8 +168,7 @@ def _check_theorem_final(h: Hypergraph) -> SuiteResult:
     # Theorem final (ii): with size-two stems the flower set itself covers
     flowers_are_cover = flowers in covers.covers
     ok = covers.bigheight == pd == d_prime and flowers_are_cover and cover == flowers
-    return _verdict(
-        ok,
+    return ok, dict(
         bigheight=covers.bigheight,
         pd=pd,
         d_prime=d_prime,
@@ -185,19 +176,13 @@ def _check_theorem_final(h: Hypergraph) -> SuiteResult:
     )
 
 
-def _check_corollary_codis(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    c5 = p.c5_free
-    tcc = p.three_cycle_condition
-    if not (c5 and tcc and p.vertex_decomposable):
-        return _skip(c5_free=c5, three_cycle_condition=tcc)
+def _corollary_codis(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     order = p.codismantle_order
     ok = order is not None and replay_elimination(h, order)
-    return _verdict(ok, elimination_order=list(order.order) if order else None)
+    return ok, dict(elimination_order=list(order.order) if order else None)
 
 
-def _check_lemmas_dprime(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
+def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     dp = p.dprime[0]
     rows = []
     ok = True
@@ -208,37 +193,31 @@ def _check_lemmas_dprime(h: Hypergraph) -> SuiteResult:
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
-    return _verdict(ok, d_prime=dp, shedding=rows)
+    return ok, dict(d_prime=dp, shedding=rows)
 
 
-def _check_recursion_pd(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    if not p.vertex_decomposable:
-        return _skip(vertex_decomposable=False)
+def _recursion_pd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     pd = p.betti().pd
     rows = [
         {"vertex": x, "pd_deletion": dele.pd, "pd_contraction": ctr.pd}
         for x, dele, ctr in p.shedding_splits
     ]
     ok = all(pd == max(r["pd_deletion"] + 1, r["pd_contraction"]) for r in rows)
-    return _verdict(ok, pd=pd, shedding=rows)
+    return ok, dict(pd=pd, shedding=rows)
 
 
-def _check_recursion_reg(h: Hypergraph) -> SuiteResult:
-    p = profile_of(h)
-    if not p.vertex_decomposable:
-        return _skip(vertex_decomposable=False)
+def _recursion_reg(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     reg = p.betti().reg
     rows = [
         {"vertex": x, "reg_deletion": dele.reg, "reg_contraction": ctr.reg}
         for x, dele, ctr in p.shedding_splits
     ]
     ok = all(reg <= max(r["reg_deletion"], r["reg_contraction"] + 1) for r in rows)
-    return _verdict(ok, reg=reg, shedding=rows)
+    return ok, dict(reg=reg, shedding=rows)
 
 
 # ---------------------------------------------------------------------------
-# registry
+# the table: one row per suite
 
 
 @dataclass(frozen=True)
@@ -247,6 +226,7 @@ class Suite:
     statement: str
     check: Callable[[Hypergraph], SuiteResult]
     default_families: tuple[FamilySpec, ...]
+    homology: bool  # whether the conclusion reads Betti tables
 
 
 def _fam(**kw) -> FamilySpec:
@@ -258,111 +238,76 @@ def _fam(**kw) -> FamilySpec:
 _GRAPHS4 = _fam(kind="all_graphs", n=4)
 _RANDOM = _fam(n=6, max_edge_size=3, edge_count=4, seed=11, count=300)
 
-SUITES: dict[str, Suite] = {}
+# (name, hypotheses, conclusion, homology, statement, default families).
+# A row names the hypotheses that its random family filters on; the
+# families are written out, since their filters appear in the report.
+_TABLE = (
+    ("theorem-main", ("c5_free", "three_cycle_condition"), _theorem_main, False,
+     "on C5-free instances whose 3-cycles use only size-2 edges, "
+     "a vertex is shedding iff it is codominated",
+     (_fam(kind="all_graphs", n=4, filters=("c5_free",)),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=11, count=300,
+           filters=("c5_free", "three_cycle_condition")))),
+    ("lemma-codominated", (), _lemma_codominated, False,
+     "every codominated vertex is a shedding vertex",
+     (_GRAPHS4, _RANDOM)),
+    ("graph-cc", ("graph",), _graph_cc, False,
+     "on graphs the induced and semi-induced matching numbers agree",
+     (_fam(kind="all_graphs", n=5),)),
+    ("lemma-dim", (), _lemma_dim, False,
+     "c <= c' <= dim+1, with a greedy independent set of size >= c'",
+     (_GRAPHS4, _RANDOM)),
+    ("prop-mh", ("uniform", "strong_intersection"), _prop_mh, True,
+     "on d-uniform strong-intersection instances c <= c' <= m, "
+     "maximal matchings are 2-collages, and c <= reg <= m",
+     (_fam(kind="all_graphs", n=4),
+      _fam(n=6, max_edge_size=3, edge_count=3, seed=23, count=600,
+           filters=("d_uniform_strong",)))),
+    ("prop-cd", (), _prop_cd, False,
+     "c <= d <= d', and c' <= d' when no two edges share two vertices",
+     (_GRAPHS4, _RANDOM)),
+    ("theorem-reg", ("c2_free", "c5_free", "vertex_decomposable"), _theorem_reg, True,
+     "on (C2,C5)-free vertex-decomposable instances reg <= c' <= dim+1",
+     (_fam(kind="all_graphs", n=5, filters=("c5_free", "vertex_decomposable")),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=31, count=300,
+           filters=("c2_free", "c5_free", "vertex_decomposable")))),
+    ("theorem-pd", ("vertex_decomposable",), _theorem_pd, True,
+     "on vertex-decomposable instances pd <= d'",
+     (_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=37, count=300,
+           filters=("vertex_decomposable",)))),
+    ("theorem-final", ("graph", "vertex_decomposable"), _theorem_final, True,
+     "on vertex-decomposable graphs bigheight = pd = d', with a minimal "
+     "cover inside the optimal flower set",
+     (_fam(kind="all_graphs", n=5, filters=("vertex_decomposable",)),)),
+    ("corollary-codis", ("c5_free", "three_cycle_condition", "vertex_decomposable"),
+     _corollary_codis, False,
+     "C5-free vertex-decomposable instances with size-2-edge 3-cycles "
+     "are codismantlable",
+     (_fam(kind="all_graphs", n=4, filters=("c5_free", "vertex_decomposable")),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=41, count=300,
+           filters=("c5_free", "three_cycle_condition", "vertex_decomposable")))),
+    ("lemmas-dprime", (), _lemmas_dprime, False,
+     "at a shedding vertex x, d'(H/x) <= d'(H) and d'(H\\x)+1 <= d'(H)",
+     (_GRAPHS4, _fam(n=6, max_edge_size=3, edge_count=4, seed=43, count=200))),
+    ("recursion-pd", ("vertex_decomposable",), _recursion_pd, True,
+     "at a shedding vertex of a vertex-decomposable instance, "
+     "pd = max(pd(deletion)+1, pd(contraction))",
+     (_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=47, count=200,
+           filters=("vertex_decomposable",)))),
+    ("recursion-reg", ("vertex_decomposable",), _recursion_reg, True,
+     "at a shedding vertex of a vertex-decomposable instance, "
+     "reg <= max(reg(deletion), reg(contraction)+1)",
+     (_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
+      _fam(n=6, max_edge_size=3, edge_count=4, seed=53, count=200,
+           filters=("vertex_decomposable",)))),
+)
 
-
-def _register(name, statement, check, families):
-    SUITES[name] = Suite(name, statement, check, tuple(families))
-
-
-_register(
-    "theorem-main",
-    "on C5-free instances whose 3-cycles use only size-2 edges, "
-    "a vertex is shedding iff it is codominated",
-    _check_theorem_main,
-    [_fam(kind="all_graphs", n=4, filters=("c5_free",)),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=11, count=300,
-          filters=("c5_free", "three_cycle_condition"))],
-)
-_register(
-    "lemma-codominated",
-    "every codominated vertex is a shedding vertex",
-    _check_lemma_codominated,
-    [_GRAPHS4, _RANDOM],
-)
-_register(
-    "graph-cc",
-    "on graphs the induced and semi-induced matching numbers agree",
-    _check_graph_cc,
-    [_fam(kind="all_graphs", n=5)],
-)
-_register(
-    "lemma-dim",
-    "c <= c' <= dim+1, with a greedy independent set of size >= c'",
-    _check_lemma_dim,
-    [_GRAPHS4, _RANDOM],
-)
-_register(
-    "prop-mh",
-    "on d-uniform strong-intersection instances c <= c' <= m, "
-    "maximal matchings are 2-collages, and c <= reg <= m",
-    _check_prop_mh,
-    [_fam(kind="all_graphs", n=4),
-     _fam(n=6, max_edge_size=3, edge_count=3, seed=23, count=600,
-          filters=("d_uniform_strong",))],
-)
-_register(
-    "prop-cd",
-    "c <= d <= d', and c' <= d' when no two edges share two vertices",
-    _check_prop_cd,
-    [_GRAPHS4, _RANDOM],
-)
-_register(
-    "theorem-reg",
-    "on (C2,C5)-free vertex-decomposable instances reg <= c' <= dim+1",
-    _check_theorem_reg,
-    [_fam(kind="all_graphs", n=5, filters=("c5_free", "vertex_decomposable")),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=31, count=300,
-          filters=("c2_free", "c5_free", "vertex_decomposable"))],
-)
-_register(
-    "theorem-pd",
-    "on vertex-decomposable instances pd <= d'",
-    _check_theorem_pd,
-    [_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=37, count=300,
-          filters=("vertex_decomposable",))],
-)
-_register(
-    "theorem-final",
-    "on vertex-decomposable graphs bigheight = pd = d', with a minimal "
-    "cover inside the optimal flower set",
-    _check_theorem_final,
-    [_fam(kind="all_graphs", n=5, filters=("vertex_decomposable",))],
-)
-_register(
-    "corollary-codis",
-    "C5-free vertex-decomposable instances with size-2-edge 3-cycles "
-    "are codismantlable",
-    _check_corollary_codis,
-    [_fam(kind="all_graphs", n=4, filters=("c5_free", "vertex_decomposable")),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=41, count=300,
-          filters=("c5_free", "three_cycle_condition", "vertex_decomposable"))],
-)
-_register(
-    "lemmas-dprime",
-    "at a shedding vertex x, d'(H/x) <= d'(H) and d'(H\\x)+1 <= d'(H)",
-    _check_lemmas_dprime,
-    [_GRAPHS4, _fam(n=6, max_edge_size=3, edge_count=4, seed=43, count=200)],
-)
-_register(
-    "recursion-pd",
-    "at a shedding vertex of a vertex-decomposable instance, "
-    "pd = max(pd(deletion)+1, pd(contraction))",
-    _check_recursion_pd,
-    [_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=47, count=200,
-          filters=("vertex_decomposable",))],
-)
-_register(
-    "recursion-reg",
-    "at a shedding vertex of a vertex-decomposable instance, "
-    "reg <= max(reg(deletion), reg(contraction)+1)",
-    _check_recursion_reg,
-    [_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
-     _fam(n=6, max_edge_size=3, edge_count=4, seed=53, count=200,
-          filters=("vertex_decomposable",))],
-)
+SUITES: dict[str, Suite] = {
+    name: Suite(name, statement, partial(_check, hypotheses, conclusion), families, homology)
+    for name, hypotheses, conclusion, homology, statement, families in _TABLE
+}
 
 
 def get_suite(name: str) -> Suite:
@@ -407,12 +352,15 @@ class VerificationReport:
 
 def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) -> list[tuple]:
     fam_obj = dict(fam_obj)
-    fam_obj["filters"] = tuple(fam_obj["filters"])
-    spec = FamilySpec(**fam_obj)
+    filters = tuple(fam_obj.pop("filters"))
+    check_filters(filters)  # an unknown filter is an input error, before any draw
     check = get_suite(name).check
     out = []
-    for idx, h in stream(spec, shard, jobs):
+    # the filters run per instance, so that a cap hit in one omits the instance
+    for idx, h in stream(FamilySpec(**fam_obj), shard, jobs):
         try:
+            if not passes_filters(h, filters):
+                continue
             res = check(h).to_json_obj()
         except (SizeLimitExceeded, SearchLimitExceeded) as exc:
             res = {"omitted": str(exc)}

@@ -324,6 +324,36 @@ class TestVerify:
         assert len(report["counterexamples"]) == 1 and len(report["omitted"]) == 3
         assert report["instances_tested"] == 8
 
+    FILTER_CAPPED = ('{"kind": "random_hypergraph", "n": 8, "max_edge_size": 2, '
+                     '"edge_count": 28, "seed": 1, "count": 2, "filters": ["c5_free"]}')
+
+    def test_cap_inside_a_filter_exits_three_with_omitted_instances(self, capsys, tmp_path):
+        """K8 has 28 edges, over the C5 search cap that its filter reads."""
+        code, out, err = run_cli(
+            capsys, "verify", "theorem-main", "--family", self.FILTER_CAPPED,
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["exit_status"] == 3 and report["instances_tested"] == 0
+        assert report["omitted"] == [
+            {"family": 0, "index": i, "reason": "28 edges exceed cycle-search cap 20"}
+            for i in range(2)
+        ]
+
+    def test_unknown_filter_exits_two_before_any_draw(self, capsys, monkeypatch, tmp_path):
+        import hyperinv.generators as generators
+
+        def no_draw(spec, index):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(generators, "random_hypergraph", no_draw)
+        family = self.FILTER_CAPPED.replace('"c5_free"', '"c5_fre"')
+        code, out, err = run_cli(capsys, "verify", "theorem-main", "--family", family,
+                                 "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "error: unknown filter 'c5_fre'" in err
+
 
 class TestInternalError:
     def test_unexpected_exception_exits_four_with_traceback(

@@ -16,6 +16,7 @@ from hyperinv import (
     betti_table,
     build,
     complex_to_hypergraph,
+    contraction,
     independence_complex,
     minimal_nonfaces,
     named_instance,
@@ -241,6 +242,13 @@ class TestBettiTable:
         h = build([f"v{i}" for i in range(13)], [["v0", "v1"]])
         with pytest.raises(SizeLimitExceeded):
             betti_table(h)
+
+    def test_void_marker_is_undefined_not_capped(self):
+        void = contraction(build(["a", "b"], [["a"]]), "a")
+        assert void.void
+        with pytest.raises(HyperinvError) as exc:
+            betti_table(void)
+        assert not isinstance(exc.value, SizeLimitExceeded)
 
 
 class TestAlexanderDuality:

@@ -21,6 +21,7 @@ from hyperinv.errors import (
     AntichainViolation,
     DuplicateEdge,
     EmptyEdge,
+    HyperinvError,
     NoEdges,
     SameVertex,
     SearchLimitExceeded,
@@ -121,8 +122,9 @@ class TestCycles:
         assert find_cycle(named_instance("c4"), 5) is None
 
     def test_caps(self, h1):
-        with pytest.raises(SearchLimitExceeded):
+        with pytest.raises(HyperinvError) as exc:  # undefined, not a cap
             find_cycle(h1, 1)
+        assert not isinstance(exc.value, SearchLimitExceeded)
         with pytest.raises(SearchLimitExceeded):
             find_cycle(h1, 9)
 

@@ -11,11 +11,13 @@ from hyperinv import (
     from_masks,
     independence_complex,
     independent_set_from_semi_induced,
+    is_codismantlable,
     is_codominated,
     is_shedding_vertex,
     matching_invariants,
     minimal_vertex_covers,
     reg_and_pd,
+    vertex_decomposable,
 )
 from hyperinv.complexes import dimension
 from hyperinv.hypergraph import _canonical_witness, _cycles, _maximal, _minimal, bit_ids, find_cycle
@@ -165,6 +167,26 @@ def test_betti_table_matches_oracle_and_ignores_labels(pair):
     entries = betti_table(h).entries
     assert entries == oracle_betti_table(h)
     assert betti_table(moved).entries == entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_pairs())
+def test_every_value_ignores_labels(pair):
+    """c, c', m, d, d', vertex decomposability, codismantlability and
+    bigheight are the same after relabelling."""
+
+    def values(h):
+        inv = matching_invariants(h)
+        binv = bouquet_invariants(h)
+        return (
+            inv.c, inv.c_prime, inv.m, binv.d, binv.d_prime,
+            vertex_decomposable(independence_complex(h)),
+            is_codismantlable(h) is not None,
+            minimal_vertex_covers(h).bigheight,
+        )
+
+    h, moved = pair
+    assert values(moved) == values(h)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,9 +6,10 @@ from concurrent.futures import Future
 import pytest
 
 import hyperinv.suites as suites_module
-from hyperinv import SUITES, check_instance, named_instance, run_suite
+from hyperinv import SUITES, check_instance, from_masks, named_instance, run_suite
 from hyperinv.errors import UnknownSuite
 from hyperinv.generators import FamilySpec
+from hyperinv.profile import Profile
 
 EXPECTED_SUITES = {
     "theorem-main",
@@ -67,6 +68,39 @@ class TestSingleInstanceChecks:
             for inst in ("h1", "p3", "star3", "c5"):
                 res = check_instance(name, named_instance(inst))
                 assert res.conclusion_holds is not False, (name, inst)
+
+
+class TestTable:
+    def test_homology_flag_marks_the_suites_that_read_betti_tables(self, monkeypatch):
+        """With Betti tables unreadable, a suite without the flag never
+        raises, and each suite with it raises somewhere."""
+
+        def unreadable(self, field="q"):
+            raise LookupError("Betti table read")
+
+        monkeypatch.setattr(Profile, "betti", unreadable)
+        for name, suite in SUITES.items():
+            raised = False
+            for inst in ("h1", "h2", "p3", "star3", "c4", "c5"):
+                try:
+                    suite.check(named_instance(inst))
+                except LookupError:
+                    raised = True
+            assert raised == suite.homology, name
+
+    @pytest.mark.parametrize("name,inst,details", [
+        ("theorem-main", named_instance("c5"),
+         {"c5_free": False, "three_cycle_condition": True}),
+        # C2- and C5-free but not VD: VD is read but not reported
+        ("theorem-reg", named_instance("c4"), {"c2_free": True, "c5_free": True}),
+        # VD is the only hypothesis, so it is reported
+        ("theorem-pd", named_instance("c4"), {"vertex_decomposable": False}),
+        ("prop-mh", from_masks(["x1", "x2"], []), {"uniform": False, "strong_intersection": False}),
+    ])
+    def test_skip_rule(self, name, inst, details):
+        res = check_instance(name, inst)
+        assert (res.hypotheses_hold, res.conclusion_holds) == (False, None)
+        assert res.details == details
 
 
 class TestRunner:
