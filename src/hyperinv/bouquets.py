@@ -37,7 +37,7 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, _all_faces, bit_ids, edge_sort_key, maximal_independent_sets
+from .hypergraph import Hypergraph, _all_faces, bit_ids, edge_sort_key
 from .matchings import classify_family
 
 DEFAULT_EDGE_CAP = 12
@@ -140,15 +140,19 @@ class BouquetInvariants:
     witnesses: dict  # name -> BouquetSet
 
 
-def dprime_invariant(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> tuple[int, BouquetSet]:
-    """d' with its witness, without the d search."""
+def dprime_invariant(
+    h: Hypergraph, facets: Sequence[int], edge_cap: int = DEFAULT_EDGE_CAP
+) -> tuple[int, BouquetSet]:
+    """d' with its witness, without the d search; ``facets`` span the independence complex."""
     if len(h.edges) > edge_cap:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
-    return _dprime_search(h)
+    return _dprime_search(h, facets)
 
 
-def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> BouquetInvariants:
-    dp_val, dp_wit = dprime_invariant(h, edge_cap)
+def bouquet_invariants(
+    h: Hypergraph, facets: Sequence[int], edge_cap: int = DEFAULT_EDGE_CAP
+) -> BouquetInvariants:
+    dp_val, dp_wit = dprime_invariant(h, facets, edge_cap)
     d_val, d_wit = _d_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
@@ -157,15 +161,15 @@ def bouquet_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Bouqu
 # d' : semi-strongly disjoint maximization
 
 
-def _dprime_search(h: Hypergraph) -> tuple[int, BouquetSet]:
-    """Root sets R are the faces of the independence complex inside the
-    edge support, in ascending mask order; a root set that also holds
-    vertices in no edge scores the same as its part inside the support,
-    which comes first.  The first best R keeps its root choices, and only
-    it gets a witness; with no R that touches an edge (no edges, or only
-    singleton edges) the witness is empty."""
+def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
+    """Root sets R are the faces of the independence complex (given by its
+    ``facets``) inside the edge support, in ascending mask order; a root
+    set that also holds vertices in no edge scores the same as its part
+    inside the support, which comes first.  The first best R keeps its
+    root choices, and only it gets a witness; with no R that touches an
+    edge (no edges, or only singleton edges) the witness is empty."""
     support = reduce(or_, h.edges, 0)
-    faces = _all_faces(f & support for f in maximal_independent_sets(h))
+    faces = _all_faces(f & support for f in facets)
     best, best_r, best_kept = 0, 0, ()
     for r_mask in sorted(faces)[1:]:
         union = 0

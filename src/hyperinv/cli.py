@@ -51,14 +51,6 @@ def _emit(obj: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _guarded(fn, *args, **kwargs):
-    """Run a computation; (value, None) or (omission marker, reason)."""
-    try:
-        return fn(*args, **kwargs), None
-    except (SizeLimitExceeded, SearchLimitExceeded) as exc:
-        return {"omitted": str(exc)}, str(exc)
-
-
 def cmd_invariants(args) -> int:
     h = _load_instance(args.path)
     field = parse_field(args.field)
@@ -74,72 +66,52 @@ def cmd_invariants(args) -> int:
     }
     capped = isinstance(p.hypotheses["c5_free"], dict)  # the C5 search hit its cap
 
-    if args.edge_cap == MATCHING_EDGE_CAP:
-        minv, err = _guarded(lambda: p.matchings)
-    else:
-        minv, err = _guarded(matching_invariants, h, edge_cap=args.edge_cap)
-    capped = capped or err is not None
-    if err is None:
-        report["matchings"] = {
-            "c": minv.c,
-            "c_prime": minv.c_prime,
-            "m": minv.m,
-            "witnesses": {k: w.as_labels(h) for k, w in minv.witnesses.items()},
-        }
-    else:
-        report["matchings"] = minv
+    def guarded(section: dict, key: str, compute) -> None:
+        """``section[key] = compute()``, or an omission marker on a cap hit."""
+        nonlocal capped
+        try:
+            section[key] = compute()
+        except (SizeLimitExceeded, SearchLimitExceeded) as exc:
+            section[key] = {"omitted": str(exc)}
+            capped = True
 
-    bouquet_cap = min(args.edge_cap, BOUQUET_EDGE_CAP)
-    if bouquet_cap == BOUQUET_EDGE_CAP:
-        binv, err = _guarded(lambda: p.bouquets)
-    else:
-        binv, err = _guarded(bouquet_invariants, h, edge_cap=bouquet_cap)
-    capped = capped or err is not None
-    if err is None:
-        report["bouquets"] = {
-            "d": binv.d,
-            "d_prime": binv.d_prime,
-            "witnesses": {k: w.to_json_obj(h) for k, w in binv.witnesses.items()},
-        }
-    else:
-        report["bouquets"] = binv
+    def matchings() -> dict:
+        cap = args.edge_cap
+        minv = p.matchings if cap == MATCHING_EDGE_CAP else matching_invariants(h, cap)
+        witnesses = {k: w.as_labels(h) for k, w in minv.witnesses.items()}
+        return {"c": minv.c, "c_prime": minv.c_prime, "m": minv.m, "witnesses": witnesses}
 
-    report["complex"] = {"kind": p.complex.kind, "dim": dimension(p.complex)}
+    def bouquets() -> dict:
+        cap = min(args.edge_cap, BOUQUET_EDGE_CAP)
+        binv = p.bouquets if cap == BOUQUET_EDGE_CAP else bouquet_invariants(h, p.complex.facets, cap)
+        witnesses = {k: w.to_json_obj(h) for k, w in binv.witnesses.items()}
+        return {"d": binv.d, "d_prime": binv.d_prime, "witnesses": witnesses}
 
-    report["covers"] = {
-        "bigheight": p.covers.bigheight,
-        "minimal_covers": p.covers.as_labels(h),
-    }
-
+    guarded(report, "matchings", matchings)
+    guarded(report, "bouquets", bouquets)
+    guarded(report, "complex", lambda: {"kind": p.complex.kind, "dim": dimension(p.complex)})
+    guarded(report, "covers",
+            lambda: {"bigheight": p.covers.bigheight, "minimal_covers": p.covers.as_labels(h)})
     if args.skip_homology:
         report["homology"] = {"omitted": "skipped by flag"}
     else:
-        table, err = _guarded(p.betti, field)
-        capped = capped or err is not None
-        report["homology"] = table.to_json_obj() if err is None else table
+        guarded(report, "homology", lambda: p.betti(field).to_json_obj())
+    guarded(report, "vertex_classification", lambda: theorem_main_report(h).to_json_obj())
+    guarded(report, "codismantlable",
+            lambda: {"order": list(p.codismantle_order.order)} if p.codismantle_order else None)
 
-    report["vertex_classification"] = theorem_main_report(h).to_json_obj()
-    order = p.codismantle_order
-    report["codismantlable"] = {"order": list(order.order)} if order else None
-
-    checklist = {}
+    checklist = report["theorems"] = {}
     for name in sorted(SUITES):
         if args.skip_homology and SUITES[name].homology:
             checklist[name] = {"omitted": "homology skipped"}
-            continue
-        res, err = _guarded(check_instance, name, h)
-        capped = capped or err is not None
-        checklist[name] = res.to_json_obj() if err is None else res
-    report["theorems"] = checklist
+        else:
+            guarded(checklist, name, lambda: check_instance(name, h).to_json_obj())
 
     _emit(report)
-    summary = []
-    if isinstance(report["matchings"], dict) and "c" in report["matchings"]:
-        summary.append(
-            f"c={report['matchings']['c']} c'={report['matchings']['c_prime']} m={report['matchings']['m']}"
-        )
-    if isinstance(report["homology"], dict) and "reg" in report["homology"]:
-        summary.append(f"reg={report['homology']['reg']} pd={report['homology']['pd']}")
+    m, hom = report["matchings"], report["homology"]
+    summary = [f"c={m['c']} c'={m['c_prime']} m={m['m']}"] if "c" in m else []
+    if "reg" in hom:
+        summary.append(f"reg={hom['reg']} pd={hom['pd']}")
     print(f"invariants of {args.path}: " + "; ".join(summary), file=sys.stderr)
     return EXIT_CAP if capped else EXIT_OK
 

@@ -9,11 +9,11 @@ A hypergraph produced by contracting a singleton edge carries the
 ``void`` flag: its conceptual edge set is exactly {∅}, no vertex set is
 independent, and its independence complex is the void complex.
 
-One dualization primitive, ``_minimal_transversals`` (Berge's
-branching on the first edge not yet hit), yields the minimal vertex
-covers; the maximal independent sets are their complements, and the
-minimal non-faces and Alexander dual of a complex in ``homological`` are
-the transversals of its facet complements.
+One dualization primitive, ``_minimal_transversals`` (MMCS), yields the
+minimal vertex covers; the maximal independent sets are their
+complements, and the minimal non-faces and Alexander dual of a complex
+in ``homological`` are the transversals of its facet complements.  Past
+``DEFAULT_TRANSVERSAL_CAP`` transversals it raises ``SearchLimitExceeded``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .errors import (
 
 DEFAULT_CYCLE_LENGTH_CAP = 7
 DEFAULT_CYCLE_EDGE_CAP = 20
+DEFAULT_TRANSVERSAL_CAP = 10_000
 
 
 def bit_ids(mask: int) -> Iterator[int]:
@@ -396,21 +397,51 @@ def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
 def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:
     """Minimal sets meeting every edge, ascending; ``(0,)`` for no edges.
 
-    Branches on the vertices of the first edge the partial choice misses,
-    then keeps the inclusion-minimal leaves.
+    MMCS (Murakami and Uno 2014) branches on the uncovered edge with the
+    fewest candidates, adds a vertex only while every chosen vertex keeps
+    a critical edge (met by no other chosen vertex), so every leaf is
+    minimal, and makes each branch vertex a candidate again after its
+    branch, so no set is found twice.  Edge sets are masks of edge indices.
     """
-    results: set[int] = set()
+    if not edges:
+        return (0,)
+    cap = DEFAULT_TRANSVERSAL_CAP
+    occ: dict[int, int] = {}  # vertex bit -> the index bits of its edges
+    for j, e in enumerate(edges):
+        while e:
+            v = e & -e
+            occ[v] = occ.get(v, 0) | 1 << j
+            e ^= v
+    found: list[int] = []
 
-    def rec(chosen: int, idx: int) -> None:
-        for j in range(idx, len(edges)):
-            if not edges[j] & chosen:
-                for v in bit_ids(edges[j]):
-                    rec(chosen | (1 << v), j + 1)
-                return
-        results.add(chosen)
+    def rec(chosen: int, uncov: int, cand: int, crit: list[int]) -> None:
+        fewest = len(occ) + 1
+        rest = uncov
+        while rest:
+            j = rest & -rest
+            rest ^= j
+            c = edges[j.bit_length() - 1] & cand
+            k = c.bit_count()
+            if k < fewest:  # an edge with no candidate leaves nothing to branch on
+                fewest, branch = k, c
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            hit = occ[v]
+            kept = [x & ~hit for x in crit]
+            if all(kept):
+                if uncov & ~hit:
+                    kept.append(uncov & hit)
+                    rec(chosen | v, uncov & ~hit, cand, kept)
+                else:
+                    found.append(chosen | v)
+                    if len(found) > cap:
+                        raise SearchLimitExceeded(f"minimal transversals exceed cap {cap}")
+            cand |= v
 
-    rec(0, 0)
-    return _minimal(results)
+    rec(0, (1 << len(edges)) - 1, sum(occ), [])
+    return tuple(sorted(found))
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class Profile:
 
     @cached_property
     def bouquets(self) -> BouquetInvariants:
-        return bouquet_invariants(self.h)
+        return bouquet_invariants(self.h, self.complex.facets)
 
     @cached_property
     def dprime(self) -> tuple[int, BouquetSet]:
@@ -79,7 +79,7 @@ class Profile:
         bouquets = self.__dict__.get("bouquets")
         if bouquets is not None:
             return bouquets.d_prime, bouquets.witnesses["d_prime"]
-        return dprime_invariant(self.h)
+        return dprime_invariant(self.h, self.complex.facets)
 
     @cached_property
     def covers(self) -> CoverList:

@@ -27,6 +27,7 @@ from .hypergraph import (
     contraction,
     deletion,
     is_graph,
+    maximal_independent_sets,
 )
 from .matchings import (
     independent_set_from_semi_induced,
@@ -187,9 +188,9 @@ def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     rows = []
     ok = True
     for x in p.shedding_vertices:
-        ctr = contraction(h, x)
-        dp_ctr = None if ctr.void else dprime_invariant(ctr)[0]
-        dp_del = dprime_invariant(deletion(h, x))[0]
+        ctr, dele = contraction(h, x), deletion(h, x)
+        dp_ctr = None if ctr.void else dprime_invariant(ctr, maximal_independent_sets(ctr))[0]
+        dp_del = dprime_invariant(dele, maximal_independent_sets(dele))[0]
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})

@@ -182,6 +182,13 @@ def oracle_independence_facets(h):
     )
 
 
+def oracle_minimal_transversals(edges, n):
+    """Inclusion-minimal subsets of the n-vertex ground set that meet every
+    edge, by scanning every subset."""
+    hits = [u for u in range(1 << n) if all(e & u for e in edges)]
+    return tuple(sorted(u for u in hits if not any(o != u and o & u == o for o in hits)))
+
+
 def oracle_minimal_nonfaces(facets, n):
     """Inclusion-minimal non-faces, by scanning every subset of the ground set."""
     nonfaces = [u for u in range(1 << n) if not any(u & f == u for f in facets)]

@@ -25,6 +25,7 @@ from hyperinv import (
     is_codominated,
     is_shedding_vertex,
     matching_invariants,
+    maximal_independent_sets,
     named_instance,
     reg_and_pd,
     replay_elimination,
@@ -251,7 +252,8 @@ def test_criterion_09_pd_bounded_by_d_prime():
     for src in streams:
         for h in src:
             total += 1
-            if reg_and_pd(h)["pd"] > bouquet_invariants(h, edge_cap=16).d_prime:
+            dprime = bouquet_invariants(h, maximal_independent_sets(h), edge_cap=16).d_prime
+            if reg_and_pd(h)["pd"] > dprime:
                 bad += 1
     _report(9, bad == 0, f"pd <= d' on {total} vertex-decomposable instances, {bad} bad")
 
@@ -263,11 +265,14 @@ def test_criterion_10_bigheight_pd_dprime_on_vd_graphs():
         total += 1
         bh = minimal_vertex_covers(h).bigheight
         pd = reg_and_pd(h)["pd"]
-        dp = bouquet_invariants(h, edge_cap=15).d_prime
+        dp = bouquet_invariants(h, maximal_independent_sets(h), edge_cap=15).d_prime
         if not (bh == pd == dp):
             bad += 1
     spots = all(
-        minimal_vertex_covers(g).bigheight == reg_and_pd(g)["pd"] == bouquet_invariants(g).d_prime == v
+        minimal_vertex_covers(g).bigheight
+        == reg_and_pd(g)["pd"]
+        == bouquet_invariants(g, maximal_independent_sets(g)).d_prime
+        == v
         for g, v in [
             (named_instance("star3"), 3),
             (named_instance("p3"), 2),

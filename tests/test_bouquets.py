@@ -19,6 +19,7 @@ from hyperinv import (
     from_masks,
     make_bouquet,
     matching_invariants,
+    maximal_independent_sets,
     minimal_vertex_covers,
     named_instance,
     random_hypergraph,
@@ -120,14 +121,14 @@ class TestInvariants:
         }
         for name, (d, dp) in expected.items():
             h = named_instance(name)
-            inv = bouquet_invariants(h)
+            inv = bouquet_invariants(h, maximal_independent_sets(h))
             assert (inv.d, inv.d_prime) == (d, dp), name
 
     def test_matches_oracle_on_graphs_n4(self):
         for h in enumerate_graphs(4):
             if len(h.edges) > 4:
                 continue  # oracle enumeration cost
-            inv = bouquet_invariants(h)
+            inv = bouquet_invariants(h, maximal_independent_sets(h))
             assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
     def test_matches_oracle_on_random_hypergraphs(self):
@@ -138,12 +139,12 @@ class TestInvariants:
             h = random_hypergraph(spec, i)
             if len(h.edges) > 4:
                 continue
-            inv = bouquet_invariants(h)
+            inv = bouquet_invariants(h, maximal_independent_sets(h))
             assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
     def test_witnesses_revalidate(self):
         for h in tiny_hypergraphs():
-            inv = bouquet_invariants(h)
+            inv = bouquet_invariants(h, maximal_independent_sets(h))
             w = inv.witnesses
             assert w["d"].strongly_disjoint
             assert w["d"].flowers.bit_count() == inv.d
@@ -166,23 +167,23 @@ class TestInvariants:
 
     def test_edge_cap(self, h1):
         with pytest.raises(SearchLimitExceeded):
-            bouquet_invariants(h1, edge_cap=2)
+            bouquet_invariants(h1, maximal_independent_sets(h1), edge_cap=2)
 
     def test_edgeless(self):
-        inv = bouquet_invariants(build(["a"], []))
+        inv = bouquet_invariants(build(["a"], []), (1,))
         assert (inv.d, inv.d_prime) == (0, 0)
 
 
 class TestCoverFromBouquets:
     def test_star_cover(self, star3):
-        inv = bouquet_invariants(star3)
+        inv = bouquet_invariants(star3, maximal_independent_sets(star3))
         cover = cover_from_bouquets(star3, inv.witnesses["d_prime"])
         assert sorted(star3.edge_labels(cover)) == ["x2", "x3", "x4"]
         assert cover in minimal_vertex_covers(star3).covers
 
     def test_cover_always_minimal_within_flowers(self):
         for h in tiny_hypergraphs():
-            inv = bouquet_invariants(h)
+            inv = bouquet_invariants(h, maximal_independent_sets(h))
             bset = inv.witnesses["d_prime"]
             cover = cover_from_bouquets(h, bset)
             assert cover & ~bset.flowers == 0
@@ -230,7 +231,7 @@ def witness_cases():
 
 
 def witness_record(name, h):
-    inv = bouquet_invariants(h)
+    inv = bouquet_invariants(h, maximal_independent_sets(h))
     return {
         "name": name,
         "instance": h.to_json_obj(),
@@ -250,10 +251,12 @@ def test_each_search_classifies_one_bouquet_set(monkeypatch):
 
     monkeypatch.setattr(bouquets, "classify_bouquet_set", counted)
     for _, h in witness_cases():
-        for search in (bouquets._d_search, bouquets._dprime_search):
+        facets = maximal_independent_sets(h)
+        for name, search in (("d", lambda: bouquets._d_search(h)),
+                             ("d'", lambda: bouquets._dprime_search(h, facets))):
             calls.clear()
-            search(h)
-            assert len(calls) == 1, search.__name__
+            search()
+            assert len(calls) == 1, name
 
 
 def test_golden_witnesses():
@@ -273,8 +276,9 @@ def test_dprime_entry_point_matches_bouquet_invariants():
     for want in golden:
         obj = want["instance"]
         h = build(obj["vertices"], obj["edges"])
-        value, witness = dprime_invariant(h)
-        assert value == bouquet_invariants(h).d_prime == len(want["d_prime"]["flowers"])
+        facets = maximal_independent_sets(h)
+        value, witness = dprime_invariant(h, facets)
+        assert value == bouquet_invariants(h, facets).d_prime == len(want["d_prime"]["flowers"])
         assert witness.to_json_obj(h) == want["d_prime"], want["name"]
     with pytest.raises(SearchLimitExceeded):
-        dprime_invariant(named_instance("h1"), edge_cap=2)
+        dprime_invariant(named_instance("h1"), (), edge_cap=2)

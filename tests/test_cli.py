@@ -164,6 +164,22 @@ class TestInvariants:
         assert report["homology"]["pd"] == 7
         assert report["covers"]["bigheight"] == 7
 
+    def test_transversal_cap_partial_report_exit_three(self, capsys, tmp_path):
+        """18 disjoint edges have 2^18 minimal covers, past the transversal
+        cap: every section that needs them is omitted, the rest is reported."""
+        labels = [f"x{i + 1}" for i in range(36)]
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": [
+            labels[2 * k: 2 * k + 2] for k in range(18)]}))
+        code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        for key in ("complex", "covers", "vertex_classification"):
+            assert "transversals exceed cap" in report[key]["omitted"], key
+        assert report["matchings"]["c"] == 18
+        assert report["codismantlable"]["order"] == labels[::2]
+        assert "omitted" in report["theorems"]["corollary-codis"]
+
     def test_output_byte_stable(self, capsys, h1_file):
         _, out1, _ = run_cli(capsys, "invariants", h1_file)
         _, out2, _ = run_cli(capsys, "invariants", h1_file)

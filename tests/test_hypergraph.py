@@ -1,8 +1,13 @@
 """Construction, deletion/contraction, cycle search, uniformity, covers."""
 
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import hyperinv.hypergraph as hypergraph
+from conftest import oracle_minimal_transversals
 
 from hyperinv import (
     build,
@@ -27,7 +32,7 @@ from hyperinv.errors import (
     SearchLimitExceeded,
     UnknownVertex,
 )
-from hyperinv.hypergraph import bit_ids, edge_sort_key, mask_of
+from hyperinv.hypergraph import _minimal_transversals, bit_ids, edge_sort_key, mask_of
 
 
 class TestBuild:
@@ -231,3 +236,60 @@ class TestCovers:
                 for v in bit_ids(c):
                     smaller = c & ~(1 << v)
                     assert not all(e & smaller for e in h.edges)
+
+
+@st.composite
+def edge_lists(draw, max_n=10, max_edges=9):
+    """(n, edges) with repeated, nested, singleton and empty edges allowed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    mask = st.integers(min_value=0, max_value=(1 << n) - 1)
+    singleton = st.integers(min_value=0, max_value=max(n - 1, 0)).map(lambda i: 1 << i if n else 0)
+    edges = draw(st.lists(st.one_of(mask, singleton), max_size=max_edges))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    return n, edges + repeats
+
+
+class TestMinimalTransversals:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    @example((4, [0b0011, 0b0111, 0b0011, 0b1000]))  # nested, repeated, singleton
+    @example((3, [0b011, 0b000, 0b110]))  # an empty edge
+    def test_matches_brute_force(self, case):
+        n, edges = case
+        assert _minimal_transversals(edges) == oracle_minimal_transversals(edges, n)
+
+    def test_edge_cases(self):
+        assert _minimal_transversals(()) == (0,)
+        assert _minimal_transversals([0b11, 0]) == ()
+        assert _minimal_transversals([0]) == ()
+
+    def test_cap_is_hit_during_enumeration(self):
+        """24 disjoint edges have 2^24 minimal transversals: the search stops
+        as soon as it passes the cap, long before enumerating them."""
+        edges = [0b11 << 2 * k for k in range(24)]
+        start = time.perf_counter()
+        with pytest.raises(SearchLimitExceeded, match="exceed cap"):
+            _minimal_transversals(edges)
+        assert time.perf_counter() - start < 2.0
+
+    def test_count_at_the_cap_passes(self):
+        """Four disjoint 2-sets and four disjoint 5-sets: 2^4 * 5^4 = 10,000
+        transversals, exactly the cap."""
+        assert hypergraph.DEFAULT_TRANSVERSAL_CAP == 10_000
+        sizes = [2] * 4 + [5] * 4
+        edges, low = [], 0
+        for size in sizes:
+            edges.append(((1 << size) - 1) << low)
+            low += size
+        assert len(_minimal_transversals(edges)) == 10_000
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        """One transversal over the cap raises, also through the covers."""
+        edges = [0b11, 0b1100, 0b110000]  # 8 transversals
+        monkeypatch.setattr(hypergraph, "DEFAULT_TRANSVERSAL_CAP", 8)
+        assert len(_minimal_transversals(edges)) == 8
+        monkeypatch.setattr(hypergraph, "DEFAULT_TRANSVERSAL_CAP", 7)
+        with pytest.raises(SearchLimitExceeded):
+            _minimal_transversals(edges)
+        with pytest.raises(SearchLimitExceeded):
+            minimal_vertex_covers(from_masks([f"x{i}" for i in range(6)], edges))

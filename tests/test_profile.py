@@ -9,6 +9,7 @@ import pytest
 
 import hyperinv.bouquets as bouquets
 import hyperinv.decomposition as decomposition
+import hyperinv.hypergraph as hypergraph
 from hyperinv import (
     SUITES,
     check_instance,
@@ -119,6 +120,40 @@ def test_each_check_computes_each_invariant_once(counts, name):
         if _profiled(counts):
             assert max(_profiled(counts).values()) == 1, counts.most_common(3)
         assert _d_searches(counts) == (1 if name == "prop-cd" else 0)
+
+
+def test_one_report_dualizes_its_input_once(monkeypatch, tmp_path, capsys):
+    """The profile's independence complex is the only dualization of the
+    input in an ``invariants --skip-homology`` report: the d' search reads
+    its facets and calls ``maximal_independent_sets`` on nothing."""
+    seen, in_search = Counter(), []
+    mis = hypergraph.maximal_independent_sets
+
+    def counted(h):
+        seen[(_key(h), bool(in_search))] += 1
+        return mis(h)
+
+    for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
+        if getattr(mod, "maximal_independent_sets", None) is mis:
+            monkeypatch.setattr(mod, "maximal_independent_sets", counted)
+    search = bouquets._dprime_search
+
+    def traced(h, facets):
+        in_search.append(h)
+        try:
+            return search(h, facets)
+        finally:
+            in_search.pop()
+
+    monkeypatch.setattr(bouquets, "_dprime_search", traced)
+    for k, h in enumerate(instances()):
+        path = tmp_path / f"instance-{k}.json"
+        path.write_text(h.to_json())
+        seen.clear()
+        assert main(["invariants", str(path), "--skip-homology"]) == 0
+        capsys.readouterr()
+        assert seen[(_key(h), False)] == 1
+        assert not any(inside for _, inside in seen), seen
 
 
 def test_filter_verdicts_are_reused_by_the_check(counts, tmp_path):

@@ -15,6 +15,7 @@ from hyperinv import (
     is_codominated,
     is_shedding_vertex,
     matching_invariants,
+    maximal_independent_sets,
     minimal_vertex_covers,
     reg_and_pd,
     vertex_decomposable,
@@ -113,7 +114,7 @@ def test_chain_c_d_dprime(h):
     if not h.edges:
         return
     c = matching_invariants(h).c
-    b = bouquet_invariants(h)
+    b = bouquet_invariants(h, maximal_independent_sets(h))
     assert c <= b.d <= b.d_prime
 
 
@@ -125,7 +126,7 @@ def test_bouquet_numbers_match_oracle(h):
     """Singleton edges and vertices in no edge are drawn too: the first
     example has the singleton {x1} and the free x5, the second only
     singletons and the free x3."""
-    inv = bouquet_invariants(h)
+    inv = bouquet_invariants(h, maximal_independent_sets(h))
     assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
 
@@ -177,7 +178,7 @@ def test_every_value_ignores_labels(pair):
 
     def values(h):
         inv = matching_invariants(h)
-        binv = bouquet_invariants(h)
+        binv = bouquet_invariants(h, maximal_independent_sets(h))
         return (
             inv.c, inv.c_prime, inv.m, binv.d, binv.d_prime,
             vertex_decomposable(independence_complex(h)),
