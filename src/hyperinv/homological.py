@@ -15,12 +15,25 @@ a face that is the pivot row of a reduced column one dimension up is
 skipped: its column would reduce to zero.  A face whose lowest boundary
 row, the face minus its lowest vertex, has no pivot yet becomes that row's
 pivot unbuilt; its column is built only if another column reduces against it.
+
+Each restriction K is first reduced by rules, tried in order, that keep its
+reduced homology over every field, being cones, suspensions and homotopy
+equivalences (K\\w drops w and its edges, K/w keeps the minimal edges
+minus w): (a) n = 0 gives {-1: 1}, and a vertex in no edge is a cone point:
+zero; (b) a singleton edge {v}: v is in no face, go on with K\\v; (c) some
+c != w in no edge of K\\w makes Ind(K\\w) a cone, so Ind K is the suspension
+of the link Ind(K/w) of w: degrees shift up by one; (d) some c != w in no
+edge of K/w makes that link a cone, so Ind K ~ Ind(K\\w), the fold lemma of
+Engström (Discrete Math. 309, 2009) for graphs; (e) otherwise the faces of
+the irreducible core are enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, isqrt
+from operator import or_
 
 from .complexes import SimplicialComplex
 from .errors import HyperinvError, SizeLimitExceeded, UnknownField
@@ -28,6 +41,8 @@ from .hypergraph import (
     Hypergraph,
     _all_faces,
     _compress,
+    _contracted,
+    _deleted,
     _edge_subset_unions,
     _minimal_transversals,
     bit_ids,
@@ -155,11 +170,27 @@ def _subhypergraph_homology(n: int, edges: tuple[int, ...], field: str) -> dict[
     key = (n, edges, field)
     hit = _SUBGRAPH_HOMOLOGY_MEMO.get(key)
     if hit is None:
-        full = (1 << n) - 1
-        facets = tuple(full & ~c for c in _minimal_transversals(edges))
-        hit = _homology_from_faces(_all_faces(facets), field)
-        _SUBGRAPH_HOMOLOGY_MEMO[key] = hit
+        hit = _SUBGRAPH_HOMOLOGY_MEMO[key] = _homology_by_rules(n, edges, field)
     return hit
+
+
+def _homology_by_rules(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
+    """Rules (a)-(e) of the module docstring; reduced hypergraphs go through the memo."""
+    full = (1 << n) - 1
+    if not n or reduce(or_, edges, 0) != full:  # (a)
+        return {} if n else {-1: 1}
+    for e in edges:
+        if not e & (e - 1):  # (b)
+            return _subhypergraph_homology(n - 1, _deleted(edges, e.bit_length() - 1), field)
+    for w in range(n):
+        if reduce(or_, [e for e in edges if not e >> w & 1], 1 << w) != full:  # (c)
+            hom = _subhypergraph_homology(n - 1, _contracted(edges, w), field)
+            return {d + 1: r for d, r in hom.items()}
+    for w in range(n):
+        if reduce(or_, _contracted(edges, w), 0) != full >> 1:  # (d)
+            return _subhypergraph_homology(n - 1, _deleted(edges, w), field)
+    facets = tuple(full & ~c for c in _minimal_transversals(edges))  # (e)
+    return _homology_from_faces(_all_faces(facets), field)
 
 
 @dataclass(frozen=True)
@@ -194,10 +225,8 @@ def betti_table(
     independence complex is the independence complex of the edges inside
     W, and its reduced homology in dimension |W|-i-1 contributes to the
     (i, |W|) entry.  Only W in the lcm lattice (nonzero unions of edges)
-    are visited: if W is not the union of the edges inside it, a vertex
-    of W in none of them is a cone point of the restriction, which then
-    has no reduced homology.  Results per compressed sub-hypergraph are
-    memoized globally.
+    are visited: elsewhere rule (a) gives zero.  Results per compressed
+    sub-hypergraph are memoized globally.
     """
     if h.n > cap:
         raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {cap}")

@@ -196,10 +196,6 @@ def from_masks(labels: Sequence[str], masks: Sequence[int], void: bool = False) 
     return Hypergraph(tuple(labels), canon, void)
 
 
-def _drop_vertex_labels(h: Hypergraph, i: int) -> tuple[str, ...]:
-    return h.labels[:i] + h.labels[i + 1 :]
-
-
 def _shift_mask(mask: int, i: int) -> int:
     """Remove bit position i and close the gap above it."""
     low = mask & ((1 << i) - 1)
@@ -207,24 +203,29 @@ def _shift_mask(mask: int, i: int) -> int:
     return low | (high << i)
 
 
+def _deleted(edges: Iterable[int], i: int) -> tuple[int, ...]:
+    """The edges that miss vertex i, with bit i shifted out, in their order."""
+    return tuple(_shift_mask(e, i) for e in edges if not e >> i & 1)
+
+
+def _contracted(edges: Iterable[int], i: int) -> tuple[int, ...]:
+    """Minimal sets among the edges minus vertex i, bit i shifted out; (0,) if {i} is an edge."""
+    return tuple(_shift_mask(e, i) for e in _minimal({e & ~(1 << i) for e in edges}))
+
+
 def deletion(h: Hypergraph, x: str) -> Hypergraph:
     """H\\x: drop the vertex and every edge through it."""
     i = h.vertex_id(x)
-    bit = 1 << i
-    kept = [_shift_mask(e, i) for e in h.edges if not e & bit]
-    return from_masks(_drop_vertex_labels(h, i), kept)
+    return from_masks(h.labels[:i] + h.labels[i + 1 :], _deleted(h.edges, i))
 
 
 def contraction(h: Hypergraph, x: str) -> Hypergraph:
-    """H/x: remove x from every edge and keep the inclusion-minimal results."""
+    """H/x: remove x from every edge and keep the inclusion-minimal results.
+    If {x} was an edge, the only "edge" left is empty: the void marker."""
     i = h.vertex_id(x)
-    bit = 1 << i
-    stripped = {e & ~bit for e in h.edges}
-    if 0 in stripped:
-        # {x} was an edge: the contraction's only "edge" is the empty set.
-        return Hypergraph(_drop_vertex_labels(h, i), (), void=True)
-    shifted = [_shift_mask(e, i) for e in _minimal(stripped)]
-    return from_masks(_drop_vertex_labels(h, i), shifted)
+    edges = _contracted(h.edges, i)
+    void = edges == (0,)
+    return from_masks(h.labels[:i] + h.labels[i + 1 :], () if void else edges, void)
 
 
 def neighborhood_minus(h: Hypergraph, x: str, y: str) -> set[int]:
@@ -380,10 +381,7 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
 
     They are the complements of the minimal vertex covers.
     """
-    if h.void:
-        return ()
-    full = h.full_mask
-    return tuple(sorted(full & ~c for c in _minimal_transversals(h.edges)))
+    return tuple(sorted(h.full_mask & ~c for c in minimal_vertex_covers(h).covers))
 
 
 def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
@@ -447,7 +445,10 @@ def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class CoverList:
     covers: tuple[int, ...]
-    bigheight: int
+
+    @property
+    def bigheight(self) -> int:
+        return max((c.bit_count() for c in self.covers), default=0)
 
     def as_labels(self, h: Hypergraph) -> list[list[str]]:
         return [list(h.edge_labels(c)) for c in self.covers]
@@ -455,8 +456,4 @@ class CoverList:
 
 def minimal_vertex_covers(h: Hypergraph) -> CoverList:
     """Minimal vertex covers: the minimal transversals of the edges."""
-    if h.void:
-        return CoverList((), 0)
-    covers = _minimal_transversals(h.edges)
-    big = max((c.bit_count() for c in covers), default=0)
-    return CoverList(covers, big)
+    return CoverList(() if h.void else _minimal_transversals(h.edges))

@@ -16,7 +16,7 @@ from typing import Optional
 from .bouquets import BouquetInvariants, BouquetSet, bouquet_invariants, dprime_invariant
 from .complexes import SimplicialComplex, independence_complex, is_shedding, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
-from .errors import SearchLimitExceeded
+from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded
 from .homological import FIELD_Q, BettiTable, betti_table
 from .hypergraph import (
     CoverList,
@@ -25,10 +25,22 @@ from .hypergraph import (
     contraction,
     deletion,
     find_cycle,
-    minimal_vertex_covers,
     three_cycle_edge_condition,
 )
 from .matchings import MatchingInvariants, matching_invariants
+
+
+class _cached(cached_property):
+    """A ``cached_property`` that keeps a cap error too and raises it on every read."""
+
+    def __get__(self, obj, owner=None):
+        if obj is not None and self.attrname in obj._cap_errors:
+            raise obj._cap_errors[self.attrname]
+        try:
+            return super().__get__(obj, owner)
+        except (SearchLimitExceeded, SizeLimitExceeded) as exc:
+            obj._cap_errors[self.attrname] = exc
+            raise
 
 
 class Profile:
@@ -38,24 +50,25 @@ class Profile:
         self.h = h
         self._betti: dict[str, BettiTable] = {}
         self._codominated: dict[str, Optional[int]] = {}
+        self._cap_errors: dict[str, HyperinvError] = {}
 
-    @cached_property
+    @_cached
     def complex(self) -> SimplicialComplex:
         return independence_complex(self.h)
 
-    @cached_property
+    @_cached
     def vertex_decomposable(self) -> bool:
         return vertex_decomposable(self.complex)
 
-    @cached_property
+    @_cached
     def c5_free(self) -> bool:
         return find_cycle(self.h, 5) is None
 
-    @cached_property
+    @_cached
     def three_cycle_condition(self) -> bool:
         return three_cycle_edge_condition(self.h)
 
-    @cached_property
+    @_cached
     def hypotheses(self) -> dict:
         """The ``c5_free`` and ``three_cycle_condition`` verdicts, with
         ``c5_free`` marked omitted when the C5 search hits its cap."""
@@ -65,15 +78,15 @@ class Profile:
             c5 = {"omitted": str(exc)}
         return {"c5_free": c5, "three_cycle_condition": self.three_cycle_condition}
 
-    @cached_property
+    @_cached
     def matchings(self) -> MatchingInvariants:
         return matching_invariants(self.h)
 
-    @cached_property
+    @_cached
     def bouquets(self) -> BouquetInvariants:
         return bouquet_invariants(self.h, self.complex.facets)
 
-    @cached_property
+    @_cached
     def dprime(self) -> tuple[int, BouquetSet]:
         """d' with its witness; the d search runs only if d is read."""
         bouquets = self.__dict__.get("bouquets")
@@ -81,16 +94,17 @@ class Profile:
             return bouquets.d_prime, bouquets.witnesses["d_prime"]
         return dprime_invariant(self.h, self.complex.facets)
 
-    @cached_property
+    @_cached
     def covers(self) -> CoverList:
-        return minimal_vertex_covers(self.h)
+        """The minimal covers: the complements of the facets of the complex."""
+        return CoverList(tuple(sorted(self.h.full_mask & ~f for f in self.complex.facets)))
 
-    @cached_property
+    @_cached
     def shedding(self) -> tuple[bool, ...]:
         """Whether each vertex, by id, is a shedding vertex of the complex."""
         return tuple(is_shedding(self.complex, x) for x in self.h.labels)
 
-    @cached_property
+    @_cached
     def shedding_vertices(self) -> list[str]:
         """The shedding vertices that lie in an edge."""
         support = 0
@@ -98,7 +112,7 @@ class Profile:
             support |= e
         return [self.h.labels[i] for i in bit_ids(support) if self.shedding[i]]
 
-    @cached_property
+    @_cached
     def shedding_splits(self) -> list[tuple[str, BettiTable, BettiTable]]:
         """(x, Betti table of H\\x, Betti table of H/x) at each shedding
         vertex x whose contraction is not the void marker."""
@@ -115,12 +129,12 @@ class Profile:
             self._codominated[x] = is_codominated(self.h, x)
         return self._codominated[x]
 
-    @cached_property
+    @_cached
     def codominated(self) -> tuple[Optional[int], ...]:
         """The least codominated witness of each vertex, by id, or None."""
         return tuple(self.codominated_witness(x) for x in self.h.labels)
 
-    @cached_property
+    @_cached
     def codismantle_order(self) -> Optional[EliminationOrder]:
         return is_codismantlable(self.h)
 

@@ -257,8 +257,9 @@ def oracle_reduced_homology(faces, p=None):
     return out
 
 
-def oracle_betti_table(h):
-    """Graded Betti numbers via the homology sum, oracle homology inside."""
+def oracle_betti_table(h, p=None):
+    """Graded Betti numbers via the homology sum, oracle homology inside,
+    over Q or, given a prime p, over GF(p)."""
     entries = {}
     for w in range(1, 1 << h.n):
         sub = [e for e in h.edges if e & w == e]
@@ -271,7 +272,7 @@ def oracle_betti_table(h):
             for u in range(1 << h.n)
             if u & w == u and not any(e & u == e for e in sub)
         ]
-        hom = oracle_reduced_homology(faces)
+        hom = oracle_reduced_homology(faces, p)
         for dim, rank in hom.items():
             i = j - dim - 1
             if i >= 1:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hyperinv.hypergraph as hypergraph
 from hyperinv import named_instance
 from hyperinv.cli import main
 
@@ -164,15 +165,20 @@ class TestInvariants:
         assert report["homology"]["pd"] == 7
         assert report["covers"]["bigheight"] == 7
 
-    def test_transversal_cap_partial_report_exit_three(self, capsys, tmp_path):
+    def test_transversal_cap_partial_report_exit_three(self, capsys, tmp_path, monkeypatch):
         """18 disjoint edges have 2^18 minimal covers, past the transversal
-        cap: every section that needs them is omitted, the rest is reported."""
+        cap: every section that needs them is omitted, the rest is reported.
+        The profile keeps the cap error, so the input is dualized once."""
         labels = [f"x{i + 1}" for i in range(36)]
         path = tmp_path / "disjoint.json"
         path.write_text(json.dumps({"vertices": labels, "edges": [
             labels[2 * k: 2 * k + 2] for k in range(18)]}))
+        dualize, calls = hypergraph._minimal_transversals, []
+        monkeypatch.setattr(hypergraph, "_minimal_transversals",
+                            lambda edges: calls.append(edges) or dualize(edges))
         code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
         assert code == 3 and "Traceback" not in err
+        assert len(calls) == 1
         report = json.loads(out)
         for key in ("complex", "covers", "vertex_classification"):
             assert "transversals exceed cap" in report[key]["omitted"], key

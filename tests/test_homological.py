@@ -17,6 +17,7 @@ from hyperinv import (
     build,
     complex_to_hypergraph,
     contraction,
+    from_masks,
     independence_complex,
     minimal_nonfaces,
     named_instance,
@@ -27,6 +28,7 @@ from hyperinv.complexes import SimplicialComplex, complex_from_facets
 from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
 import hyperinv.homological as homological
 from hyperinv.homological import _all_faces, _rank, _reduce, parse_field
+from hyperinv.hypergraph import _contracted, _deleted, _minimal
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
 # entries are {(i, j): rank}); reg/pd follow as max(j-i)/max(i).
@@ -146,6 +148,76 @@ def facet_sets(draw, max_n=8, max_size=5):
     return n, draw(st.lists(facet, min_size=1, max_size=6))
 
 
+@st.composite
+def antichains(draw, max_n=9, max_size=4):
+    """(n, ascending antichain of edges), n = 0, singleton edges and
+    vertices in no edge included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    edge = st.integers(min_value=1, max_value=max(1, (1 << n) - 1)).filter(
+        lambda m: m.bit_count() <= max_size
+    )
+    return n, _minimal(set(draw(st.lists(edge, max_size=8)))) if n else ()
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    return from_masks([f"v{i}" for i in range(n)], edges)
+
+
+class TestConeReductions:
+    """Restrictions are reduced by rules (a)-(d) of ``homological`` before
+    any face is built; only irreducible cores reach the faces (e)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(antichains())
+    def test_matches_dense_oracle_over_the_faces(self, case):
+        n, edges = case
+        faces = [u for u in range(1 << n) if not any(e & u == e for e in edges)]
+        for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
+            homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+            got = homological._subhypergraph_homology(n, edges, field)
+            assert got == oracle_reduced_homology(faces, p), field
+
+    @pytest.mark.parametrize(
+        "name, rule, step",
+        [
+            # (c): w = the centre, whose deletion leaves the leaves in no edge
+            ("star3", "c", (3, (0b001, 0b010, 0b100))),
+            ("p3", "c", (2, (0b01, 0b10))),  # w = the middle vertex
+            ("two_disjoint_edges", "c", (3, (0b001, 0b110))),
+            # (d): x3 is in no edge of C4/x1 (N(x3) = N(x1)), so x1 is deleted
+            ("c4", "d", (3, (0b011, 0b110))),
+            # (e): C5 is irreducible; its 11 faces are enumerated
+            ("c5", "e", 11),
+        ],
+    )
+    def test_first_rule_applied(self, monkeypatch, name, rule, step):
+        """The first step hands on a contraction K/w (c), a deletion K\\w (d)
+        or the faces (e); the answer equals the homology over all faces."""
+        h = named_instance(name)
+        edges = tuple(sorted(h.edges))
+        faces = _all_faces(independence_complex(h).facets)
+        made_by = {
+            "c": [(h.n - 1, _contracted(edges, w)) for w in range(h.n)],
+            "d": [(h.n - 1, _deleted(edges, w)) for w in range(h.n)],
+            "e": [len(faces)],
+        }
+        steps = []
+        monkeypatch.setattr(homological, "_subhypergraph_homology",
+                            lambda n, es, field: steps.append((n, es)) or {})
+        monkeypatch.setattr(homological, "_homology_from_faces",
+                            lambda fs, field: steps.append(len(fs)) or {})
+        homological._homology_by_rules(h.n, edges, "Q")
+        assert steps == [step] and step in made_by[rule]
+        monkeypatch.undo()
+        expect = homological._homology_from_faces(faces, "Q")
+        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+        assert homological._subhypergraph_homology(h.n, edges, "Q") == expect
+
+
 class TestKernel:
     """Clearing and apparent pivots change the work, never the ranks."""
 
@@ -226,12 +298,22 @@ class TestBettiTable:
         for h in tiny_hypergraphs():
             assert betti_table(h).entries == betti_table(h, field="F2").entries
 
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_graph_tables_agree_over_q_f2_f3(self, h):
+        """Betti numbers of graphs on at most 10 vertices do not depend on
+        the field (Katzman, J. Combin. Theory Ser. A 113, 2006)."""
+        q = betti_table(h).entries
+        assert betti_table(h, "F2").entries == q and betti_table(h, "F3").entries == q
+
     def test_torsion_changes_the_table_over_f2(self):
         h = complex_to_hypergraph(_rp2())
         tables = {field: betti_table(h, field) for field in ("Q", "F2", "F3")}
         assert [(t.pd, t.reg) for t in tables.values()] == [(3, 2), (4, 3), (3, 2)]
         assert tables["F3"].entries == tables["Q"].entries
         assert tables["F2"].entries == {**tables["Q"].entries, (3, 6): 1, (4, 6): 1}
+        for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
+            assert tables[field].entries == oracle_betti_table(h, p), field
 
     def test_serialization_sorted(self, star3):
         obj = betti_table(star3).to_json_obj()
@@ -288,14 +370,23 @@ class TestAlexanderDuality:
         """pd of the quotient equals reg of the dual ideal (= reg of the
         dual quotient plus one)."""
         for h in tiny_hypergraphs():
-            if not h.edges or h.n > 10:
-                continue
-            pd = reg_and_pd(h)["pd"]
-            dual = alexander_dual(independence_complex(h))
-            dual_h = complex_to_hypergraph(dual)
-            if dual_h.void:
-                continue
-            if dual_h.edges:
-                assert pd == reg_and_pd(dual_h)["reg"] + 1
-            else:
-                assert pd == 0
+            if h.n <= 10:
+                _assert_terai(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(antichains(max_n=8))
+    def test_terai_duality_on_random_antichains(self, case):
+        n, edges = case
+        h = from_masks([f"v{i}" for i in range(n)], edges)
+        for field in ("Q", "F2"):
+            _assert_terai(h, field)
+
+
+def _assert_terai(h, field="Q"):
+    if not h.edges:
+        return
+    pd = betti_table(h, field).pd
+    dual_h = complex_to_hypergraph(alexander_dual(independence_complex(h)))
+    if dual_h.void:
+        return
+    assert pd == (betti_table(dual_h, field).reg + 1 if dual_h.edges else 0), field
