@@ -41,6 +41,9 @@ from .hypergraph import Hypergraph, _all_faces, bit_ids, edge_sort_key
 from .matchings import classify_family
 
 DEFAULT_EDGE_CAP = 12
+# candidates either search may score: a root set R for d'; for d, a root
+# choice of a stem grouping, or a grouping that its flower ceiling cuts off
+DEFAULT_CANDIDATE_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -167,11 +170,14 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
     set that also holds vertices in no edge scores the same as its part
     inside the support, which comes first.  The first best R keeps its
     root choices, and only it gets a witness; with no R that touches an
-    edge (no edges, or only singleton edges) the witness is empty."""
+    edge (no edges, or only singleton edges) the witness is empty.  More
+    than ``DEFAULT_CANDIDATE_CAP`` root sets raise ``SearchLimitExceeded``."""
     support = reduce(or_, h.edges, 0)
-    faces = _all_faces(f & support for f in facets)
+    faces = sorted(_all_faces(f & support for f in facets))[1:]
+    if len(faces) > DEFAULT_CANDIDATE_CAP:
+        raise SearchLimitExceeded(f"d' search candidates exceed cap {DEFAULT_CANDIDATE_CAP}")
     best, best_r, best_kept = 0, 0, ()
-    for r_mask in sorted(faces)[1:]:
+    for r_mask in faces:
         union = 0
         contested: list[int] = []
         for e in h.edges:
@@ -241,8 +247,11 @@ def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
 def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
     """Each (matching, hubs, assignment) is scored on masks; the first best
     one records its stem groups and single-stem roots, and only it is
-    turned into bouquets."""
+    turned into bouquets.  Past ``DEFAULT_CANDIDATE_CAP`` scored candidates
+    it raises ``SearchLimitExceeded``."""
+    cap = DEFAULT_CANDIDATE_CAP
     best_val, best = 0, ([], ())
+    scored = 0
     for matching in _induced_matchings(h):
         rest = [e for e in h.edges if e not in matching]
         for hubs in product(*[tuple(bit_ids(e)) for e in matching]):
@@ -268,7 +277,10 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
                 for e, i in pick:
                     u, x, c = groups[i]
                     groups[i] = (u | e, x & e, c + 1)
-                val, roots = _grouped_flowers(groups, best_val)
+                val, roots, tried = _grouped_flowers(groups, best_val)
+                scored += tried
+                if scored > cap:
+                    raise SearchLimitExceeded(f"d search candidates exceed cap {cap}")
                 if val > best_val:
                     best_val = val
                     picked = [s + [e for e, j in reversed(pick) if j == i] for i, s in enumerate(stems)]
@@ -282,12 +294,15 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
     return best_val, classify_bouquet_set(h, tuple(bouquets))
 
 
-def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> tuple[int, tuple[int, ...]]:
+def _grouped_flowers(
+    groups: list[tuple[int, int, int]], floor: int
+) -> tuple[int, tuple[int, ...], int]:
     """Flowers of stem groups given as (union, intersection, size): a group
     of two or more stems is rooted at its intersection, and each single
     stem of two or more vertices at one of them, the first choice with
     the most flowers.  Returns (flower count, root ids of the single
-    stems), or (``floor``, ()) when the groups cannot beat ``floor``."""
+    stems, root choices scored), or (``floor``, (), 1) when the groups
+    cannot beat ``floor``."""
     fixed = 0
     singles: list[int] = []
     for u, x, c in groups:
@@ -297,9 +312,9 @@ def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> tuple[in
             singles.append(u)
     ceiling = reduce(or_, singles, fixed).bit_count()
     if ceiling <= floor:
-        return floor, ()
+        return floor, (), 1
     best: tuple[int, tuple[int, ...]] = (-1, ())
-    for roots in product(*[tuple(bit_ids(e)) for e in singles]):
+    for tried, roots in enumerate(product(*[tuple(bit_ids(e)) for e in singles]), 1):
         flowers = fixed
         for e, r in zip(singles, roots):
             flowers |= e & ~(1 << r)
@@ -307,7 +322,7 @@ def _grouped_flowers(groups: list[tuple[int, int, int]], floor: int) -> tuple[in
             best = (flowers.bit_count(), roots)
             if best[0] == ceiling:
                 break
-    return best
+    return best + (tried,)
 
 
 # ---------------------------------------------------------------------------

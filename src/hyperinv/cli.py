@@ -14,6 +14,7 @@ human-readable summary goes to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -52,6 +53,8 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_invariants(args) -> int:
+    if args.edge_cap < 0:
+        raise HyperinvError(f"--edge-cap must be non-negative, not {args.edge_cap}")
     h = _load_instance(args.path)
     field = parse_field(args.field)
     # Every invariant is read from the instance's profile, which the suite
@@ -167,7 +170,8 @@ def cmd_verify(args) -> int:
     return report.exit_status
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process, on the first ``main`` call
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hyperinv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -196,8 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (HyperinvError, json.JSONDecodeError) as exc:

@@ -43,7 +43,7 @@ from .hypergraph import (
     _compress,
     _contracted,
     _deleted,
-    _edge_subset_unions,
+    _lattice,
     _minimal_transversals,
     bit_ids,
     from_masks,
@@ -233,10 +233,10 @@ def betti_table(
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     entries: dict[tuple[int, int], int] = {}
-    for w in _edge_subset_unions(h.edges)[1:]:
+    for w, inside in _lattice(h.edges):
         ids = list(bit_ids(w))
         j = len(ids)
-        sub = _compress([e for e in h.edges if e & w == e], ids)
+        sub = _compress([h.edges[i] for i in bit_ids(inside)], ids)
         hom = _subhypergraph_homology(j, tuple(sorted(sub)), field)
         for dim, rank in hom.items():
             i = j - dim - 1

@@ -14,6 +14,11 @@ minimal vertex covers; the maximal independent sets are their
 complements, and the minimal non-faces and Alexander dual of a complex
 in ``homological`` are the transversals of its facet complements.  Past
 ``DEFAULT_TRANSVERSAL_CAP`` transversals it raises ``SearchLimitExceeded``.
+
+One edge-union primitive, ``_lattice``, walks the lcm lattice: every
+nonzero union W of edges with the mask of the edges inside W.  The c and
+c' searches in ``matchings`` and the Hochster sum in ``homological`` read
+their families and restrictions from it.
 """
 
 from __future__ import annotations
@@ -97,12 +102,13 @@ def _compress(masks: Iterable[int], order: Sequence[int]) -> list[int]:
 
     Every set bit of every mask must occur in ``order``.
     """
-    pos = {old: 1 << new for new, old in enumerate(order)}
+    pos = {1 << old: 1 << new for new, old in enumerate(order)}
     out = []
     for m in masks:
         c = 0
-        for i in bit_ids(m):
-            c |= pos[i]
+        while m:
+            c |= pos[(low := m & -m)]
+            m ^= low
         out.append(c)
     return out
 
@@ -384,12 +390,18 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(h.full_mask & ~c for c in minimal_vertex_covers(h).covers))
 
 
-def _edge_subset_unions(edges: Sequence[int]) -> list[int]:
-    """Unions of all edge subsets (the lcm lattice), 0 included, ascending."""
-    unions = {0}
-    for e in edges:
-        unions |= {u | e for u in unions}
-    return sorted(unions)
+def _lattice(edges: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """Each nonzero union W of edges (the lcm lattice) with the mask of the
+    indices of the edges inside W.  An edge inside W | e lies inside an
+    earlier union that also extends to W | e, so OR-ing their masks is exact."""
+    inside = {0: 0}
+    for j, e in enumerate(edges):
+        bit = 1 << j
+        for w, m in list(inside.items()):
+            u = w | e
+            inside[u] = inside.get(u, 0) | m | bit
+    del inside[0]
+    return inside.items()
 
 
 def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:

@@ -4,8 +4,9 @@ greedy independent set extracted from a semi-induced matching.
 
 A semi-induced matching is determined by its union U: the family must be
 exactly the set of edges contained in U.  The exact maxima are therefore
-computed by enumerating the (union-closed) family of edge-subset unions
-instead of raw edge subsets; the two searches have the same optima.
+computed over the lcm lattice (``hypergraph._lattice``: each union of
+edges with the edges inside it) instead of raw edge subsets; the two
+searches have the same optima.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import NotSemiInduced, SearchLimitExceeded, UnknownEdge
-from .hypergraph import Hypergraph, _edge_subset_unions, bit_ids
+from .hypergraph import Hypergraph, _lattice, bit_ids
 
 DEFAULT_EDGE_CAP = 20
 
@@ -60,10 +61,6 @@ class MatchingInvariants:
     witnesses: dict  # name -> EdgeFamily
 
 
-def _family_indices(h: Hypergraph, union: int) -> tuple[int, ...]:
-    return tuple(i for i, e in enumerate(h.edges) if e & union == e)
-
-
 def matching_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> MatchingInvariants:
     """Exact c, c', m with one optimal witness each.
 
@@ -73,27 +70,20 @@ def matching_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> Matc
     if len(h.edges) > edge_cap:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
     edges = h.edges
-    empty = EdgeFamily((), 0, True, True, True)
-    best = {"c": (0, ()), "c_prime": (0, ())}
-    for union in _edge_subset_unions(edges):
-        if union == 0:
-            continue
-        idx = _family_indices(h, union)
-        members = [edges[i] for i in idx]
-        weight = union.bit_count() - len(members)
-        cand = (weight, idx)
-        if _better(cand, best["c_prime"]):
-            best["c_prime"] = cand
-        if sum(e.bit_count() for e in members) == union.bit_count():
-            if _better(cand, best["c"]):
-                best["c"] = cand
+    c = c_prime = (0, ())
+    for union, inside in _lattice(edges):
+        weight = union.bit_count() - inside.bit_count()
+        if weight <= 0 or weight < c[0]:
+            continue  # c <= c', so it can beat neither optimum
+        cand = (weight, tuple(bit_ids(inside)))
+        if _better(cand, c_prime):
+            c_prime = cand
+        if sum(edges[i].bit_count() for i in cand[1]) == union.bit_count() and _better(cand, c):
+            c = cand
     m_best = _best_matching(edges)
-    witnesses = {
-        "c": classify_family(h, [edges[i] for i in best["c"][1]]),
-        "c_prime": classify_family(h, [edges[i] for i in best["c_prime"][1]]),
-        "m": classify_family(h, [edges[i] for i in m_best[1]]),
-    }
-    return MatchingInvariants(best["c"][0], best["c_prime"][0], m_best[0], witnesses)
+    witnesses = {name: classify_family(h, [edges[i] for i in best[1]])
+                 for name, best in (("c", c), ("c_prime", c_prime), ("m", m_best))}
+    return MatchingInvariants(c[0], c_prime[0], m_best[0], witnesses)
 
 
 def _better(cand: tuple, cur: tuple) -> bool:

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .bouquets import cover_from_bouquets, dprime_invariant
-from .complexes import dimension
+from .complexes import dimension, link_and_deletion
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded, UnknownSuite
 from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
@@ -27,7 +27,6 @@ from .hypergraph import (
     contraction,
     deletion,
     is_graph,
-    maximal_independent_sets,
 )
 from .matchings import (
     independent_set_from_semi_induced,
@@ -184,13 +183,15 @@ def _corollary_codis(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 
 
 def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
+    # Ind(H/x) and Ind(H\x) are the link and deletion of x in Ind(H)
     dp = p.dprime[0]
     rows = []
     ok = True
     for x in p.shedding_vertices:
         ctr, dele = contraction(h, x), deletion(h, x)
-        dp_ctr = None if ctr.void else dprime_invariant(ctr, maximal_independent_sets(ctr))[0]
-        dp_del = dprime_invariant(dele, maximal_independent_sets(dele))[0]
+        link, del_complex = link_and_deletion(p.complex, x)
+        dp_ctr = None if ctr.void else dprime_invariant(ctr, link.facets)[0]
+        dp_del = dprime_invariant(dele, del_complex.facets)[0]
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
@@ -365,7 +366,7 @@ def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) ->
             res = check(h).to_json_obj()
         except (SizeLimitExceeded, SearchLimitExceeded) as exc:
             res = {"omitted": str(exc)}
-        out.append((fam_idx, idx, h.to_json_obj(), res))
+        out.append((fam_idx, idx, h, res))  # serialized only as a counterexample
     return out
 
 
@@ -389,9 +390,11 @@ def run_suite(
 
     start = time.monotonic()
     suite = get_suite(name)
+    if jobs < 1:
+        raise HyperinvError(f"jobs must be at least 1, not {jobs}")
     fams = tuple(families) if families else suite.default_families
     rows: list[tuple] = []
-    if jobs <= 1:
+    if jobs == 1:
         for fi, spec in enumerate(fams):
             rows.extend(_run_shard(name, spec.to_json_obj(), fi, 0, 1))
     else:
@@ -414,11 +417,11 @@ def run_suite(
 
     if self_test:
         # planted comparator fault: flip the first evaluated verdict
-        for i, (fi, idx, hj, res) in enumerate(rows):
+        for i, (fi, idx, h, res) in enumerate(rows):
             if res["hypotheses_hold"]:
                 res = dict(res, conclusion_holds=False,
                            details=dict(res["details"], planted_fault=True))
-                rows[i] = (fi, idx, hj, res)
+                rows[i] = (fi, idx, h, res)
                 break
 
     tested = len(rows)
@@ -427,11 +430,11 @@ def run_suite(
         {
             "family": fi,
             "index": idx,
-            "instance": hj,
+            "instance": h.to_json_obj(),
             "statement": suite.statement,
             "details": res["details"],
         }
-        for fi, idx, hj, res in rows
+        for fi, idx, h, res in rows
         if res["hypotheses_hold"] and res["conclusion_holds"] is False
     )
     files = []

@@ -13,10 +13,10 @@ import pytest
 from hyperinv import (
     SUITES,
     betti_table,
-    bouquet_invariants,
     check_instance,
     classify_family,
     contraction,
+    dprime_invariant,
     enumerate_graphs,
     from_json_obj,
     independence_complex,
@@ -252,7 +252,7 @@ def test_criterion_09_pd_bounded_by_d_prime():
     for src in streams:
         for h in src:
             total += 1
-            dprime = bouquet_invariants(h, maximal_independent_sets(h), edge_cap=16).d_prime
+            dprime = dprime_invariant(h, maximal_independent_sets(h), edge_cap=16)[0]
             if reg_and_pd(h)["pd"] > dprime:
                 bad += 1
     _report(9, bad == 0, f"pd <= d' on {total} vertex-decomposable instances, {bad} bad")
@@ -265,13 +265,13 @@ def test_criterion_10_bigheight_pd_dprime_on_vd_graphs():
         total += 1
         bh = minimal_vertex_covers(h).bigheight
         pd = reg_and_pd(h)["pd"]
-        dp = bouquet_invariants(h, maximal_independent_sets(h), edge_cap=15).d_prime
+        dp = dprime_invariant(h, maximal_independent_sets(h), edge_cap=15)[0]
         if not (bh == pd == dp):
             bad += 1
     spots = all(
         minimal_vertex_covers(g).bigheight
         == reg_and_pd(g)["pd"]
-        == bouquet_invariants(g, maximal_independent_sets(g)).d_prime
+        == dprime_invariant(g, maximal_independent_sets(g))[0]
         == v
         for g, v in [
             (named_instance("star3"), 3),

@@ -169,6 +169,25 @@ class TestInvariants:
         with pytest.raises(SearchLimitExceeded):
             bouquet_invariants(h1, maximal_independent_sets(h1), edge_cap=2)
 
+    def test_candidate_cap_is_read_at_call_time(self, monkeypatch):
+        """Three disjoint edges: d' scores the 3^3 - 1 nonempty root sets,
+        d scores 120 candidates (a counted value: the flower ceilings cut
+        some of the 5^3 - 1); one candidate over the cap raises."""
+        h = from_masks([f"x{i}" for i in range(6)], [0b11, 0b1100, 0b110000])
+        facets = maximal_independent_sets(h)
+        assert bouquets.DEFAULT_CANDIDATE_CAP == 500_000
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 120)
+        inv = bouquet_invariants(h, facets)
+        assert (inv.d, inv.d_prime) == (3, 3)
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 119)
+        with pytest.raises(SearchLimitExceeded, match="^d search candidates exceed cap 119$"):
+            bouquet_invariants(h, facets)
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 26)
+        assert dprime_invariant(h, facets)[0] == 3
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 25)
+        with pytest.raises(SearchLimitExceeded, match="^d' search candidates exceed cap 25$"):
+            dprime_invariant(h, facets)
+
     def test_edgeless(self):
         inv = bouquet_invariants(build(["a"], []), (1,))
         assert (inv.d, inv.d_prime) == (0, 0)

@@ -191,6 +191,48 @@ class TestInvariants:
         _, out2, _ = run_cli(capsys, "invariants", h1_file)
         assert out1 == out2
 
+    def test_output_byte_stable_after_a_parse_error(self, capsys, h1_file):
+        """The parser outlives a call, also one that argparse rejects."""
+        _, out1, _ = run_cli(capsys, "invariants", h1_file, "--field", "f2")
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", h1_file, "--no-such-option"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        _, out2, _ = run_cli(capsys, "invariants", h1_file, "--field", "f2")
+        assert out1 == out2
+
+    def test_parser_is_built_once_per_process(self, capsys, h1_file, tmp_path):
+        import hyperinv.cli as cli
+
+        cli._parser.cache_clear()
+        run_cli(capsys, "invariants", h1_file, "--skip-homology")
+        run_cli(capsys, "check", h1_file, "--theorem", "lemma-dim")
+        run_cli(capsys, "verify", "graph-cc", "--family", '{"kind": "all_graphs", "n": 3}',
+                "--out-dir", str(tmp_path))
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_negative_edge_cap_exits_two(self, capsys, h1_file):
+        code, out, err = run_cli(capsys, "invariants", h1_file, "--edge-cap", "-1")
+        assert code == 2 and out == ""
+        assert "error: --edge-cap must be non-negative" in err
+
+    def test_candidate_cap_omits_the_bouquets(self, capsys, tmp_path):
+        """Nine disjoint edges: d' scores 3^9 - 1 root sets, under the
+        candidate cap, but the d search passes it; the bouquets and the
+        check that reads d are omitted, the d' lemmas are reported."""
+        labels = [f"x{i + 1}" for i in range(18)]
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": [
+            labels[2 * k: 2 * k + 2] for k in range(9)]}))
+        code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["bouquets"] == {"omitted": "d search candidates exceed cap 500000"}
+        assert report["theorems"]["prop-cd"] == report["bouquets"]
+        lemmas = report["theorems"]["lemmas-dprime"]
+        assert lemmas["conclusion_holds"] and lemmas["details"]["d_prime"] == 9
+
 
 class TestCheck:
     def test_lemma_dim_h1(self, capsys, h1_file):
@@ -285,6 +327,20 @@ class TestVerify:
             str(tmp_path),
         )
         assert out_path.read_text() == out
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_two(self, capsys, tmp_path, jobs):
+        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--jobs", jobs,
+                                 "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"error: jobs must be at least 1, not {jobs}" in err
+
+    def test_negative_count_exit_two(self, capsys, tmp_path):
+        family = '{"kind": "random_hypergraph", "n": 5, "edge_count": 3, "count": -2}'
+        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family", family,
+                                 "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "error: family field 'count' must be non-negative, not -2" in err
 
     def test_jobs_byte_identical(self, capsys, tmp_path):
         argv = [

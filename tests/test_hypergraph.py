@@ -32,7 +32,7 @@ from hyperinv.errors import (
     SearchLimitExceeded,
     UnknownVertex,
 )
-from hyperinv.hypergraph import _minimal_transversals, bit_ids, edge_sort_key, mask_of
+from hyperinv.hypergraph import _lattice, _minimal_transversals, bit_ids, edge_sort_key, mask_of
 
 
 class TestBuild:
@@ -247,6 +247,28 @@ def edge_lists(draw, max_n=10, max_edges=9):
     edges = draw(st.lists(st.one_of(mask, singleton), max_size=max_edges))
     repeats = draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
     return n, edges + repeats
+
+
+class TestLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(max_n=8, max_edges=8))
+    @example((3, [0b001, 0b110, 0b011]))  # a singleton edge inside a union of others
+    @example((0, []))
+    def test_matches_every_edge_subset(self, case):
+        """Each nonempty edge subset S gives W = the union of S and the
+        indices of every edge inside W; ``_lattice`` yields each such W
+        once, with that index mask."""
+        _, edges = case
+        expected = {}
+        for subset in range(1, 1 << len(edges)):
+            w = 0
+            for i in bit_ids(subset):
+                w |= edges[i]
+            if w:
+                expected[w] = mask_of([i for i, e in enumerate(edges) if e & w == e])
+        lattice = list(_lattice(edges))
+        assert len(lattice) == len(expected)
+        assert dict(lattice) == expected
 
 
 class TestMinimalTransversals:

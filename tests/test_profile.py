@@ -156,6 +156,29 @@ def test_one_report_dualizes_its_input_once(monkeypatch, tmp_path, capsys):
         assert not any(inside for _, inside in seen), seen
 
 
+def test_lemmas_dprime_dualizes_nothing(monkeypatch, tmp_path, capsys):
+    """Ind(H/x) and Ind(H\\x) are the link and the deletion of x in the
+    profile's complex, so the d' lemmas run no transversal search once the
+    input is dualized, and one report runs exactly one."""
+    dualize, calls = hypergraph._minimal_transversals, []
+    monkeypatch.setattr(hypergraph, "_minimal_transversals",
+                        lambda edges: calls.append(edges) or dualize(edges))
+    rows = 0
+    for k, base in enumerate(instances()):
+        h = from_masks(base.labels, base.edges)  # a new object: a new profile
+        profile_of(h).complex
+        calls.clear()
+        res = check_instance("lemmas-dprime", h)
+        assert res.conclusion_holds and calls == []
+        rows += len(res.details["shedding"])
+        path = tmp_path / f"instance-{k}.json"
+        path.write_text(h.to_json())
+        assert main(["invariants", str(path), "--skip-homology"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+    assert rows >= len(instances())  # the lemmas were checked at shedding vertices
+
+
 def test_filter_verdicts_are_reused_by_the_check(counts, tmp_path):
     """A family filtered on C5 and vertex decomposability: the check reads
     the filters' verdicts instead of computing them again."""

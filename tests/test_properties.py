@@ -14,6 +14,7 @@ from hyperinv import (
     is_codismantlable,
     is_codominated,
     is_shedding_vertex,
+    link_and_deletion,
     matching_invariants,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -67,6 +68,21 @@ def test_deletion_and_contraction_stay_simple(h):
         if not ctr.void:
             want = {e for e in stripped if not any(o < e for o in stripped)}
             assert {frozenset(e) for e in ctr.edges_as_labels()} == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=7))
+@example(from_masks(["x1", "x2", "x3"], [0b001, 0b110]))  # {x1} is an edge: H/x1 is void
+def test_link_and_deletion_are_the_split_complexes(h):
+    """At every vertex x of H, the link of x in Ind(H) is Ind(H/x) and the
+    deletion is Ind(H\\x); a void contraction has a void link."""
+    delta = independence_complex(h)
+    for x in h.labels:
+        link, dele = link_and_deletion(delta, x)
+        ctr, rest = contraction(h, x), deletion(h, x)
+        assert link.labels == ctr.labels and dele.labels == rest.labels
+        assert link.facets == (() if ctr.void else maximal_independent_sets(ctr))
+        assert dele.facets == maximal_independent_sets(rest)
 
 
 @settings(max_examples=200, deadline=None)

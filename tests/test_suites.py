@@ -6,9 +6,20 @@ from concurrent.futures import Future
 import pytest
 
 import hyperinv.suites as suites_module
-from hyperinv import SUITES, check_instance, from_masks, named_instance, run_suite
+from conftest import oracle_bouquet_numbers
+from hyperinv import (
+    SUITES,
+    check_instance,
+    contraction,
+    deletion,
+    from_masks,
+    named_instance,
+    random_hypergraph,
+    run_suite,
+)
 from hyperinv.errors import UnknownSuite
 from hyperinv.generators import FamilySpec
+from hyperinv.hypergraph import Hypergraph
 from hyperinv.profile import Profile
 
 EXPECTED_SUITES = {
@@ -62,6 +73,22 @@ class TestSingleInstanceChecks:
         res = check_instance("corollary-codis", h1)
         assert res.hypotheses_hold and res.conclusion_holds
         assert res.details["elimination_order"] == ["x2", "x4"]
+
+    def test_lemmas_dprime_rows_match_the_oracle(self):
+        """The d' of H/x and H\\x in each row, read through the link and the
+        deletion of x in Ind(H), equal d' by literal enumeration."""
+        spec = FamilySpec(kind="random_hypergraph", n=6, max_edge_size=3, edge_count=4, seed=43)
+        rows = 0
+        for h in [named_instance(k) for k in ("h1", "h2", "star3", "p3", "c4", "c5")] + [
+            random_hypergraph(spec, i) for i in range(40)
+        ]:
+            for row in check_instance("lemmas-dprime", h).details["shedding"]:
+                ctr, dele = contraction(h, row["vertex"]), deletion(h, row["vertex"])
+                want = None if ctr.void else oracle_bouquet_numbers(ctr)[1]
+                assert row["d_prime_contraction"] == want, (h, row)
+                assert row["d_prime_deletion"] == oracle_bouquet_numbers(dele)[1], (h, row)
+                rows += 1
+        assert rows >= 90  # 99 shedding vertices
 
     def test_every_suite_runs_on_worked_examples(self):
         for name in sorted(SUITES):
@@ -130,6 +157,15 @@ class TestRunner:
         with open(path) as fh:
             obj = json.load(fh)
         assert set(obj) == {"vertices", "edges"}  # re-runnable instance file
+
+    def test_only_counterexamples_are_serialized(self, tmp_path, monkeypatch):
+        serialize, calls = Hypergraph.to_json_obj, []
+        monkeypatch.setattr(Hypergraph, "to_json_obj", lambda h: calls.append(h) or serialize(h))
+        rep = run_suite("graph-cc", self.FAM, out_dir=str(tmp_path))
+        assert rep.instances_tested == 8 and calls == []
+        rep = run_suite("graph-cc", self.FAM, self_test=True, out_dir=str(tmp_path))
+        [h] = calls  # the planted counterexample
+        assert rep.counterexamples[0]["instance"] == serialize(h)
 
     def test_self_test_deterministic_across_jobs(self, tmp_path):
         a = run_suite("graph-cc", self.FAM, self_test=True, jobs=1, out_dir=str(tmp_path))
