@@ -37,7 +37,7 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, _all_faces, bit_ids, edge_sort_key
+from .hypergraph import Hypergraph, _lattice, bit_ids, edge_sort_key
 from .matchings import classify_family
 
 DEFAULT_EDGE_CAP = 12
@@ -153,9 +153,14 @@ def dprime_invariant(
 
 
 def bouquet_invariants(
-    h: Hypergraph, facets: Sequence[int], edge_cap: int = DEFAULT_EDGE_CAP
+    h: Hypergraph,
+    facets: Sequence[int],
+    edge_cap: int = DEFAULT_EDGE_CAP,
+    dprime: Optional[tuple[int, BouquetSet]] = None,
 ) -> BouquetInvariants:
-    dp_val, dp_wit = dprime_invariant(h, facets, edge_cap)
+    """d and d' with their witnesses; ``dprime``, when known, is what
+    ``dprime_invariant`` returned for the same arguments (its edge-cap check included)."""
+    dp_val, dp_wit = dprime_invariant(h, facets, edge_cap) if dprime is None else dprime
     d_val, d_wit = _d_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
@@ -170,14 +175,20 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
     set that also holds vertices in no edge scores the same as its part
     inside the support, which comes first.  The first best R keeps its
     root choices, and only it gets a witness; with no R that touches an
-    edge (no edges, or only singleton edges) the witness is empty.  More
-    than ``DEFAULT_CANDIDATE_CAP`` root sets raise ``SearchLimitExceeded``."""
+    edge (no edges, or only singleton edges) the witness is empty.  The walk
+    raises ``SearchLimitExceeded`` at the first root set past ``DEFAULT_CANDIDATE_CAP``."""
     support = reduce(or_, h.edges, 0)
-    faces = sorted(_all_faces(f & support for f in facets))[1:]
-    if len(faces) > DEFAULT_CANDIDATE_CAP:
-        raise SearchLimitExceeded(f"d' search candidates exceed cap {DEFAULT_CANDIDATE_CAP}")
+    cap = DEFAULT_CANDIDATE_CAP
+    faces = set()
+    for f in {f & support for f in facets}:
+        r = f
+        while r:
+            faces.add(r)
+            if len(faces) > cap:
+                raise SearchLimitExceeded(f"d' search candidates exceed cap {cap}")
+            r = (r - 1) & f
     best, best_r, best_kept = 0, 0, ()
-    for r_mask in faces:
+    for r_mask in sorted(faces):
         union = 0
         contested: list[int] = []
         for e in h.edges:
@@ -226,21 +237,18 @@ def _max_freed(commons: list[int]) -> tuple[int, tuple[int, ...]]:
 
 def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
     """Pairwise disjoint edge sets with no other edge inside their union,
-    ascending by union.  An edge inside the union stays inside it when
-    the matching grows, so only induced matchings are extended."""
+    ascending by union: the edges inside each union W of the lcm lattice,
+    when their sizes sum to |W|."""
     edges = h.edges
-    found: list[tuple[int, tuple[int, ...]]] = []
-
-    def grow(start: int, union: int, chosen: tuple[int, ...]) -> None:
-        for i in range(start, len(edges)):
-            if edges[i] & union:
-                continue
-            u, m = union | edges[i], chosen + (edges[i],)
-            if sum(1 for e in edges if e & u == e) == len(m):
-                found.append((u, m))
-                grow(i + 1, u, m)
-
-    grow(0, 0, ())
+    found = []
+    for w, inside in _lattice(edges):
+        free, rest = w.bit_count(), inside  # |W| minus the sizes of the edges counted
+        while rest and free >= 0:
+            low = rest & -rest
+            free -= edges[low.bit_length() - 1].bit_count()
+            rest ^= low
+        if not free:
+            found.append((w, tuple(edges[i] for i in bit_ids(inside))))
     return [m for _, m in sorted(found)]
 
 

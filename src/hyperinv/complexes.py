@@ -53,9 +53,6 @@ class SimplicialComplex:
     def facet_labels(self) -> list[list[str]]:
         return [[self.labels[i] for i in bit_ids(f)] for f in self.facets]
 
-    def is_face(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self.facets)
-
     def to_json_obj(self) -> dict:
         return {
             "ground_set": list(self.labels),

@@ -9,12 +9,15 @@ from functools import partial
 from typing import Callable, Optional
 
 from .complexes import independence_complex, is_shedding
+from .errors import SearchLimitExceeded
 from .hypergraph import (
     Hypergraph,
     _neighborhood_minus,
     bit_ids,
     deletion,
 )
+
+DEFAULT_CODISMANTLE_CAP = 10_000  # edge sets found to have no elimination order
 
 
 def is_codominated(h: Hypergraph, x: str) -> Optional[int]:
@@ -49,7 +52,9 @@ def _codismantle_order(
     h: Hypergraph, witness: Callable[[str], Optional[int]], memo_fail: set
 ) -> Optional[list[str]]:
     """An elimination order of h, or None; ``witness(x)`` is
-    ``is_codominated(h, x)``, asked only as the search reaches x."""
+    ``is_codominated(h, x)``, asked only as the search reaches x.  More
+    than ``DEFAULT_CODISMANTLE_CAP`` failed edge sets in ``memo_fail``
+    raise ``SearchLimitExceeded``."""
     if not h.edges:
         return []
     state = frozenset(h.edges)
@@ -67,6 +72,9 @@ def _codismantle_order(
         if rest is not None:
             return [x] + rest
     memo_fail.add(state)
+    if len(memo_fail) > DEFAULT_CODISMANTLE_CAP:
+        raise SearchLimitExceeded(
+            f"codismantlability search failed states exceed cap {DEFAULT_CODISMANTLE_CAP}")
     return None
 
 

@@ -9,12 +9,9 @@ the rational entries that are not +-1.  The reduced chain complex
 includes the empty face, so restrictions whose only face is empty
 contribute the (-1)-dimensional class.
 
-Clearing (Chen and Kerber 2011) and apparent pivots (Bauer, Ripser 2021)
-leave most boundary columns unbuilt.  Dimensions are reduced top-down, and
-a face that is the pivot row of a reduced column one dimension up is
-skipped: its column would reduce to zero.  A face whose lowest boundary
-row, the face minus its lowest vertex, has no pivot yet becomes that row's
-pivot unbuilt; its column is built only if another column reduces against it.
+Every homology question, ``reduced_homology`` included, goes through the
+rules below first; the plain eliminator ranks each boundary map of the
+irreducible core that they leave.
 
 Each restriction K is first reduced by rules, tried in order, that keep its
 reduced homology over every field, being cones, suspensions and homotopy
@@ -67,42 +64,31 @@ def parse_field(text: str) -> str:
     raise UnknownField(f"unknown field {text!r}: use q, or f<p> for a prime p below 2^31")
 
 
-def _boundary(f: int, p: int) -> dict[int, int]:
-    """Boundary column of face f, keyed by its codimension-one faces, mod p (0: over Z)."""
-    neg = p - 1 if p else -1
-    return {f & ~(1 << v): neg if k % 2 else 1 for k, v in enumerate(bit_ids(f))}
+def _boundary(f: int) -> dict[int, int]:
+    """Boundary column of face f, keyed by its codimension-one faces."""
+    return {f & ~(1 << v): -1 if k % 2 else 1 for k, v in enumerate(bit_ids(f))}
 
 
-def _reduce(columns: list[dict[int, int] | int], field: str) -> dict[int, dict[int, int] | int]:
+def _reduce(columns: list[dict[int, int]], field: str) -> dict[int, dict[int, int]]:
     """Pivot columns of an exact column reduction, keyed by their lowest row.
 
-    A column is a sparse {row: entry} dict, or a face mask that stands for
-    its boundary and becomes an apparent pivot when it can.  Each column is
-    reduced by its lowest (largest) nonzero row against the earlier column
-    that owns that row as its pivot.  Over GF(p) every nonzero entry is a
-    unit.  Over Q a pivot of +-1 eliminates in plain integers; any other
-    pivot cross-multiplies and the column is then divided by its content,
-    so entries stay small and exact.
+    A column is a sparse {row: entry} dict, taken mod p as it comes in.
+    Each column is reduced by its lowest (largest) nonzero row against the
+    earlier column that owns that row as its pivot.  Over GF(p) every
+    nonzero entry is a unit.  Over Q a pivot of +-1 eliminates in plain
+    integers; any other pivot cross-multiplies and the column is then
+    divided by its content, so entries stay small and exact.
     """
     p = 0 if field == FIELD_Q else int(field[1:])
-    pivots: dict[int, dict[int, int] | int] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for col in columns:
-        if isinstance(col, int):
-            low = col & (col - 1)  # the face minus its lowest vertex
-            if low not in pivots:
-                pivots[low] = col
-                continue
-            col = _boundary(col, p)
-        else:
-            col = {r: x for r, v in col.items() if (x := v % p if p else v)}
+        col = {r: x for r, v in col.items() if (x := v % p if p else v)}
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
                 break
-            if isinstance(piv, int):
-                piv = pivots[low] = _boundary(piv, p)
             a, b = col[low], piv[low]
             unit = p > 0 or b in (1, -1)
             if unit:
@@ -129,34 +115,26 @@ def _rank(columns: list[dict[int, int]], field: str) -> int:
 
 
 def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
-    """Reduced Betti numbers keyed by dimension, zero entries omitted.
-
-    Boundary columns are keyed by the masks of the codimension-one faces,
-    so a column's lowest row is its largest face mask.  Faces are reduced
-    in increasing mask order, dimensions top-down, with clearing.
-    """
-    if not faces:
-        return {}
+    """Reduced Betti numbers keyed by dimension, zero entries omitted:
+    faces minus the ranks of the boundary maps out of and into each dimension."""
     by_dim: dict[int, list[int]] = {}
-    for f in sorted(faces):
+    for f in faces:
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
-    top = max(by_dim)
-    rank: dict[int, int] = {}
-    pivots: dict = {}  # rows of the reduced map one dimension up: cleared
-    for d in range(top, -1, -1):
-        pivots = _reduce([f for f in by_dim[d] if f not in pivots], field)
-        rank[d] = len(pivots)
-    betti = {d: len(fs) - rank.get(d, 0) - rank.get(d + 1, 0) for d, fs in by_dim.items()}
+    rank = {d: _rank([_boundary(f) for f in fs], field) for d, fs in by_dim.items()}
+    betti = {d: len(fs) - rank[d] - rank.get(d + 1, 0) for d, fs in by_dim.items()}
     return {d: b for d, b in betti.items() if b}
 
 
 def reduced_homology(
     d: SimplicialComplex, field: str = FIELD_Q, cap: int = DEFAULT_HOMOLOGY_CAP
 ) -> dict[int, int]:
-    """Reduced Betti numbers of D keyed by dimension, zero entries omitted."""
+    """Reduced Betti numbers of D keyed by dimension, zero entries omitted.
+    D is the independence complex of its minimal non-faces, so the rules apply."""
     if d.n > cap:
         raise SizeLimitExceeded(f"ground set {d.n} exceeds homology cap {cap}")
-    return _homology_from_faces(_all_faces(d.facets), field)
+    if not d.facets:  # the void complex
+        return {}
+    return _subhypergraph_homology(d.n, minimal_nonfaces(d), field)
 
 
 # ---------------------------------------------------------------------------

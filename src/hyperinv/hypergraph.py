@@ -17,8 +17,9 @@ in ``homological`` are the transversals of its facet complements.  Past
 
 One edge-union primitive, ``_lattice``, walks the lcm lattice: every
 nonzero union W of edges with the mask of the edges inside W.  The c and
-c' searches in ``matchings`` and the Hochster sum in ``homological`` read
-their families and restrictions from it.
+c' searches in ``matchings``, the induced matchings of the d search in
+``bouquets`` and the Hochster sum in ``homological`` read their families
+and restrictions from it.
 """
 
 from __future__ import annotations
@@ -390,18 +391,26 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(h.full_mask & ~c for c in minimal_vertex_covers(h).covers))
 
 
-def _lattice(edges: Sequence[int]) -> Iterable[tuple[int, int]]:
+_LATTICE_MEMO: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+
+
+def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Each nonzero union W of edges (the lcm lattice) with the mask of the
     indices of the edges inside W.  An edge inside W | e lies inside an
-    earlier union that also extends to W | e, so OR-ing their masks is exact."""
-    inside = {0: 0}
-    for j, e in enumerate(edges):
-        bit = 1 << j
-        for w, m in list(inside.items()):
-            u = w | e
-            inside[u] = inside.get(u, 0) | m | bit
-    del inside[0]
-    return inside.items()
+    earlier union that also extends to W | e, so OR-ing their masks is exact.
+    Only the last edge list's lattice is kept: one per hypergraph."""
+    key = tuple(edges)
+    if key not in _LATTICE_MEMO:
+        inside = {0: 0}
+        for j, e in enumerate(edges):
+            bit = 1 << j
+            for w, m in list(inside.items()):
+                u = w | e
+                inside[u] = inside.get(u, 0) | m | bit
+        del inside[0]
+        _LATTICE_MEMO.clear()
+        _LATTICE_MEMO[key] = tuple(inside.items())
+    return _LATTICE_MEMO[key]
 
 
 def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:

@@ -84,14 +84,12 @@ class Profile:
 
     @_cached
     def bouquets(self) -> BouquetInvariants:
-        return bouquet_invariants(self.h, self.complex.facets)
+        """d and d' with their witnesses; d' is read from ``dprime``."""
+        return bouquet_invariants(self.h, self.complex.facets, dprime=self.dprime)
 
     @_cached
     def dprime(self) -> tuple[int, BouquetSet]:
         """d' with its witness; the d search runs only if d is read."""
-        bouquets = self.__dict__.get("bouquets")
-        if bouquets is not None:
-            return bouquets.d_prime, bouquets.witnesses["d_prime"]
         return dprime_invariant(self.h, self.complex.facets)
 
     @_cached

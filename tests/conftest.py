@@ -295,3 +295,11 @@ def tiny_hypergraphs():
         build(["x1", "x2", "x3", "x4", "x5"], [["x1", "x2", "x3"], ["x3", "x4", "x5"]])
     )
     return out
+
+
+def disjoint_edges_and_c5(k):
+    """k disjoint edges x1x2, x3x4, ... and a C5 on the last five vertices."""
+    labels = [f"x{i + 1}" for i in range(2 * k + 5)]
+    cycle = labels[2 * k:]
+    edges = [labels[2 * j: 2 * j + 2] for j in range(k)]
+    return build(labels, edges + [[cycle[i], cycle[(i + 1) % 5]] for i in range(5)])

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+import hyperinv.bouquets as bouquets
+import hyperinv.decomposition as decomposition
 import hyperinv.hypergraph as hypergraph
+from conftest import disjoint_edges_and_c5
 from hyperinv import named_instance
 from hyperinv.cli import main
 
@@ -232,6 +235,48 @@ class TestInvariants:
         assert report["theorems"]["prop-cd"] == report["bouquets"]
         lemmas = report["theorems"]["lemmas-dprime"]
         assert lemmas["conclusion_holds"] and lemmas["details"]["d_prime"] == 9
+
+    def test_codismantle_cap_omits_the_section(self, capsys, tmp_path, monkeypatch):
+        """Four disjoint edges and a C5 fail on 16 edge sets, one over the
+        lowered cap: only the codismantlability section is omitted."""
+        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 15)
+        path = tmp_path / "codis.json"
+        path.write_text(disjoint_edges_and_c5(4).to_json())
+        code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["codismantlable"] == {
+            "omitted": "codismantlability search failed states exceed cap 15"}
+        for key in ("matchings", "bouquets", "complex", "covers", "vertex_classification"):
+            assert "omitted" not in report[key], key
+
+    def test_capped_dprime_walks_once_up_to_the_cap(self, capsys, tmp_path, monkeypatch):
+        """One 12-vertex edge has 2^12 - 2 nonempty independent sets.  The
+        d' walk stops at the first root set over the cap, and the profile
+        keeps the error for every later read of d', so one report walks
+        once and stores cap + 1 root sets."""
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 100)
+        walks, stored = [], []
+        search = bouquets._dprime_search
+        monkeypatch.setattr(bouquets, "_dprime_search",
+                            lambda h, facets: walks.append(h) or search(h, facets))
+
+        class CountedSet(set):
+            def add(self, item):
+                super().add(item)
+                stored.append(len(self))
+
+        # the walk's set() resolves to the module global before the builtin
+        monkeypatch.setattr(bouquets, "set", CountedSet, raising=False)
+        labels = [f"x{i + 1}" for i in range(12)]
+        path = tmp_path / "edge12.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": [labels]}))
+        code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["bouquets"] == {"omitted": "d' search candidates exceed cap 100"}
+        assert report["theorems"]["lemmas-dprime"] == report["bouquets"]
+        assert len(walks) == 1 and max(stored) == 101
 
 
 class TestCheck:

@@ -1,6 +1,11 @@
 """Codominated vertices, codismantlability, shedding/codominated reports."""
 
-from conftest import tiny_hypergraphs
+from functools import partial
+
+import pytest
+
+import hyperinv.decomposition as decomposition
+from conftest import disjoint_edges_and_c5, tiny_hypergraphs
 
 from hyperinv import (
     build,
@@ -14,6 +19,7 @@ from hyperinv import (
     theorem_main_report,
 )
 from hyperinv.decomposition import EliminationOrder
+from hyperinv.errors import SearchLimitExceeded
 
 
 class TestCodominated:
@@ -70,6 +76,22 @@ class TestCodismantlable:
                 assert is_codominated(cur, x) is not None
                 cur = deletion(cur, x)
             assert not cur.edges
+
+    def test_failed_states_past_the_cap_raise(self, monkeypatch):
+        """With a C5 left no edge set has an elimination order: the search
+        fails on every one of the 2^k sets of disjoint edges left beside
+        it.  One failed set over the cap, read at call time, raises."""
+        assert decomposition.DEFAULT_CODISMANTLE_CAP == 10_000
+        h = disjoint_edges_and_c5(4)
+        failed = set()
+        assert decomposition._codismantle_order(h, partial(is_codominated, h), failed) is None
+        assert len(failed) == 16
+        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 16)
+        assert is_codismantlable(disjoint_edges_and_c5(4)) is None
+        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 15)
+        with pytest.raises(SearchLimitExceeded,
+                           match="^codismantlability search failed states exceed cap 15$"):
+            is_codismantlable(disjoint_edges_and_c5(4))
 
 
 class TestEquivalenceReport:

@@ -1,7 +1,7 @@
 """Reduced homology, Betti tables, reg/pd, Alexander duality."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     oracle_betti_table,
@@ -141,11 +141,16 @@ class TestReducedHomology:
 
 @st.composite
 def facet_sets(draw, max_n=8, max_size=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    """(n, facet masks): the void complex (no facets), {empty set}, ghost
+    vertices in no facet, and a cone point on every facet included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
     facet = st.integers(min_value=0, max_value=(1 << n) - 1).filter(
         lambda m: m.bit_count() <= max_size
     )
-    return n, draw(st.lists(facet, min_size=1, max_size=6))
+    masks = draw(st.lists(facet, max_size=6))
+    if draw(st.booleans()):  # a cone on the new vertex n
+        masks, n = [m | 1 << n for m in masks], n + 1
+    return n, masks
 
 
 @st.composite
@@ -219,16 +224,25 @@ class TestConeReductions:
 
 
 class TestKernel:
-    """Clearing and apparent pivots change the work, never the ranks."""
+    """The rules and the plain eliminator give the ranks of the dense oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(facet_sets())
+    @example((0, []))  # the void complex
+    @example((0, [0]))  # {empty set}
+    @example((3, [0]))  # {empty set} with three ghost vertices
+    @example((4, [0b1111]))  # a full simplex
+    @example((5, [0b00111, 0b01100]))  # ghost vertex 4; vertex 2 is in every facet
+    @example((6, [0b111111 & ~(1 << i) for i in range(6)]))  # the 4-sphere
     def test_reduced_homology_matches_dense_oracle(self, case):
         n, masks = case
         d = complex_from_facets([f"v{i}" for i in range(n)], masks)
         faces = _all_faces(d.facets)
         for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
-            assert reduced_homology(d, field) == oracle_reduced_homology(faces, p), field
+            homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+            expect = oracle_reduced_homology(faces, p)
+            assert reduced_homology(d, field) == expect, field
+            assert homological._homology_from_faces(faces, field) == expect, field
 
     def test_oracle_rank_over_prime_fields(self):
         assert oracle_rank([[1, 1], [1, -1]], 2) == 1
@@ -236,26 +250,33 @@ class TestKernel:
         assert oracle_rank([[2, 4], [4, 2]], 2) == 0
         assert oracle_rank([[2, 4], [4, 2]], 5) == 2
 
-    def test_columns_are_built_only_when_a_reduction_needs_them(self, monkeypatch):
-        built = []
-        real = homological._boundary
-        monkeypatch.setattr(homological, "_boundary", lambda f, p: built.append(f) or real(f, p))
-        # The boundary of the 5-simplex has 62 faces and is a 4-sphere.  Only
-        # the columns of its six facets are built: every other face is
-        # cleared or is an apparent pivot that no later column reduces against.
+    def test_rules_leave_no_faces_to_eliminate(self, monkeypatch):
+        """``reduced_homology`` goes through the rules: spheres, cones and
+        suspensions reduce to the base cases without building a face."""
+        calls = []
+        real = homological._homology_from_faces
+        monkeypatch.setattr(homological, "_homology_from_faces",
+                            lambda fs, field: calls.append(fs) or real(fs, field))
         full = 0b111111
-        d = complex_from_facets([f"v{i}" for i in range(6)], [full & ~(1 << i) for i in range(6)])
-        assert reduced_homology(d) == {4: 1}
-        assert sorted(built) == [full & ~(1 << i) for i in reversed(range(6))]
+        sphere = [full & ~(1 << i) for i in range(6)]  # the boundary of the 5-simplex
+        cases = [
+            (6, sphere, {4: 1}),
+            (7, [f | 1 << 6 for f in sphere], {}),  # a cone on it
+            (4, [0b0101, 0b0110, 0b1001, 0b1010], {1: 1}),  # the suspension of two points
+        ]
+        for n, facets, expect in cases:
+            homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+            d = complex_from_facets([f"v{i}" for i in range(n)], facets)
+            assert reduced_homology(d) == expect
+        assert calls == []
 
     def test_lazy_pivots_are_stored_mod_p(self):
         faces = sorted(_all_faces([0b11111]))
         for field, p in (("F2", 2), ("F3", 3)):
             for d in (2, 3, 4):
-                pivots = _reduce([f for f in faces if f.bit_count() == d], field)
-                for col in pivots.values():
-                    if isinstance(col, dict):
-                        assert all(0 < v < p for v in col.values()), (field, col)
+                columns = [homological._boundary(f) for f in faces if f.bit_count() == d]
+                for col in _reduce(columns, field).values():
+                    assert all(0 < v < p for v in col.values()), (field, col)
 
 
 class TestBettiTable:

@@ -1,5 +1,9 @@
 """Property-based invariant checks over randomly drawn hypergraphs."""
 
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_betti_table, oracle_bouquet_numbers, oracle_independence_facets
@@ -21,6 +25,7 @@ from hyperinv import (
     reg_and_pd,
     vertex_decomposable,
 )
+from hyperinv.bouquets import _induced_matchings
 from hyperinv.complexes import dimension
 from hyperinv.hypergraph import _canonical_witness, _cycles, _maximal, _minimal, bit_ids, find_cycle
 
@@ -248,3 +253,20 @@ def test_find_cycle_is_the_first_enumerated_cycle(h):
     for n in range(2, 8):
         first = next(_cycles(h, n), None)
         assert find_cycle(h, n) == (first and _canonical_witness(first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=10))
+@example(from_masks([f"x{i + 1}" for i in range(8)], [0b11, 0b1100, 0b110000, 0b11000000]))
+def test_induced_matchings_match_brute_force(h):
+    """The induced matchings read from the lcm lattice are the edge subsets
+    that are pairwise disjoint with no other edge inside their union, in
+    edge order, ascending by union."""
+    found = []
+    for k in range(1, len(h.edges) + 1):
+        for family in combinations(h.edges, k):
+            union = reduce(or_, family)
+            inside = tuple(e for e in h.edges if e & union == e)
+            if sum(e.bit_count() for e in family) == union.bit_count() and inside == family:
+                found.append((union, family))
+    assert _induced_matchings(h) == [m for _, m in sorted(found)]
