@@ -143,24 +143,21 @@ class BouquetInvariants:
     witnesses: dict  # name -> BouquetSet
 
 
-def dprime_invariant(
-    h: Hypergraph, facets: Sequence[int], edge_cap: int = DEFAULT_EDGE_CAP
-) -> tuple[int, BouquetSet]:
+def dprime_invariant(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
     """d' with its witness, without the d search; ``facets`` span the independence complex."""
-    if len(h.edges) > edge_cap:
-        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
+    if len(h.edges) > DEFAULT_EDGE_CAP:
+        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     return _dprime_search(h, facets)
 
 
 def bouquet_invariants(
     h: Hypergraph,
     facets: Sequence[int],
-    edge_cap: int = DEFAULT_EDGE_CAP,
     dprime: Optional[tuple[int, BouquetSet]] = None,
 ) -> BouquetInvariants:
     """d and d' with their witnesses; ``dprime``, when known, is what
     ``dprime_invariant`` returned for the same arguments (its edge-cap check included)."""
-    dp_val, dp_wit = dprime_invariant(h, facets, edge_cap) if dprime is None else dprime
+    dp_val, dp_wit = dprime_invariant(h, facets) if dprime is None else dprime
     d_val, d_wit = _d_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 

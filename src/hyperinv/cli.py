@@ -20,14 +20,12 @@ import sys
 import traceback
 from typing import Optional
 
-from .bouquets import DEFAULT_EDGE_CAP as BOUQUET_EDGE_CAP, bouquet_invariants
 from .complexes import dimension
 from .decomposition import theorem_main_report
-from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded
+from .errors import HyperinvError, SearchLimitExceeded
 from .generators import FamilySpec, family_from_json
 from .homological import parse_field
 from .hypergraph import Hypergraph, c2_free, from_json, uniformity_profile
-from .matchings import DEFAULT_EDGE_CAP as MATCHING_EDGE_CAP, matching_invariants
 from .profile import profile_of
 from .suites import SUITES, check_instance, run_suite, write_json
 
@@ -53,12 +51,10 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_invariants(args) -> int:
-    if args.edge_cap < 0:
-        raise HyperinvError(f"--edge-cap must be non-negative, not {args.edge_cap}")
     h = _load_instance(args.path)
     field = parse_field(args.field)
     # Every invariant is read from the instance's profile, which the suite
-    # checks below share; a search under a non-default cap runs on its own.
+    # checks below share.
     p = profile_of(h)
     report: dict = {"instance": h.to_json_obj()}
 
@@ -74,19 +70,17 @@ def cmd_invariants(args) -> int:
         nonlocal capped
         try:
             section[key] = compute()
-        except (SizeLimitExceeded, SearchLimitExceeded) as exc:
+        except SearchLimitExceeded as exc:
             section[key] = {"omitted": str(exc)}
             capped = True
 
     def matchings() -> dict:
-        cap = args.edge_cap
-        minv = p.matchings if cap == MATCHING_EDGE_CAP else matching_invariants(h, cap)
+        minv = p.matchings
         witnesses = {k: w.as_labels(h) for k, w in minv.witnesses.items()}
         return {"c": minv.c, "c_prime": minv.c_prime, "m": minv.m, "witnesses": witnesses}
 
     def bouquets() -> dict:
-        cap = min(args.edge_cap, BOUQUET_EDGE_CAP)
-        binv = p.bouquets if cap == BOUQUET_EDGE_CAP else bouquet_invariants(h, p.complex.facets, cap)
+        binv = p.bouquets
         witnesses = {k: w.to_json_obj(h) for k, w in binv.witnesses.items()}
         return {"d": binv.d, "d_prime": binv.d_prime, "witnesses": witnesses}
 
@@ -123,7 +117,7 @@ def cmd_check(args) -> int:
     h = _load_instance(args.path)
     try:
         res = check_instance(args.theorem, h)
-    except (SizeLimitExceeded, SearchLimitExceeded) as exc:
+    except SearchLimitExceeded as exc:
         _emit({"omitted": str(exc)})
         return EXIT_CAP
     _emit(res.to_json_obj())
@@ -179,7 +173,6 @@ def _parser() -> argparse.ArgumentParser:
     inv.add_argument("path")
     inv.add_argument("--field", default="q", help="coefficient field: q, f2, f<p>")
     inv.add_argument("--skip-homology", action="store_true")
-    inv.add_argument("--edge-cap", type=int, default=20)
     inv.set_defaults(fn=cmd_invariants)
 
     chk = sub.add_parser("check", help="check one pinned statement on one instance")

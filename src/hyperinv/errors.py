@@ -37,8 +37,8 @@ class SearchLimitExceeded(HyperinvError):
     """An exact search was asked to run beyond its configured cap."""
 
 
-class SizeLimitExceeded(HyperinvError):
-    """An exact computation was asked to run beyond its configured cap."""
+class SizeLimitExceeded(SearchLimitExceeded):
+    """An exact computation was asked to run on an input beyond its size cap."""
 
 
 class NotSemiInduced(HyperinvError):

@@ -70,8 +70,9 @@ def family_from_json(text: str) -> FamilySpec:
         want = type(defaults[key])
         if type(value) is not want or (want is list and not all(isinstance(f, str) for f in value)):
             raise HyperinvError(f"family field {key!r} must be a JSON {want.__name__}, not {value!r}")
-    if obj.get("count", 0) < 0:
-        raise HyperinvError(f"family field 'count' must be non-negative, not {obj['count']}")
+    for key in ("count", "edge_count"):
+        if obj.get(key, 0) < 0:
+            raise HyperinvError(f"family field {key!r} must be non-negative, not {obj[key]}")
     obj["filters"] = tuple(obj.get("filters", ()))
     return FamilySpec(**obj)
 

@@ -125,13 +125,11 @@ def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
     return {d: b for d, b in betti.items() if b}
 
 
-def reduced_homology(
-    d: SimplicialComplex, field: str = FIELD_Q, cap: int = DEFAULT_HOMOLOGY_CAP
-) -> dict[int, int]:
+def reduced_homology(d: SimplicialComplex, field: str = FIELD_Q) -> dict[int, int]:
     """Reduced Betti numbers of D keyed by dimension, zero entries omitted.
     D is the independence complex of its minimal non-faces, so the rules apply."""
-    if d.n > cap:
-        raise SizeLimitExceeded(f"ground set {d.n} exceeds homology cap {cap}")
+    if d.n > DEFAULT_HOMOLOGY_CAP:
+        raise SizeLimitExceeded(f"ground set {d.n} exceeds homology cap {DEFAULT_HOMOLOGY_CAP}")
     if not d.facets:  # the void complex
         return {}
     return _subhypergraph_homology(d.n, minimal_nonfaces(d), field)
@@ -194,9 +192,7 @@ class BettiTable:
         }
 
 
-def betti_table(
-    h: Hypergraph, field: str = FIELD_Q, cap: int = DEFAULT_BETTI_CAP
-) -> BettiTable:
+def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
     """Exact graded Betti numbers of the quotient by the edge ideal.
 
     Hochster's formula: for a vertex subset W, the restriction of the
@@ -206,8 +202,8 @@ def betti_table(
     are visited: elsewhere rule (a) gives zero.  Results per compressed
     sub-hypergraph are memoized globally.
     """
-    if h.n > cap:
-        raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {cap}")
+    if h.n > DEFAULT_BETTI_CAP:
+        raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {DEFAULT_BETTI_CAP}")
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     entries: dict[tuple[int, int], int] = {}
@@ -223,8 +219,8 @@ def betti_table(
     return BettiTable(entries, h.n, field)
 
 
-def reg_and_pd(h: Hypergraph, field: str = FIELD_Q, cap: int = DEFAULT_BETTI_CAP) -> dict:
-    t = betti_table(h, field, cap)
+def reg_and_pd(h: Hypergraph, field: str = FIELD_Q) -> dict:
+    t = betti_table(h, field)
     return {"reg": t.reg, "pd": t.pd}
 
 

@@ -166,6 +166,8 @@ def build(vertex_labels: Sequence[str], edge_lists: Sequence[Sequence[str]]) -> 
                 raise UnknownVertex(f"unknown vertex {lab!r} in edge {tuple(edge)}")
             ids.append(index[lab])
         m = mask_of(ids)
+        if m.bit_count() < len(ids):
+            raise HyperinvError(f"edge {tuple(edge)} names a vertex twice")
         if m in masks:
             raise DuplicateEdge(f"duplicate edge {tuple(sorted(edge))}")
         masks.append(m)
@@ -320,19 +322,15 @@ def _canonical_witness(w: CycleWitness) -> CycleWitness:
     return CycleWitness(best[1][0], best[1][1])
 
 
-def find_cycle(
-    h: Hypergraph,
-    n: int,
-    cycle_limit: int = DEFAULT_CYCLE_LENGTH_CAP,
-    edge_cap: int = DEFAULT_CYCLE_EDGE_CAP,
-) -> Optional[CycleWitness]:
+def find_cycle(h: Hypergraph, n: int) -> Optional[CycleWitness]:
     """Exhaustive search for a Berge cycle of length n; None if absent."""
     if n < 2:
         raise HyperinvError("cycle length must be at least 2")
-    if n > cycle_limit:
-        raise SearchLimitExceeded(f"cycle length {n} exceeds cap {cycle_limit}")
-    if len(h.edges) > edge_cap:
-        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cycle-search cap {edge_cap}")
+    if n > DEFAULT_CYCLE_LENGTH_CAP:
+        raise SearchLimitExceeded(f"cycle length {n} exceeds cap {DEFAULT_CYCLE_LENGTH_CAP}")
+    if len(h.edges) > DEFAULT_CYCLE_EDGE_CAP:
+        raise SearchLimitExceeded(
+            f"{len(h.edges)} edges exceed cycle-search cap {DEFAULT_CYCLE_EDGE_CAP}")
     if len(h.edges) < n or h.n < n:  # an n-cycle has n distinct edges and n distinct vertices
         return None
     for w in _cycles(h, n):

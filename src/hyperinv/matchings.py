@@ -61,14 +61,14 @@ class MatchingInvariants:
     witnesses: dict  # name -> EdgeFamily
 
 
-def matching_invariants(h: Hypergraph, edge_cap: int = DEFAULT_EDGE_CAP) -> MatchingInvariants:
+def matching_invariants(h: Hypergraph) -> MatchingInvariants:
     """Exact c, c', m with one optimal witness each.
 
     Witness tie-break: lexicographically least edge-index tuple among the
     optima.
     """
-    if len(h.edges) > edge_cap:
-        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {edge_cap}")
+    if len(h.edges) > DEFAULT_EDGE_CAP:
+        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     edges = h.edges
     c = c_prime = (0, ())
     for union, inside in _lattice(edges):

@@ -1,7 +1,8 @@
 """Per-instance invariant profile.
 
 A ``Profile`` holds the invariants of one hypergraph, each computed on
-first read through the public layer functions with their default caps.
+first read through the public layer functions, under the cap constants
+of their modules.
 The hypothesis filters, the suite checks and the ``invariants`` report
 read them from ``profile_of(h)``, which keeps the profile of the last
 hypergraph object asked for only: a filter's verdict is reused by the
@@ -16,7 +17,7 @@ from typing import Optional
 from .bouquets import BouquetInvariants, BouquetSet, bouquet_invariants, dprime_invariant
 from .complexes import SimplicialComplex, independence_complex, is_shedding, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
-from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded
+from .errors import HyperinvError, SearchLimitExceeded
 from .homological import FIELD_Q, BettiTable, betti_table
 from .hypergraph import (
     CoverList,
@@ -38,7 +39,7 @@ class _cached(cached_property):
             raise obj._cap_errors[self.attrname]
         try:
             return super().__get__(obj, owner)
-        except (SearchLimitExceeded, SizeLimitExceeded) as exc:
+        except SearchLimitExceeded as exc:
             obj._cap_errors[self.attrname] = exc
             raise
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .bouquets import cover_from_bouquets, dprime_invariant
 from .complexes import dimension, link_and_deletion
 from .decomposition import replay_elimination, theorem_main_report
-from .errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded, UnknownSuite
+from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
 from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
 from .hypergraph import (
     Hypergraph,
@@ -364,7 +364,7 @@ def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) ->
             if not passes_filters(h, filters):
                 continue
             res = check(h).to_json_obj()
-        except (SizeLimitExceeded, SearchLimitExceeded) as exc:
+        except SearchLimitExceeded as exc:
             res = {"omitted": str(exc)}
         out.append((fam_idx, idx, h, res))  # serialized only as a counterexample
     return out

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import hyperinv.bouquets as bouquets
 from hyperinv import (
     SUITES,
     betti_table,
@@ -243,7 +244,8 @@ def test_criterion_08_reg_bound_on_c2_c5_free_vd():
     _report(8, bad == 0, f"reg <= c' <= dim+1 on {total} filtered instances, {bad} bad")
 
 
-def test_criterion_09_pd_bounded_by_d_prime():
+def test_criterion_09_pd_bounded_by_d_prime(monkeypatch):
+    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 16)
     bad = total = 0
     streams = [
         _graphs_up_to(5, ("vertex_decomposable",)),
@@ -252,20 +254,21 @@ def test_criterion_09_pd_bounded_by_d_prime():
     for src in streams:
         for h in src:
             total += 1
-            dprime = dprime_invariant(h, maximal_independent_sets(h), edge_cap=16)[0]
+            dprime = dprime_invariant(h, maximal_independent_sets(h))[0]
             if reg_and_pd(h)["pd"] > dprime:
                 bad += 1
     _report(9, bad == 0, f"pd <= d' on {total} vertex-decomposable instances, {bad} bad")
 
 
-def test_criterion_10_bigheight_pd_dprime_on_vd_graphs():
+def test_criterion_10_bigheight_pd_dprime_on_vd_graphs(monkeypatch):
+    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 15)
     t0 = time.monotonic()
     total = bad = 0
     for h in _graphs_up_to(6, ("vertex_decomposable",)):
         total += 1
         bh = minimal_vertex_covers(h).bigheight
         pd = reg_and_pd(h)["pd"]
-        dp = dprime_invariant(h, maximal_independent_sets(h), edge_cap=15)[0]
+        dp = dprime_invariant(h, maximal_independent_sets(h))[0]
         if not (bh == pd == dp):
             bad += 1
     spots = all(

@@ -165,9 +165,10 @@ class TestInvariants:
             bs = classify_bouquet_set(h, bouquets)
             assert bs.strongly_disjoint and bs.semi_strongly_disjoint
 
-    def test_edge_cap(self, h1):
+    def test_edge_cap(self, h1, monkeypatch):
+        monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 2)
         with pytest.raises(SearchLimitExceeded):
-            bouquet_invariants(h1, maximal_independent_sets(h1), edge_cap=2)
+            bouquet_invariants(h1, maximal_independent_sets(h1))
 
     def test_candidate_cap_is_read_at_call_time(self, monkeypatch):
         """Three disjoint edges: d' scores the 3^3 - 1 nonempty root sets,
@@ -288,7 +289,7 @@ def test_golden_witnesses():
         assert g == want, g["name"]
 
 
-def test_dprime_entry_point_matches_bouquet_invariants():
+def test_dprime_entry_point_matches_bouquet_invariants(monkeypatch):
     """The d'-only search gives the d' and the witness of
     ``bouquet_invariants`` on every golden instance."""
     golden = json.loads(GOLDEN_WITNESSES.read_text())
@@ -299,5 +300,6 @@ def test_dprime_entry_point_matches_bouquet_invariants():
         value, witness = dprime_invariant(h, facets)
         assert value == bouquet_invariants(h, facets).d_prime == len(want["d_prime"]["flowers"])
         assert witness.to_json_obj(h) == want["d_prime"], want["name"]
+    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 2)
     with pytest.raises(SearchLimitExceeded):
-        dprime_invariant(named_instance("h1"), (), edge_cap=2)
+        dprime_invariant(named_instance("h1"), ())

@@ -3,13 +3,17 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperinv.bouquets as bouquets
 import hyperinv.decomposition as decomposition
 import hyperinv.hypergraph as hypergraph
+import hyperinv.matchings as matchings
 from conftest import disjoint_edges_and_c5
 from hyperinv import named_instance
 from hyperinv.cli import main
+from hyperinv.generators import FILTERS
+from hyperinv.suites import SUITES
 
 
 @pytest.fixture
@@ -86,6 +90,13 @@ class TestInvariants:
         assert code == 2
         assert "duplicate edge" in err
 
+    def test_edge_naming_a_vertex_twice_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"vertices": ["a", "b"], "edges": [["a", "a"]]}')
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 2 and out == ""
+        assert "error: edge ('a', 'a') names a vertex twice" in err
+
     def test_malformed_json_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -119,32 +130,18 @@ class TestInvariants:
         code, _, _ = run_cli(capsys, "invariants", "/does/not/exist.json")
         assert code == 2
 
-    def test_cap_exit_three(self, capsys, h1_file):
-        code, out, _ = run_cli(capsys, "invariants", h1_file, "--edge-cap", "2")
+    def test_cap_exit_three(self, capsys, h1_file, monkeypatch):
+        monkeypatch.setattr(matchings, "DEFAULT_EDGE_CAP", 2)
+        code, out, _ = run_cli(capsys, "invariants", h1_file)
         assert code == 3
         report = json.loads(out)
         assert "omitted" in report["matchings"]
 
-    def test_non_default_caps_are_honoured(self, capsys, tmp_path, h1_file):
-        """The profile holds default-cap results only: another --edge-cap
-        runs its own search."""
-        _, default, _ = run_cli(capsys, "invariants", h1_file)
-        code, out, _ = run_cli(capsys, "invariants", h1_file, "--edge-cap", "2")
-        assert code == 3
-        report = json.loads(out)
-        assert "omitted" in report["matchings"] and "omitted" in report["bouquets"]
-        assert report["theorems"] == json.loads(default)["theorems"]
-        code, out, _ = run_cli(capsys, "invariants", h1_file, "--edge-cap", "3")
-        assert (code, out) == (0, default)
-        k8 = tmp_path / "k8.json"
-        labels = [f"x{i + 1}" for i in range(8)]
-        k8.write_text(json.dumps({"vertices": labels, "edges": [
-            [a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]}))
-        code, out, _ = run_cli(capsys, "invariants", str(k8), "--edge-cap", "30")
-        assert code == 3
-        report = json.loads(out)
-        assert (report["matchings"]["c"], report["matchings"]["m"]) == (1, 4)
-        assert "exceed cap 12" in report["bouquets"]["omitted"]
+    def test_edge_cap_option_is_gone(self, capsys, h1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", h1_file, "--edge-cap", "3"])
+        assert exc.value.code == 2
+        assert "--edge-cap" in capsys.readouterr().err
 
     def test_k8_partial_report_exit_three(self, capsys, tmp_path):
         """K8 has 28 edges: past the cycle-search cap (20), so its C5
@@ -214,11 +211,6 @@ class TestInvariants:
                 "--out-dir", str(tmp_path))
         info = cli._parser.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-
-    def test_negative_edge_cap_exits_two(self, capsys, h1_file):
-        code, out, err = run_cli(capsys, "invariants", h1_file, "--edge-cap", "-1")
-        assert code == 2 and out == ""
-        assert "error: --edge-cap must be non-negative" in err
 
     def test_candidate_cap_omits_the_bouquets(self, capsys, tmp_path):
         """Nine disjoint edges: d' scores 3^9 - 1 root sets, under the
@@ -380,12 +372,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: jobs must be at least 1, not {jobs}" in err
 
-    def test_negative_count_exit_two(self, capsys, tmp_path):
-        family = '{"kind": "random_hypergraph", "n": 5, "edge_count": 3, "count": -2}'
-        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family", family,
+    @pytest.mark.parametrize("field", ["count", "edge_count"])
+    def test_negative_count_exit_two(self, capsys, tmp_path, field):
+        family = json.loads('{"kind": "random_hypergraph", "n": 5, "edge_count": 3, "count": 3}')
+        family[field] = -2
+        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family", json.dumps(family),
                                  "--out-dir", str(tmp_path))
         assert code == 2 and out == ""
-        assert "error: family field 'count' must be non-negative, not -2" in err
+        assert f"error: family field '{field}' must be non-negative, not -2" in err
 
     def test_jobs_byte_identical(self, capsys, tmp_path):
         argv = [
@@ -492,3 +486,66 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert "Traceback" in err and "RuntimeError: planted bug" in err
+
+
+# Small JSON values of every type, and instances and family specs, often
+# malformed (wrong types, unknown names, negative counts, repeated or
+# unknown vertices), small enough to run in tier-1.
+SMALL_INTS = st.integers(-2, 4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("ab", max_size=2), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+LABELS = st.sampled_from(["a", "b", "c", "d"])
+INSTANCES = st.fixed_dictionaries(
+    {"vertices": st.just(["a", "b", "c", "d"]) | st.lists(LABELS, max_size=4) | JSON_VALUES,
+     "edges": st.lists(st.lists(LABELS, max_size=3) | JSON_VALUES, max_size=4)},
+    optional={"extra": JSON_VALUES},
+)
+FAMILY_FIELDS = {
+    "kind": st.sampled_from(["all_graphs", "random_hypergraph", "named", "other"]),
+    "n": SMALL_INTS,
+    "max_edge_size": SMALL_INTS,
+    "edge_count": SMALL_INTS,
+    "seed": SMALL_INTS,
+    "count": SMALL_INTS,
+    "name": st.sampled_from(["h1", "c5", "other"]),
+    "dedup": st.booleans(),
+    "filters": st.lists(st.sampled_from(sorted(FILTERS) + ["other"]), max_size=2),
+}
+FAMILIES = st.fixed_dictionaries(
+    {"kind": FAMILY_FIELDS["kind"]},
+    optional={key: value for key, value in FAMILY_FIELDS.items() if key != "kind"}
+    | {"other": SMALL_INTS},
+)
+FUZZ = settings(max_examples=40, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_contract(capsys, argv):
+    """The documented exit codes for bad input: 0 ok, 2 input error, 3 cap."""
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+class TestFuzz:
+    @FUZZ
+    @given(content=st.binary(max_size=8) | (INSTANCES | JSON_VALUES).map(json.dumps).map(str.encode),
+           command=st.sampled_from([["invariants"], ["invariants", "--skip-homology"],
+                                    ["check", "--theorem", "lemma-dim"],
+                                    ["check", "--theorem", "theorem-main"]]))
+    def test_instance_files(self, capsys, tmp_path, content, command):
+        path = tmp_path / "instance.json"
+        path.write_bytes(content)
+        assert_contract(capsys, [command[0], str(path), *command[1:]])
+
+    @FUZZ
+    @given(family=FAMILIES | st.lists(FAMILIES, max_size=2) | JSON_VALUES,
+           suite=st.sampled_from(sorted(SUITES)))
+    def test_family_specs(self, capsys, tmp_path, family, suite):
+        assert_contract(capsys, ["verify", suite, f"--family={json.dumps(family)}",
+                                 "--out-dir", str(tmp_path)])

@@ -48,6 +48,11 @@ class TestBuild:
         with pytest.raises(DuplicateEdge):
             build(["a", "b"], [["a", "b"], ["b", "a"]])
 
+    @pytest.mark.parametrize("edges", [[["a", "a"]], [["a", "b", "a"]]])
+    def test_edge_naming_a_vertex_twice_rejected(self, edges):
+        with pytest.raises(HyperinvError, match="names a vertex twice"):
+            build(["a", "b"], edges)
+
     def test_empty_edge_rejected(self):
         with pytest.raises(EmptyEdge):
             build(["a"], [[]])

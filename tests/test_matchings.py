@@ -2,6 +2,7 @@
 
 import pytest
 
+import hyperinv.matchings as matchings
 from conftest import oracle_matching_numbers, tiny_hypergraphs
 
 from hyperinv import (
@@ -82,9 +83,10 @@ class TestInvariants:
             inv = matching_invariants(h)
             assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)
 
-    def test_edge_cap(self, h1):
+    def test_edge_cap(self, h1, monkeypatch):
+        monkeypatch.setattr(matchings, "DEFAULT_EDGE_CAP", 2)
         with pytest.raises(SearchLimitExceeded):
-            matching_invariants(h1, edge_cap=2)
+            matching_invariants(h1)
 
     def test_edgeless(self):
         inv = matching_invariants(build(["a"], []))
