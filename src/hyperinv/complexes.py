@@ -16,7 +16,6 @@ from .hypergraph import (
     Hypergraph,
     _compress,
     _maximal,
-    _shift_mask,
     bit_ids,
     mask_of,
     maximal_independent_sets,
@@ -68,8 +67,6 @@ def complex_from_facets(labels: Sequence[str], facet_masks: Sequence[int]) -> Si
 
 def independence_complex(h: Hypergraph) -> SimplicialComplex:
     """Faces are the vertex sets containing no edge of H."""
-    if h.void:
-        return SimplicialComplex(h.labels, ())
     return SimplicialComplex(h.labels, maximal_independent_sets(h))
 
 
@@ -78,10 +75,10 @@ def link_and_deletion(d: SimplicialComplex, x: str) -> tuple[SimplicialComplex, 
     i = d.vertex_id(x)
     bit = 1 << i
     labels = d.labels[:i] + d.labels[i + 1 :]
+    keep = (1 << d.n) - 1 & ~bit
     link_facets = _maximal({f & ~bit for f in d.facets if f & bit})
-    shift = lambda fs: tuple(sorted(_shift_mask(f, i) for f in fs))
-    link = SimplicialComplex(labels, shift(link_facets))
-    deletion = SimplicialComplex(labels, shift(_deletion(d.facets, bit)[0]))
+    link = SimplicialComplex(labels, tuple(_compress(link_facets, keep)))
+    deletion = SimplicialComplex(labels, tuple(_compress(_deletion(d.facets, bit)[0], keep)))
     return link, deletion
 
 
@@ -94,11 +91,10 @@ def dimension(d: SimplicialComplex) -> Optional[int]:
 
 def induced_subcomplex(d: SimplicialComplex, w: Sequence[str]) -> SimplicialComplex:
     """Restriction to the vertex subset W, reindexed onto W."""
-    ids = sorted(d.vertex_id(lab) for lab in w)
-    labels = tuple(d.labels[i] for i in ids)
-    wmask = mask_of(ids)
+    wmask = mask_of(d.vertex_id(lab) for lab in w)
     restricted = _maximal({f & wmask for f in d.facets})
-    return SimplicialComplex(labels, tuple(sorted(_compress(restricted, ids))))
+    labels = tuple(d.labels[i] for i in bit_ids(wmask))
+    return SimplicialComplex(labels, tuple(_compress(restricted, wmask)))
 
 
 def _deletion(facets: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], bool]:
@@ -115,24 +111,6 @@ def is_shedding(d: SimplicialComplex, x: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # vertex decomposability
-
-
-def _profile_permutation(n: int, facets: tuple[int, ...]) -> list[int]:
-    """Deterministic relabeling by facet-membership profile.
-
-    A permutation never conflates distinct complexes; sorting by profile
-    just improves memo hits across isomorphic relabelings.
-    """
-    profiles = []
-    for v in range(n):
-        sizes = tuple(sorted(f.bit_count() for f in facets if f >> v & 1))
-        profiles.append((len(sizes), sizes, v))
-    order = sorted(range(n), key=lambda v: profiles[v])
-    return order
-
-
-def _compressed_key(n: int, facets: tuple[int, ...]) -> tuple:
-    return (n, tuple(sorted(_compress(facets, _profile_permutation(n, facets)))))
 
 
 _VD_MEMO: dict[tuple, bool] = {}
@@ -152,10 +130,9 @@ def _vd_verdict(n: int, facets: tuple[int, ...]) -> bool:
         support |= f
         common &= f
     if common or support != (1 << n) - 1:
-        keep = list(bit_ids(support & ~common))
-        stripped = _compress([f & ~common for f in facets], keep)
-        return _vd_verdict(len(keep), tuple(sorted(set(stripped))))
-    key = _compressed_key(n, facets)
+        keep = support & ~common
+        return _vd_verdict(keep.bit_count(), tuple(_compress(facets, keep)))
+    key = (n, facets)
     hit = _VD_MEMO.get(key)
     if hit is not None:
         return hit

@@ -25,6 +25,7 @@ from .hypergraph import (
 from .profile import profile_of
 
 MAX_ENUM_VERTICES = 7
+MAX_FAMILY_SIZE = 1_000  # bound on a family's n and edge_count
 
 
 def _labels(n: int) -> list[str]:
@@ -73,6 +74,9 @@ def family_from_json(text: str) -> FamilySpec:
     for key in ("count", "edge_count"):
         if obj.get(key, 0) < 0:
             raise HyperinvError(f"family field {key!r} must be non-negative, not {obj[key]}")
+    for key in ("n", "edge_count"):
+        if obj.get(key, 0) > MAX_FAMILY_SIZE:
+            raise HyperinvError(f"family field {key!r} must be at most {MAX_FAMILY_SIZE}, not {obj[key]}")
     obj["filters"] = tuple(obj.get("filters", ()))
     return FamilySpec(**obj)
 

@@ -157,14 +157,14 @@ def _homology_by_rules(n: int, edges: tuple[int, ...], field: str) -> dict[int, 
         return {} if n else {-1: 1}
     for e in edges:
         if not e & (e - 1):  # (b)
-            return _subhypergraph_homology(n - 1, _deleted(edges, e.bit_length() - 1), field)
+            return _subhypergraph_homology(n - 1, _deleted(edges, n, e.bit_length() - 1), field)
     for w in range(n):
         if reduce(or_, [e for e in edges if not e >> w & 1], 1 << w) != full:  # (c)
-            hom = _subhypergraph_homology(n - 1, _contracted(edges, w), field)
+            hom = _subhypergraph_homology(n - 1, _contracted(edges, n, w), field)
             return {d + 1: r for d, r in hom.items()}
     for w in range(n):
-        if reduce(or_, _contracted(edges, w), 0) != full >> 1:  # (d)
-            return _subhypergraph_homology(n - 1, _deleted(edges, w), field)
+        if reduce(or_, _contracted(edges, n, w), 0) != full >> 1:  # (d)
+            return _subhypergraph_homology(n - 1, _deleted(edges, n, w), field)
     facets = tuple(full & ~c for c in _minimal_transversals(edges))  # (e)
     return _homology_from_faces(_all_faces(facets), field)
 
@@ -208,9 +208,8 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     entries: dict[tuple[int, int], int] = {}
     for w, inside in _lattice(h.edges):
-        ids = list(bit_ids(w))
-        j = len(ids)
-        sub = _compress([h.edges[i] for i in bit_ids(inside)], ids)
+        j = w.bit_count()
+        sub = _compress([h.edges[i] for i in bit_ids(inside)], w)
         hom = _subhypergraph_homology(j, tuple(sorted(sub)), field)
         for dim, rank in hom.items():
             i = j - dim - 1
@@ -247,7 +246,4 @@ def alexander_dual(d: SimplicialComplex) -> SimplicialComplex:
 
 def complex_to_hypergraph(d: SimplicialComplex) -> Hypergraph:
     """Hypergraph whose independence complex is D (edges = minimal non-faces)."""
-    nonfaces = minimal_nonfaces(d)
-    if 0 in nonfaces:
-        return Hypergraph(d.labels, (), void=True)
-    return from_masks(d.labels, nonfaces)
+    return from_masks(d.labels, minimal_nonfaces(d))

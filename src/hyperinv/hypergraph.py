@@ -5,15 +5,21 @@ stored as integer bitmasks over those ids.  Canonical edge order is
 (cardinality, ascending id tuple).  Everything downstream relies on that
 order for deterministic witnesses.
 
-A hypergraph produced by contracting a singleton edge carries the
-``void`` flag: its conceptual edge set is exactly {∅}, no vertex set is
-independent, and its independence complex is the void complex.
+Contracting a singleton edge leaves the void marker: the hypergraph whose
+only edge is the empty set, ``edges == (0,)``.  No vertex set is
+independent, so it has no minimal vertex cover and its independence
+complex is the void complex.  Deleting or contracting a vertex keeps it.
 
 One dualization primitive, ``_minimal_transversals`` (MMCS), yields the
 minimal vertex covers; the maximal independent sets are their
 complements, and the minimal non-faces and Alexander dual of a complex
 in ``homological`` are the transversals of its facet complements.  Past
 ``DEFAULT_TRANSVERSAL_CAP`` transversals it raises ``SearchLimitExceeded``.
+
+One renumbering primitive, ``_compress``, moves masks onto the set bits
+of a vertex mask, in ascending order: deletion and contraction of a
+vertex, restrictions in ``complexes`` and the Hochster restrictions in
+``homological`` use it.
 
 One edge-union primitive, ``_lattice``, walks the lcm lattice: every
 nonzero union W of edges with the mask of the edges inside W.  The c and
@@ -53,7 +59,7 @@ def bit_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_of(ids: Sequence[int]) -> int:
+def mask_of(ids: Iterable[int]) -> int:
     m = 0
     for i in ids:
         m |= 1 << i
@@ -98,18 +104,25 @@ def _all_faces(facets: Iterable[int]) -> set[int]:
     return faces
 
 
-def _compress(masks: Iterable[int], order: Sequence[int]) -> list[int]:
-    """Renumber the bits of each mask: bit ``order[k]`` becomes bit k.
+def _compress(masks: Iterable[int], keep: int) -> list[int]:
+    """Renumber each mask onto the set bits of ``keep``: the k-th lowest set
+    bit of ``keep`` becomes bit k, and bits outside ``keep`` are dropped.
 
-    Every set bit of every mask must occur in ``order``.
+    ``keep`` is cut into runs of consecutive bits; each run moves down by
+    the number of bits outside ``keep`` below it.
     """
-    pos = {1 << old: 1 << new for new, old in enumerate(order)}
+    runs = []
+    rest = keep
+    while rest:
+        low = rest & -rest
+        run = rest & ~(rest + low)
+        runs.append((run, low.bit_length() - 1 - (keep & (low - 1)).bit_count()))
+        rest ^= run
     out = []
     for m in masks:
         c = 0
-        while m:
-            c |= pos[(low := m & -m)]
-            m ^= low
+        for run, shift in runs:
+            c |= (m & run) >> shift
         out.append(c)
     return out
 
@@ -118,7 +131,11 @@ def _compress(masks: Iterable[int], order: Sequence[int]) -> list[int]:
 class Hypergraph:
     labels: tuple[str, ...]
     edges: tuple[int, ...]  # bitmasks in canonical order
-    void: bool = False
+
+    @property
+    def void(self) -> bool:
+        """True for the void marker, whose only edge is the empty set."""
+        return self.edges == (0,)
 
     @property
     def n(self) -> int:
@@ -199,42 +216,35 @@ def from_json(text: str) -> Hypergraph:
     return from_json_obj(json.loads(text))
 
 
-def from_masks(labels: Sequence[str], masks: Sequence[int], void: bool = False) -> Hypergraph:
+def from_masks(labels: Sequence[str], masks: Sequence[int]) -> Hypergraph:
     """Internal constructor from already-validated edge masks."""
     canon = tuple(sorted(set(masks), key=edge_sort_key))
-    return Hypergraph(tuple(labels), canon, void)
+    return Hypergraph(tuple(labels), canon)
 
 
-def _shift_mask(mask: int, i: int) -> int:
-    """Remove bit position i and close the gap above it."""
-    low = mask & ((1 << i) - 1)
-    high = mask >> (i + 1)
-    return low | (high << i)
+def _deleted(edges: Iterable[int], n: int, i: int) -> tuple[int, ...]:
+    """The edges over 0..n-1 that miss vertex i, with bit i removed, in their order."""
+    return tuple(_compress([e for e in edges if not e >> i & 1], (1 << n) - 1 & ~(1 << i)))
 
 
-def _deleted(edges: Iterable[int], i: int) -> tuple[int, ...]:
-    """The edges that miss vertex i, with bit i shifted out, in their order."""
-    return tuple(_shift_mask(e, i) for e in edges if not e >> i & 1)
-
-
-def _contracted(edges: Iterable[int], i: int) -> tuple[int, ...]:
-    """Minimal sets among the edges minus vertex i, bit i shifted out; (0,) if {i} is an edge."""
-    return tuple(_shift_mask(e, i) for e in _minimal({e & ~(1 << i) for e in edges}))
+def _contracted(edges: Iterable[int], n: int, i: int) -> tuple[int, ...]:
+    """Minimal sets among the edges over 0..n-1 minus vertex i, bit i removed;
+    (0,) if {i} is an edge."""
+    bit = 1 << i
+    return tuple(_compress(_minimal({e & ~bit for e in edges}), (1 << n) - 1 & ~bit))
 
 
 def deletion(h: Hypergraph, x: str) -> Hypergraph:
     """H\\x: drop the vertex and every edge through it."""
     i = h.vertex_id(x)
-    return from_masks(h.labels[:i] + h.labels[i + 1 :], _deleted(h.edges, i))
+    return from_masks(h.labels[:i] + h.labels[i + 1 :], _deleted(h.edges, h.n, i))
 
 
 def contraction(h: Hypergraph, x: str) -> Hypergraph:
     """H/x: remove x from every edge and keep the inclusion-minimal results.
-    If {x} was an edge, the only "edge" left is empty: the void marker."""
+    If {x} was an edge, the only edge left is empty: the void marker."""
     i = h.vertex_id(x)
-    edges = _contracted(h.edges, i)
-    void = edges == (0,)
-    return from_masks(h.labels[:i] + h.labels[i + 1 :], () if void else edges, void)
+    return from_masks(h.labels[:i] + h.labels[i + 1 :], _contracted(h.edges, h.n, i))
 
 
 def neighborhood_minus(h: Hypergraph, x: str, y: str) -> set[int]:
@@ -475,4 +485,4 @@ class CoverList:
 
 def minimal_vertex_covers(h: Hypergraph) -> CoverList:
     """Minimal vertex covers: the minimal transversals of the edges."""
-    return CoverList(() if h.void else _minimal_transversals(h.edges))
+    return CoverList(_minimal_transversals(h.edges))

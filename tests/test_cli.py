@@ -372,14 +372,21 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: jobs must be at least 1, not {jobs}" in err
 
-    @pytest.mark.parametrize("field", ["count", "edge_count"])
-    def test_negative_count_exit_two(self, capsys, tmp_path, field):
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("count", -2, "must be non-negative, not -2", id="count"),
+        pytest.param("edge_count", -2, "must be non-negative, not -2", id="edge_count"),
+        pytest.param("n", 10**9, "must be at most 1000, not 1000000000", id="n-above-bound"),
+        pytest.param("edge_count", 1001, "must be at most 1000, not 1001",
+                     id="edge_count-above-bound"),
+    ])
+    def test_negative_count_exit_two(self, capsys, tmp_path, field, value, message):
+        """Counts below 0 and sizes above generators.MAX_FAMILY_SIZE are input errors."""
         family = json.loads('{"kind": "random_hypergraph", "n": 5, "edge_count": 3, "count": 3}')
-        family[field] = -2
+        family[field] = value
         code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family", json.dumps(family),
                                  "--out-dir", str(tmp_path))
         assert code == 2 and out == ""
-        assert f"error: family field '{field}' must be non-negative, not -2" in err
+        assert f"error: family field '{field}' {message}" in err
 
     def test_jobs_byte_identical(self, capsys, tmp_path):
         argv = [
@@ -537,10 +544,14 @@ class TestFuzz:
     @given(content=st.binary(max_size=8) | (INSTANCES | JSON_VALUES).map(json.dumps).map(str.encode),
            command=st.sampled_from([["invariants"], ["invariants", "--skip-homology"],
                                     ["check", "--theorem", "lemma-dim"],
-                                    ["check", "--theorem", "theorem-main"]]))
-    def test_instance_files(self, capsys, tmp_path, content, command):
-        path = tmp_path / "instance.json"
-        path.write_bytes(content)
+                                    ["check", "--theorem", "theorem-main"]]),
+           target=st.sampled_from(["file", "missing", "directory"]))
+    def test_instance_files(self, capsys, tmp_path, content, command, target):
+        """Any bytes in a file, a path to no file and a directory as the path."""
+        path = {"file": tmp_path / "instance.json", "missing": tmp_path / "missing.json",
+                "directory": tmp_path}[target]
+        if target == "file":
+            path.write_bytes(content)
         assert_contract(capsys, [command[0], str(path), *command[1:]])
 
     @FUZZ

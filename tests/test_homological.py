@@ -206,8 +206,8 @@ class TestConeReductions:
         edges = tuple(sorted(h.edges))
         faces = _all_faces(independence_complex(h).facets)
         made_by = {
-            "c": [(h.n - 1, _contracted(edges, w)) for w in range(h.n)],
-            "d": [(h.n - 1, _deleted(edges, w)) for w in range(h.n)],
+            "c": [(h.n - 1, _contracted(edges, h.n, w)) for w in range(h.n)],
+            "d": [(h.n - 1, _deleted(edges, h.n, w)) for w in range(h.n)],
             "e": [len(faces)],
         }
         steps = []

@@ -10,12 +10,14 @@ import hyperinv.hypergraph as hypergraph
 from conftest import oracle_minimal_transversals
 
 from hyperinv import (
+    betti_table,
     build,
     contraction,
     deletion,
     find_cycle,
     from_json,
     from_masks,
+    independence_complex,
     maximal_independent_sets,
     minimal_vertex_covers,
     neighborhood_minus,
@@ -95,7 +97,18 @@ class TestDeletionContraction:
     def test_contracting_singleton_edge_gives_void_marker(self):
         h = build(["a", "b", "c"], [["a"], ["b", "c"]])
         c = contraction(h, "a")
-        assert c.void and c.edges == ()
+        assert c.void and c.edges == (0,)
+
+    @pytest.mark.parametrize("step", [deletion, contraction])
+    def test_void_marker_survives_a_second_step(self, step):
+        """(H/a)\\b and (H/a)/b are void: no vertex set is independent."""
+        h = build(["a", "b", "c"], [["a"], ["b", "c"]])
+        c = step(contraction(h, "a"), "b")
+        assert c.void and c.labels == ("c",) and c.edges == (0,)
+        assert independence_complex(c).kind == "void"
+        assert minimal_vertex_covers(c).covers == ()
+        with pytest.raises(HyperinvError, match="void-marker"):
+            betti_table(c)
 
     def test_unknown_vertex(self, h1):
         with pytest.raises(UnknownVertex):

@@ -27,7 +27,15 @@ from hyperinv import (
 )
 from hyperinv.bouquets import _induced_matchings
 from hyperinv.complexes import dimension
-from hyperinv.hypergraph import _canonical_witness, _cycles, _maximal, _minimal, bit_ids, find_cycle
+from hyperinv.hypergraph import (
+    _canonical_witness,
+    _compress,
+    _cycles,
+    _maximal,
+    _minimal,
+    bit_ids,
+    find_cycle,
+)
 
 
 @st.composite
@@ -80,14 +88,43 @@ def test_deletion_and_contraction_stay_simple(h):
 @example(from_masks(["x1", "x2", "x3"], [0b001, 0b110]))  # {x1} is an edge: H/x1 is void
 def test_link_and_deletion_are_the_split_complexes(h):
     """At every vertex x of H, the link of x in Ind(H) is Ind(H/x) and the
-    deletion is Ind(H\\x); a void contraction has a void link."""
-    delta = independence_complex(h)
-    for x in h.labels:
+    deletion is Ind(H\\x), and so again at a second vertex y of each; a void
+    contraction has a void link, and a void marker stays void."""
+
+    def split(delta, g, x):
         link, dele = link_and_deletion(delta, x)
-        ctr, rest = contraction(h, x), deletion(h, x)
+        ctr, rest = contraction(g, x), deletion(g, x)
         assert link.labels == ctr.labels and dele.labels == rest.labels
-        assert link.facets == (() if ctr.void else maximal_independent_sets(ctr))
+        assert link.facets == maximal_independent_sets(ctr)
         assert dele.facets == maximal_independent_sets(rest)
+        assert not g.void or (ctr.void and rest.void)
+        return (link, ctr), (dele, rest)
+
+    for x in h.labels:
+        for delta, g in split(independence_complex(h), h, x):
+            for y in g.labels:
+                split(delta, g, y)
+
+
+def _keeps(n):
+    full = (1 << n) - 1
+    return (st.just(0) | st.just(full)
+            | st.integers(0, max(n - 1, 0)).map(lambda i: full & ~(1 << i))
+            | st.integers(0, full))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), max_size=6), _keeps(n))))
+@example(([0b1011, 0], 0))  # keep nothing: every mask becomes 0
+@example(([0b1011, 0b0100], 0b1111))  # a full keep changes nothing
+@example(([0b1011, 0b0110], 0b1101))  # drop bit 1
+@example(([0b110101101], 0b111011010))  # runs of one, two and three bits
+def test_compress_matches_bitwise_renumbering(case):
+    """The k-th lowest bit of keep becomes bit k; other bits are dropped."""
+    masks, keep = case
+    want = [sum(1 << k for k, old in enumerate(bit_ids(keep)) if m >> old & 1) for m in masks]
+    assert _compress(masks, keep) == want
 
 
 @settings(max_examples=200, deadline=None)
