@@ -14,12 +14,32 @@ chosen stem (a member of the final stem intersection), and assignments
 of the remaining edges to hubs they contain.
 
 Each search is one pass.  It scores every candidate by its flower count
-on bitmasks, in a fixed order with strict improvement, and the scorer
-returns the choices behind the count with it: the root each contested
-edge keeps for d', the stem groups and single-stem roots for d.  The
-first best candidate keeps its choices, and only its bouquet set is
-built and classified, once.  ``dprime_invariant`` runs the d' search
-alone; ``bouquet_invariants`` adds the d search.
+on bitmasks, in a fixed order with strict improvement.  The first best
+candidate wins, and only its bouquet set is built and classified, once.
+``dprime_invariant`` runs the d' search alone; ``bouquet_invariants``
+adds the d search.
+
+A root set R scores the vertices outside R of the union of the edges
+that meet R, plus its freed roots.  An edge meeting R in one root is
+rooted there; an edge meeting R in a "common" c = e & R of two or more
+roots keeps one of them and frees the rest.  The d' search scores R
+without choosing the kept roots:
+
+    freed(R) = sum over the components K of the hypergraph of the
+               commons of min(sum of (|c| - 1) over c in K, |V(K)|),
+
+which is |V(K)| unless K is Berge-acyclic, and then |V(K)| - 1.  Proof
+sketch: in a connected K, sum (|c| - 1) >= |V(K)| - 1, with equality iff
+K is Berge-acyclic.  A root is freed only by a common through it that
+keeps another root, and there are sum (|c| - 1) such pairs, so an
+acyclic K keeps a root; keeping each common's root nearest a fixed root
+frees all the others.  A K with a Berge cycle frees every root: the
+commons of the cycle keep the roots of the cycle, each the next one
+round, and every other common, taken breadth first from the cycle,
+keeps the root it shares with the commons taken before it.  The
+dynamic program ``_max_freed`` then runs once, on the winning R, for
+the root each of its contested edges keeps.  The d scorer returns its
+stem groups and single-stem roots with the count.
 """
 
 from __future__ import annotations
@@ -170,10 +190,13 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
     """Root sets R are the faces of the independence complex (given by its
     ``facets``) inside the edge support, in ascending mask order; a root
     set that also holds vertices in no edge scores the same as its part
-    inside the support, which comes first.  The first best R keeps its
-    root choices, and only it gets a witness; with no R that touches an
-    edge (no edges, or only singleton edges) the witness is empty.  The walk
-    raises ``SearchLimitExceeded`` at the first root set past ``DEFAULT_CANDIDATE_CAP``."""
+    inside the support, which comes first.  Each R is scored in closed
+    form (``_freed_count``), unless its edge union, or that union's part
+    outside R with the roots that share an edge, cannot beat the best so
+    far.  Only the first best R gets its kept roots and a witness; with no
+    R that touches an edge (no edges, or only singleton edges) the witness
+    is empty.  The walk raises ``SearchLimitExceeded`` at the first root
+    set past ``DEFAULT_CANDIDATE_CAP``."""
     support = reduce(or_, h.edges, 0)
     cap = DEFAULT_CANDIDATE_CAP
     faces = set()
@@ -184,25 +207,36 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
             if len(faces) > cap:
                 raise SearchLimitExceeded(f"d' search candidates exceed cap {cap}")
             r = (r - 1) & f
-    best, best_r, best_kept = 0, 0, ()
+    star: dict[int, int] = {}  # vertex bit -> union of the edges through it
+    for e in h.edges:
+        for v in bit_ids(e):
+            star[1 << v] = star.get(1 << v, 0) | e
+    best, best_r = 0, 0
     for r_mask in sorted(faces):
-        union = 0
-        contested: list[int] = []
-        for e in h.edges:
-            common = e & r_mask
-            if common:
-                union |= e
-                if common & (common - 1):
-                    contested.append(common)
+        union, rest = 0, r_mask
+        while rest:
+            low = rest & -rest
+            union |= star[low]
+            rest ^= low
         # the base and the freed roots both lie in the union of touched edges
         if union.bit_count() <= best:
             continue
-        freed, kept = _max_freed(contested)
-        size = (union & ~r_mask).bit_count() + freed
+        base = (union & ~r_mask).bit_count()
+        # only a root that shares an edge with another root can be freed
+        shared, rest = 0, r_mask
+        while rest:
+            low = rest & -rest
+            if star[low] & (r_mask ^ low):
+                shared |= low
+            rest ^= low
+        if base + shared.bit_count() <= best:
+            continue
+        size = base + _freed_count([c for e in h.edges if (c := e & r_mask) & (c - 1)])
         if size > best:
-            best, best_r, best_kept = size, r_mask, kept
+            best, best_r = size, r_mask
     # one single-stem bouquet per touched edge, in canonical edge order:
     # the forced root where the edge meets R once, the kept root elsewhere
+    _, best_kept = _max_freed([c for e in h.edges if (c := e & best_r) & (c - 1)])
     kept_roots = iter(best_kept)
     bouquets = tuple(
         Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
@@ -210,6 +244,25 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
         if (c := e & best_r)
     )
     return best, classify_bouquet_set(h, bouquets)
+
+
+def _freed_count(commons: list[int]) -> int:
+    """``_max_freed(commons)[0]`` in closed form (see the module docstring):
+    each connected component of the hypergraph of the ``commons`` frees
+    min(sum of (|c| - 1) over its commons, its vertex count)."""
+    parts: list[tuple[int, int]] = []  # (vertex mask, sum of |c| - 1) per component
+    for common in commons:
+        mask, excess = common, common.bit_count() - 1
+        apart = []
+        for m, x in parts:
+            if m & mask:
+                mask |= m
+                excess += x
+            else:
+                apart.append((m, x))
+        apart.append((mask, excess))
+        parts = apart
+    return sum(min(x, m.bit_count()) for m, x in parts)
 
 
 def _max_freed(commons: list[int]) -> tuple[int, tuple[int, ...]]:

@@ -5,8 +5,9 @@ Three commands: ``invariants`` computes every invariant of one instance,
 ``verify`` runs a statement suite over a whole instance family.
 
 Exit codes: 0 success / no counterexample, 1 counterexample found,
-2 input error or an unwritable output file, 3 search or size cap exceeded
-(partial report emitted), 4 internal error (traceback on standard error).
+2 input error, or an output file or standard output that cannot be
+written, 3 search or size cap exceeded (partial report emitted),
+4 internal error (traceback on standard error).
 Reports go to standard output as JSON with stable key order; a short
 human-readable summary goes to standard error.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 from typing import Optional
@@ -46,8 +48,16 @@ def _load_instance(path: str) -> Hypergraph:
 
 
 def _emit(obj: dict) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write one report to standard output; a closed stdout is an input error."""
+    try:
+        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the flush at shutdown would fail again and print a warning
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise HyperinvError(f"cannot write standard output: {exc}") from exc
 
 
 def cmd_invariants(args) -> int:

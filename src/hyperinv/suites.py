@@ -392,7 +392,9 @@ def run_suite(
     suite = get_suite(name)
     if jobs < 1:
         raise HyperinvError(f"jobs must be at least 1, not {jobs}")
-    fams = tuple(families) if families else suite.default_families
+    fams = suite.default_families if families is None else tuple(families)
+    if not fams:
+        raise HyperinvError("the family list is empty")
     rows: list[tuple] = []
     if jobs == 1:
         for fi, spec in enumerate(fams):

@@ -147,6 +147,56 @@ def oracle_bouquet_numbers(h):
     return best_d, best_dp
 
 
+def oracle_dprime_search(h, facets):
+    """(d', witness) by the face-by-face search that scores every root set
+    R with a dynamic program over the roots each contested edge keeps:
+    no star masks, no root bound and no closed-form freed count.  Root
+    sets are the faces of the independence complex inside the edge
+    support, in ascending mask order, and the first best one is reported;
+    only the witness is built with the package's bouquet classes."""
+    from hyperinv.bouquets import Bouquet, classify_bouquet_set
+
+    support = 0
+    for e in h.edges:
+        support |= e
+    faces = set()
+    for f in facets:
+        r = f & support
+        while r:
+            faces.add(r)
+            r = (r - 1) & f & support
+    best, best_r, best_kept = 0, 0, ()
+    for r_mask in sorted(faces):
+        union = 0
+        contested = []
+        for e in h.edges:
+            common = e & r_mask
+            if common:
+                union |= e
+                if common & (common - 1):
+                    contested.append(common)
+        # each contested edge keeps one root; the first choice reaching a
+        # freed set wins, and of the largest freed sets the least mask
+        states = {0: ()}
+        for common in contested:
+            nxt = {}
+            for freed, kept in states.items():
+                for v in bit_ids(common):
+                    nxt.setdefault(freed | (common & ~(1 << v)), kept + (1 << v,))
+            states = nxt
+        freed = max(states, key=lambda f: (f.bit_count(), -f))
+        size = (union & ~r_mask).bit_count() + freed.bit_count()
+        if size > best:
+            best, best_r, best_kept = size, r_mask, states[freed]
+    kept_roots = iter(best_kept)
+    bouquets = tuple(
+        Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
+        for e in h.edges
+        if (c := e & best_r)
+    )
+    return best, classify_bouquet_set(h, bouquets)
+
+
 # ---------------------------------------------------------------------------
 # vertex decomposability oracle: naive recursion on facet lists
 

@@ -1,6 +1,10 @@
 """Command-line interface: commands, exit codes, report stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +14,7 @@ import hyperinv.decomposition as decomposition
 import hyperinv.hypergraph as hypergraph
 import hyperinv.matchings as matchings
 from conftest import disjoint_edges_and_c5
+import hyperinv
 from hyperinv import named_instance
 from hyperinv.cli import main
 from hyperinv.generators import FILTERS
@@ -406,6 +411,31 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "lemma-dim", "--out", str(missing))
         assert code == 2
         assert f"error: cannot write {missing}" in err and "Traceback" not in err
+
+    def test_closed_stdout_exits_two(self, tmp_path):
+        """A reader that has gone away, as ``| head`` does, is an input error:
+        an ``error:`` line, no traceback and no warning at shutdown."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperinv.cli", "verify", "lemma-dim", "--family",
+                 '{"kind": "all_graphs", "n": 3}', "--out-dir", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write standard output: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_empty_family_list_exits_two(self, capsys, tmp_path):
+        """An empty list is not "no families given": it runs nothing."""
+        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family", "[]",
+                                 "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "error: the family list is empty" in err
 
     def test_unwritable_counterexample_file_exits_two(self, capsys, tmp_path):
         missing = tmp_path / "missing"

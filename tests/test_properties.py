@@ -1,17 +1,24 @@
 """Property-based invariant checks over randomly drawn hypergraphs."""
 
+import json
 from functools import reduce
 from itertools import combinations
 from operator import or_
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import oracle_betti_table, oracle_bouquet_numbers, oracle_independence_facets
+from conftest import (
+    oracle_betti_table,
+    oracle_bouquet_numbers,
+    oracle_dprime_search,
+    oracle_independence_facets,
+)
 from hyperinv import (
     betti_table,
     bouquet_invariants,
     contraction,
     deletion,
+    dprime_invariant,
     from_masks,
     independence_complex,
     independent_set_from_semi_induced,
@@ -25,7 +32,7 @@ from hyperinv import (
     reg_and_pd,
     vertex_decomposable,
 )
-from hyperinv.bouquets import _induced_matchings
+from hyperinv.bouquets import _freed_count, _induced_matchings, _max_freed
 from hyperinv.complexes import dimension
 from hyperinv.hypergraph import (
     _canonical_witness,
@@ -35,6 +42,7 @@ from hyperinv.hypergraph import (
     _minimal,
     bit_ids,
     find_cycle,
+    mask_of,
 )
 
 
@@ -186,6 +194,29 @@ def test_bouquet_numbers_match_oracle(h):
     singletons and the free x3."""
     inv = bouquet_invariants(h, maximal_independent_sets(h))
     assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=2, max_size=5).map(mask_of), max_size=7))
+@example([0b011, 0b011])  # one common twice is a Berge 2-cycle: both roots freed
+@example([0b011, 0b110, 0b101])  # a triangle frees all three roots
+@example([0b011, 0b110, 0b1100, 0b110000])  # two paths keep one root each
+def test_closed_form_freed_count_matches_the_dp(commons):
+    assert _freed_count(commons) == _max_freed(commons)[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hypergraphs(max_n=9, max_edge_size=4, max_edges=10))
+@example(from_masks([f"x{i + 1}" for i in range(6)], [0b000001, 0b000110, 0b011100]))  # {x1}; x6 in no edge
+@example(from_masks([f"x{i + 1}" for i in range(4)], [0b0111, 0b1011]))  # two edges share two roots
+def test_dprime_search_matches_the_face_by_face_oracle(h):
+    """Same d' and the same witness, tie-breaks included; singleton edges
+    and vertices in no edge are drawn too."""
+    facets = oracle_independence_facets(h)
+    value, witness = dprime_invariant(h, facets)
+    want_value, want_witness = oracle_dprime_search(h, facets)
+    assert value == want_value
+    assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
 
 
 @settings(max_examples=150, deadline=None)
