@@ -17,7 +17,8 @@ Each search is one pass.  It scores every candidate by its flower count
 on bitmasks, in a fixed order with strict improvement.  The first best
 candidate wins, and only its bouquet set is built and classified, once.
 ``dprime_invariant`` runs the d' search alone; ``bouquet_invariants``
-adds the d search.
+adds the d search; the lemmas-dprime rows, which read d' by value, run
+its walk ``_dprime_walk`` alone, which returns d' and the winning R.
 
 A root set R scores the vertices outside R of the union of the edges
 that meet R, plus its freed roots.  An edge meeting R in one root is
@@ -165,8 +166,6 @@ class BouquetInvariants:
 
 def dprime_invariant(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
     """d' with its witness, without the d search; ``facets`` span the independence complex."""
-    if len(h.edges) > DEFAULT_EDGE_CAP:
-        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     return _dprime_search(h, facets)
 
 
@@ -187,16 +186,33 @@ def bouquet_invariants(
 
 
 def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
-    """Root sets R are the faces of the independence complex (given by its
-    ``facets``) inside the edge support, in ascending mask order; a root
-    set that also holds vertices in no edge scores the same as its part
-    inside the support, which comes first.  Each R is scored in closed
-    form (``_freed_count``), unless its edge union, or that union's part
-    outside R with the roots that share an edge, cannot beat the best so
-    far.  Only the first best R gets its kept roots and a witness; with no
-    R that touches an edge (no edges, or only singleton edges) the witness
-    is empty.  The walk raises ``SearchLimitExceeded`` at the first root
-    set past ``DEFAULT_CANDIDATE_CAP``."""
+    """d' with the witness built from the root set of ``_dprime_walk``."""
+    best, best_r = _dprime_walk(h, facets)
+    # one single-stem bouquet per touched edge, in canonical edge order:
+    # the forced root where the edge meets R once, the kept root elsewhere
+    _, best_kept = _max_freed([c for e in h.edges if (c := e & best_r) & (c - 1)])
+    kept_roots = iter(best_kept)
+    bouquets = tuple(
+        Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
+        for e in h.edges
+        if (c := e & best_r)
+    )
+    return best, classify_bouquet_set(h, bouquets)
+
+
+def _dprime_walk(h: Hypergraph, facets: Sequence[int]) -> tuple[int, int]:
+    """d' and the first root set R that reaches it (empty when no R touches
+    an edge: no edges, or only singleton edges).  Root sets R are the faces
+    of the independence complex (given by its ``facets``) inside the edge
+    support, in ascending mask order; a root set that also holds vertices
+    in no edge scores the same as its part inside the support, which comes
+    first.  Each R is scored in closed form (``_freed_count``), unless its
+    edge union, or that union's part outside R with the roots that share an
+    edge, cannot beat the best so far.  Past ``DEFAULT_EDGE_CAP`` edges, or
+    at the first root set past ``DEFAULT_CANDIDATE_CAP``, it raises
+    ``SearchLimitExceeded``."""
+    if len(h.edges) > DEFAULT_EDGE_CAP:
+        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     support = reduce(or_, h.edges, 0)
     cap = DEFAULT_CANDIDATE_CAP
     faces = set()
@@ -234,16 +250,7 @@ def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSe
         size = base + _freed_count([c for e in h.edges if (c := e & r_mask) & (c - 1)])
         if size > best:
             best, best_r = size, r_mask
-    # one single-stem bouquet per touched edge, in canonical edge order:
-    # the forced root where the edge meets R once, the kept root elsewhere
-    _, best_kept = _max_freed([c for e in h.edges if (c := e & best_r) & (c - 1)])
-    kept_roots = iter(best_kept)
-    bouquets = tuple(
-        Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
-        for e in h.edges
-        if (c := e & best_r)
-    )
-    return best, classify_bouquet_set(h, bouquets)
+    return best, best_r
 
 
 def _freed_count(commons: list[int]) -> int:

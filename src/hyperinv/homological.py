@@ -11,7 +11,8 @@ contribute the (-1)-dimensional class.
 
 Every homology question, ``reduced_homology`` included, goes through the
 rules below first; the plain eliminator ranks each boundary map of the
-irreducible core that they leave.
+irreducible core that they leave.  One memo keeps the answers, under the
+renumbered hypergraph and first under a Hochster restriction's own edges.
 
 Each restriction K is first reduced by rules, tried in order, that keep its
 reduced homology over every field, being cones, suspensions and homotopy
@@ -138,12 +139,14 @@ def reduced_homology(d: SimplicialComplex, field: str = FIELD_Q) -> dict[int, in
 # ---------------------------------------------------------------------------
 # Betti table via the induced-subcomplex homology sum
 
+# keys (n, field, *renumbered edges) and (field, *labelled edges): one flat
+# tuple per entry, so the cyclic garbage collector is triggered less often
 _SUBGRAPH_HOMOLOGY_MEMO: dict[tuple, dict[int, int]] = {}
 
 
 def _subhypergraph_homology(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
     """Homology of the independence complex of a (compressed) hypergraph."""
-    key = (n, edges, field)
+    key = (n, field, *edges)
     hit = _SUBGRAPH_HOMOLOGY_MEMO.get(key)
     if hit is None:
         hit = _SUBGRAPH_HOMOLOGY_MEMO[key] = _homology_by_rules(n, edges, field)
@@ -199,18 +202,27 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
     independence complex is the independence complex of the edges inside
     W, and its reduced homology in dimension |W|-i-1 contributes to the
     (i, |W|) entry.  Only W in the lcm lattice (nonzero unions of edges)
-    are visited: elsewhere rule (a) gives zero.  Results per compressed
-    sub-hypergraph are memoized globally.
+    are visited: elsewhere rule (a) gives zero.  A restriction is looked up
+    by its labelled edges (their union is W) before any renumbering; a miss
+    is compressed, sorted, sent through the rules and kept under both keys.
     """
     if h.n > DEFAULT_BETTI_CAP:
         raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {DEFAULT_BETTI_CAP}")
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
+    edges, memo = h.edges, _SUBGRAPH_HOMOLOGY_MEMO
     entries: dict[tuple[int, int], int] = {}
-    for w, inside in _lattice(h.edges):
+    for w, inside in _lattice(edges):
+        sub = []
+        while inside:
+            low = inside & -inside
+            sub.append(edges[low.bit_length() - 1])
+            inside ^= low
+        key = (field, *sub)
+        hom = memo.get(key)
         j = w.bit_count()
-        sub = _compress([h.edges[i] for i in bit_ids(inside)], w)
-        hom = _subhypergraph_homology(j, tuple(sorted(sub)), field)
+        if hom is None:
+            hom = memo[key] = _subhypergraph_homology(j, tuple(sorted(_compress(sub, w))), field)
         for dim, rank in hom.items():
             i = j - dim - 1
             if i >= 1:

@@ -6,12 +6,14 @@ A semi-induced matching is determined by its union U: the family must be
 exactly the set of edges contained in U.  The exact maxima are therefore
 computed over the lcm lattice (``hypergraph._lattice``: each union of
 edges with the edges inside it) instead of raw edge subsets; the two
-searches have the same optima.
+searches have the same optima.  They score each union on integers, and
+the witnesses are built from the optimal edge-index tuples on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NotSemiInduced, SearchLimitExceeded, UnknownEdge
@@ -58,7 +60,15 @@ class MatchingInvariants:
     c: int
     c_prime: int
     m: int
-    witnesses: dict  # name -> EdgeFamily
+    h: Hypergraph
+    optima: dict  # name -> edge-index tuple of the witness
+
+    @cached_property
+    def witnesses(self) -> dict:
+        """name -> EdgeFamily, built on first read."""
+        edges = self.h.edges
+        return {name: classify_family(self.h, [edges[i] for i in best])
+                for name, best in self.optima.items()}
 
 
 def matching_invariants(h: Hypergraph) -> MatchingInvariants:
@@ -70,26 +80,26 @@ def matching_invariants(h: Hypergraph) -> MatchingInvariants:
     if len(h.edges) > DEFAULT_EDGE_CAP:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     edges = h.edges
-    c = c_prime = (0, ())
+    c, c_ids, c_prime, c_prime_ids = 0, (), 0, ()
     for union, inside in _lattice(edges):
-        weight = union.bit_count() - inside.bit_count()
-        if weight <= 0 or weight < c[0]:
+        size = union.bit_count()
+        weight = size - inside.bit_count()
+        if weight <= 0 or weight < c:
             continue  # c <= c', so it can beat neither optimum
-        cand = (weight, tuple(bit_ids(inside)))
-        if _better(cand, c_prime):
-            c_prime = cand
-        if sum(edges[i].bit_count() for i in cand[1]) == union.bit_count() and _better(cand, c):
-            c = cand
-    m_best = _best_matching(edges)
-    witnesses = {name: classify_family(h, [edges[i] for i in best[1]])
-                 for name, best in (("c", c), ("c_prime", c_prime), ("m", m_best))}
-    return MatchingInvariants(c[0], c_prime[0], m_best[0], witnesses)
-
-
-def _better(cand: tuple, cur: tuple) -> bool:
-    if cand[0] != cur[0]:
-        return cand[0] > cur[0]
-    return cand[0] > 0 and cand[1] < cur[1]
+        ids = tuple(bit_ids(inside)) if weight >= c_prime else None  # a tie or a gain
+        if ids and (weight > c_prime or ids < c_prime_ids):
+            c_prime, c_prime_ids = weight, ids
+        rest = inside  # a matching: the edge sizes sum to |W|
+        while rest and size >= 0:
+            low = rest & -rest
+            size -= edges[low.bit_length() - 1].bit_count()
+            rest ^= low
+        if not size:
+            ids = ids or tuple(bit_ids(inside))
+            if weight > c or ids < c_ids:
+                c, c_ids = weight, ids
+    m, m_ids = _best_matching(edges)
+    return MatchingInvariants(c, c_prime, m, h, {"c": c_ids, "c_prime": c_prime_ids, "m": m_ids})
 
 
 def _best_matching(edges: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -102,9 +112,10 @@ def _best_matching(edges: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     best: list = [0, ()]
 
     def rec(pos: int, used: int, weight: int, chosen: list[int]) -> None:
-        cand = (weight, tuple(sorted(chosen)))
-        if _better(cand, tuple(best)):
-            best[0], best[1] = cand
+        if weight and weight >= best[0]:  # only a tie or a gain needs the tuple
+            ids = tuple(sorted(chosen))
+            if weight > best[0] or ids < best[1]:
+                best[0], best[1] = weight, ids
         if pos == len(order) or weight + suffix[pos] < best[0]:
             return
         i = order[pos]
@@ -115,7 +126,7 @@ def _best_matching(edges: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         rec(pos + 1, used, weight, chosen)
 
     rec(0, 0, 0, [])
-    return best[0], tuple(best[1])
+    return best[0], best[1]
 
 
 def is_two_collage(h: Hypergraph, collage: Sequence[int]) -> bool:

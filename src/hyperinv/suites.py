@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .bouquets import cover_from_bouquets, dprime_invariant
+from .bouquets import _dprime_walk, cover_from_bouquets
 from .complexes import dimension, link_and_deletion
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
@@ -190,8 +190,8 @@ def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     for x in p.shedding_vertices:
         ctr, dele = contraction(h, x), deletion(h, x)
         link, del_complex = link_and_deletion(p.complex, x)
-        dp_ctr = None if ctr.void else dprime_invariant(ctr, link.facets)[0]
-        dp_del = dprime_invariant(dele, del_complex.facets)[0]
+        dp_ctr = None if ctr.void else _dprime_walk(ctr, link.facets)[0]
+        dp_del = _dprime_walk(dele, del_complex.facets)[0]
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})

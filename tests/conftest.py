@@ -48,10 +48,14 @@ def c5():
 
 
 def oracle_matching_numbers(h):
+    """(c, c', m, optima): optima maps "c", "c_prime" and "m" to the least
+    edge-index tuple among that maximum's families (() when it is 0), with
+    that family's (matching, semi-induced) flags."""
     edges = h.edges
-    c = c_prime = m = 0
+    best = {name: (0, (), True, True) for name in ("c", "c_prime", "m")}
     for r in range(1, len(edges) + 1):
-        for fam in combinations(edges, r):
+        for ids in combinations(range(len(edges)), r):
+            fam = [edges[i] for i in ids]
             union = 0
             total = 0
             for e in fam:
@@ -60,13 +64,12 @@ def oracle_matching_numbers(h):
             weight = union.bit_count() - r
             matching = total == union.bit_count()
             semi = all(e in fam for e in edges if e & union == e)
-            if matching:
-                m = max(m, weight)
-            if semi:
-                c_prime = max(c_prime, weight)
-            if matching and semi:
-                c = max(c, weight)
-    return c, c_prime, m
+            for name, holds in (("m", matching), ("c_prime", semi), ("c", matching and semi)):
+                w, least = best[name][:2]
+                if holds and (weight > w or weight == w > 0 and ids < least):
+                    best[name] = (weight, ids, matching, semi)
+    optima = {name: b[1:] for name, b in best.items()}
+    return best["c"][0], best["c_prime"][0], best["m"][0], optima
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,34 @@ class TestBettiTable:
         for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
             assert tables[field].entries == oracle_betti_table(h, p), field
 
+    def test_a_labelled_restriction_met_twice_is_ruled_once(self, monkeypatch):
+        """A restriction is looked up by its own labelled edges before it is
+        renumbered: C4 plus the edge {x5, x6}, then C4 plus the singleton
+        {x5}, share every restriction inside {x1, ..., x4}, which the second
+        table neither compresses nor sends through the rules; a third table
+        of the first edges compresses nothing."""
+        compressed, ruled = [], []
+        compress, rules = homological._compress, homological._homology_by_rules
+        monkeypatch.setattr(homological, "_compress",
+                            lambda masks, keep: compressed.append(keep) or compress(masks, keep))
+        monkeypatch.setattr(homological, "_homology_by_rules",
+                            lambda n, edges, field: ruled.append((n, edges, field))
+                            or rules(n, edges, field))
+        labels = [f"x{i + 1}" for i in range(6)]
+        c4 = named_instance("c4").edges
+        first, second = from_masks(labels, c4 + (0b110000,)), from_masks(labels, c4 + (0b10000,))
+        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+        assert betti_table(first).entries == oracle_betti_table(first)
+        assert (4, tuple(sorted(c4)), "Q") in ruled
+        compressed.clear()
+        assert betti_table(second).entries == oracle_betti_table(second)
+        assert compressed and all(w & 0b10000 for w in compressed)
+        assert len(ruled) == len(set(ruled))
+        compressed.clear()
+        ruled.clear()
+        assert betti_table(from_masks(labels, first.edges)).entries == oracle_betti_table(first)
+        assert compressed == ruled == []
+
     def test_serialization_sorted(self, star3):
         obj = betti_table(star3).to_json_obj()
         assert obj["entries"] == sorted(obj["entries"])

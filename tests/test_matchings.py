@@ -72,7 +72,7 @@ class TestInvariants:
     def test_matches_oracle_on_graphs_n4(self):
         for h in enumerate_graphs(4):
             inv = matching_invariants(h)
-            assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)
+            assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)[:3]
 
     def test_matches_oracle_on_random_hypergraphs(self):
         spec = FamilySpec(
@@ -81,7 +81,7 @@ class TestInvariants:
         for i in range(spec.count):
             h = random_hypergraph(spec, i)
             inv = matching_invariants(h)
-            assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)
+            assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)[:3]
 
     def test_edge_cap(self, h1, monkeypatch):
         monkeypatch.setattr(matchings, "DEFAULT_EDGE_CAP", 2)

@@ -12,6 +12,7 @@ from conftest import (
     oracle_bouquet_numbers,
     oracle_dprime_search,
     oracle_independence_facets,
+    oracle_matching_numbers,
 )
 from hyperinv import (
     betti_table,
@@ -250,6 +251,28 @@ def relabelled_pairs(draw, max_n=7, max_edge_size=3, max_edges=5):
     return from_masks(labels, edges), from_masks(labels, moved)
 
 
+# the minimal non-faces of the 6-vertex real projective plane: its table
+# over F2 differs from those over Q and F3
+RP2 = from_masks([f"x{i + 1}" for i in range(6)], [
+    0b1011, 0b10011, 0b10101, 0b100101, 0b101001, 0b1110, 0b100110, 0b110010, 0b11100, 0b111000])
+
+
+@settings(max_examples=50, deadline=None)
+@given(relabelled_pairs(max_n=6), st.integers(min_value=0, max_value=5))
+@example((RP2, RP2), 0)
+def test_betti_tables_with_warm_memos_match_the_oracle(pair, k):
+    """No memo is cleared between calls, so the tables of a relabelling of
+    H and of H\\x read restrictions stored by earlier tables, labelled and
+    renumbered, over every field."""
+    h, moved = pair
+    rest = deletion(h, h.labels[k % h.n])
+    for field, p in (("Q", None), ("F2", 2), ("F3", 3)):
+        want = oracle_betti_table(h, p)
+        assert betti_table(h, field).entries == want, field
+        assert betti_table(moved, field).entries == want, field
+        assert betti_table(rest, field).entries == oracle_betti_table(rest, p), field
+
+
 @settings(max_examples=150, deadline=None)
 @given(relabelled_pairs())
 def test_betti_table_matches_oracle_and_ignores_labels(pair):
@@ -303,6 +326,22 @@ def test_greedy_independent_set_from_witness(h):
     # independent: no edge inside the chosen set
     assert not any(e & ind == e for e in h.edges)
     assert ind.bit_count() >= inv.c_prime
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=7, max_edge_size=4, max_edges=8))
+@example(from_masks([f"x{i + 1}" for i in range(4)], [0b0001, 0b0110, 0b1000]))  # singletons tie
+@example(from_masks([f"x{i + 1}" for i in range(5)], [0b00011, 0b00110, 0b01100, 0b11000, 0b10001]))
+def test_matching_witnesses_are_the_least_optimal_families(h):
+    """The tie rule: each witness is the least edge-index tuple among the
+    optimal families of the raw subset oracle, with that family's flags."""
+    inv = matching_invariants(h)
+    *values, optima = oracle_matching_numbers(h)
+    assert [inv.c, inv.c_prime, inv.m] == values
+    for name, (ids, matching, semi) in optima.items():
+        w = inv.witnesses[name]
+        assert w.edges == tuple(h.edges[i] for i in ids), name
+        assert (w.matching, w.semi_induced, w.induced) == (matching, semi, matching and semi), name
 
 
 @settings(max_examples=150, deadline=None)
