@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional
 
@@ -28,8 +29,10 @@ MAX_ENUM_VERTICES = 7
 MAX_FAMILY_SIZE = 1_000  # bound on a family's n and edge_count
 
 
-def _labels(n: int) -> list[str]:
-    return [f"x{i + 1}" for i in range(n)]
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple[str, ...]:
+    """x1..xn, one tuple shared by every instance on n vertices."""
+    return tuple(f"x{i + 1}" for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,9 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Hypergraph]:
 # seeded random hypergraphs
 
 
+_RNG = random.Random()  # re-seeded by every draw: no state passes between draws
+
+
 def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
     """Instance ``index`` of a random family; deterministic in (spec, index).
 
@@ -119,17 +125,18 @@ def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
     supersets.  The final edge count can therefore fall below the
     requested one, but generation always terminates.
     """
-    rng = random.Random(f"{spec.seed}:{index}")
     n = spec.n
     if spec.max_edge_size < 2 or n < 2:
         raise Unsatisfiable("need at least two vertices and edge size two")
+    rng = _RNG
+    rng.seed(f"{spec.seed}:{index}")  # the state Random(seed) starts in
+    # sample picks by position, so drawing bit values picks the same vertices
+    bits = [1 << v for v in range(n)]
+    top = min(spec.max_edge_size, n)
     edges: list[int] = []
     for _ in range(spec.edge_count):
         for _attempt in range(200):
-            size = rng.randint(2, min(spec.max_edge_size, n))
-            m = 0
-            for v in rng.sample(range(n), size):
-                m |= 1 << v
+            m = sum(rng.sample(bits, rng.randint(2, top)))
             if m not in edges:
                 break
         else:

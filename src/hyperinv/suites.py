@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -400,12 +399,16 @@ def run_suite(
         for fi, spec in enumerate(fams):
             rows.extend(_run_shard(name, spec.to_json_obj(), fi, 0, 1))
     else:
-        # shards are still counted by jobs; only the pool is bounded
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        # imported here: a run that does not fork never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        # one shard per worker, so a huge jobs makes no more work than the CPUs
+        workers = min(jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_shard, name, spec.to_json_obj(), fi, shard, jobs)
+                pool.submit(_run_shard, name, spec.to_json_obj(), fi, shard, workers)
                 for fi, spec in enumerate(fams)
-                for shard in range(jobs)
+                for shard in range(workers)
             ]
             for fut in futures:
                 rows.extend(fut.result())

@@ -2,19 +2,23 @@
 
 The oracles deliberately avoid the package's algorithms: raw subset
 enumeration for matching numbers, definition-level enumeration of
-bouquet sets, naive recursion for vertex decomposability, and dense
-Gaussian elimination (Fractions, or integers mod p) for homology ranks.
+bouquet sets, naive recursion for vertex decomposability, dense
+Gaussian elimination (Fractions, or integers mod p) for homology ranks,
+and a fresh generator per draw, picking vertices one at a time, for
+random hypergraphs.
 Tests freeze oracle outputs and compare the package against them.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from hyperinv import build, named_instance
+from hyperinv import build, from_masks, named_instance
+from hyperinv.errors import Unsatisfiable
 from hyperinv.hypergraph import bit_ids
 
 
@@ -331,6 +335,34 @@ def oracle_betti_table(h, p=None):
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + rank
     return entries
+
+
+# ---------------------------------------------------------------------------
+# random hypergraph oracle: a generator seeded afresh, one vertex at a time
+
+
+def oracle_random_hypergraph(spec, index):
+    """Instance ``index`` of a random family, drawn as the package first drew it."""
+    rng = random.Random(f"{spec.seed}:{index}")
+    n = spec.n
+    if spec.max_edge_size < 2 or n < 2:
+        raise Unsatisfiable("need at least two vertices and edge size two")
+    edges = []
+    for _ in range(spec.edge_count):
+        for _attempt in range(200):
+            size = rng.randint(2, min(spec.max_edge_size, n))
+            m = 0
+            for v in rng.sample(range(n), size):
+                m |= 1 << v
+            if m not in edges:
+                break
+        else:
+            raise Unsatisfiable(f"cannot place {spec.edge_count} distinct edges")
+        if any(e & m == e for e in edges):
+            continue
+        edges = [e for e in edges if e & m != m or e == m]
+        edges.append(m)
+    return from_masks([f"x{i + 1}" for i in range(n)], edges)
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,31 @@ class TestVerify:
         assert "error: unknown filter 'c5_fre'" in err
 
 
+FOOTPRINT = """
+import sys
+import hyperinv
+from hyperinv.cli import main
+from hyperinv.generators import FamilySpec
+from hyperinv.suites import run_suite
+assert main(["invariants", sys.argv[1], "--skip-homology"]) == 0
+run_suite("lemma-dim", [FamilySpec(kind="all_graphs", n=3)], jobs=1, out_dir=sys.argv[2])
+loaded = sorted(m for m in sys.modules
+                if m == "concurrent.futures" or m.split(".")[0] == "multiprocessing")
+sys.exit(" ".join(loaded) or None)
+"""
+
+
+def test_a_run_that_does_not_fork_loads_no_process_pool(h1_file, tmp_path):
+    """An invariants report and a --jobs 1 verify run in a fresh interpreter
+    load neither concurrent.futures nor multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, h1_file, str(tmp_path)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestInternalError:
     def test_unexpected_exception_exits_four_with_traceback(
         self, capsys, monkeypatch, h1_file

@@ -13,6 +13,7 @@ from conftest import (
     oracle_dprime_search,
     oracle_independence_facets,
     oracle_matching_numbers,
+    oracle_random_hypergraph,
 )
 from hyperinv import (
     betti_table,
@@ -35,6 +36,8 @@ from hyperinv import (
 )
 from hyperinv.bouquets import _freed_count, _induced_matchings, _max_freed
 from hyperinv.complexes import dimension
+from hyperinv.errors import Unsatisfiable
+from hyperinv.generators import FamilySpec, _labels, random_hypergraph
 from hyperinv.hypergraph import (
     _canonical_witness,
     _compress,
@@ -377,3 +380,29 @@ def test_induced_matchings_match_brute_force(h):
             if sum(e.bit_count() for e in family) == union.bit_count() and inside == family:
                 found.append((union, family))
     assert _induced_matchings(h) == [m for _, m in sorted(found)]
+
+
+def _draw(draw_fn, spec, index):
+    try:
+        h = draw_fn(spec, index)
+    except Unsatisfiable as exc:
+        return str(exc)
+    return h.labels, h.edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(
+    st.builds(FamilySpec, kind=st.just("random_hypergraph"), n=st.integers(0, 10),
+              max_edge_size=st.integers(1, 5), edge_count=st.integers(0, 14),
+              seed=st.integers(-5, 10**6)),
+    st.integers(0, 10**4)), min_size=1, max_size=6))
+@example([(FamilySpec(kind="random_hypergraph", n=2, max_edge_size=2, edge_count=2), 0)])
+def test_random_draws_match_a_freshly_seeded_oracle(draws):
+    """Draw for draw, in any order of specs, the shared re-seeded generator
+    gives the instances (or the refusal) of a fresh Random per draw, and
+    every instance on n vertices shares one label tuple."""
+    for spec, index in draws:
+        got = _draw(random_hypergraph, spec, index)
+        assert got == _draw(oracle_random_hypergraph, spec, index)
+        if not isinstance(got, str):
+            assert got[0] is _labels(spec.n)

@@ -1,5 +1,6 @@
 """Suite registry behaviour, runner determinism, self-test fault."""
 
+import concurrent.futures
 import json
 from concurrent.futures import Future
 
@@ -200,9 +201,11 @@ class TestRunner:
 
     @pytest.mark.parametrize("cpus,jobs,workers", [(2, 64, 2), (None, 64, 1), (8, 3, 3)])
     def test_worker_pool_bounded_by_cpu_count(self, tmp_path, monkeypatch, cpus, jobs, workers):
-        """``--jobs`` still sets the shard count; the pool never exceeds the
-        CPUs.  The pool runs its tasks inline, so no process is started."""
+        """The pool never exceeds the CPUs, and each worker gets one shard
+        per family, however large ``--jobs`` is.  The pool runs its tasks
+        inline, so no process is started."""
         pools = []
+        submits = []
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -215,16 +218,19 @@ class TestRunner:
                 return False
 
             def submit(self, fn, *args):
+                submits.append(args)
                 fut = Future()
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(suites_module, "ProcessPoolExecutor", InlinePool)
+        # run_suite imports the pool when it forks, so patch it at its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(suites_module.os, "cpu_count", lambda: cpus)
-        fams = [FamilySpec(kind="all_graphs", n=4)]
+        fams = [FamilySpec(kind="all_graphs", n=4), FamilySpec(kind="named", name="c5")]
         serial = run_suite("lemma-dim", fams, out_dir=str(tmp_path))
         pooled = run_suite("lemma-dim", fams, jobs=jobs, out_dir=str(tmp_path))
         assert pools == [workers]
+        assert len(submits) == workers * len(fams)
         assert pooled.to_json_obj() == serial.to_json_obj()
 
     def test_default_families_used_when_none_given(self, tmp_path):
