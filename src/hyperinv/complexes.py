@@ -4,6 +4,11 @@ Three kinds of complex occur: ordinary (at least one nonempty facet),
 the complex whose only face is the empty set, and the void complex with
 no faces at all.  The last two both arise from contracting singleton
 edges and both count as vertex decomposable.
+
+One split primitive, ``_split``, gives the link and deletion of a vertex
+and whether it sheds; every shedding question and the memoized
+vertex-decomposability walk ``_vd_verdict`` read it.  Only
+``complex_from_facets``, which takes face lists from outside, normalizes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .hypergraph import (
     _compress,
     _maximal,
     bit_ids,
-    mask_of,
     maximal_independent_sets,
 )
 
@@ -52,13 +56,6 @@ class SimplicialComplex:
     def facet_labels(self) -> list[list[str]]:
         return [[self.labels[i] for i in bit_ids(f)] for f in self.facets]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "ground_set": list(self.labels),
-            "facets": self.facet_labels(),
-            "kind": self.kind,
-        }
-
 
 def complex_from_facets(labels: Sequence[str], facet_masks: Sequence[int]) -> SimplicialComplex:
     """Normalize an arbitrary face list to its facet antichain."""
@@ -70,16 +67,26 @@ def independence_complex(h: Hypergraph) -> SimplicialComplex:
     return SimplicialComplex(h.labels, maximal_independent_sets(h))
 
 
+def _split(facets: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """(link, deletion, sheds) of the vertex with this bit, over the same ground.
+
+    The facets through x, less x, are an ascending antichain: the link.  The
+    deletion is the facets that miss x plus the link facets inside none of
+    them, and x sheds iff there is no such link facet.
+    """
+    link = tuple(f ^ bit for f in facets if f & bit)
+    misses = [f for f in facets if not f & bit]
+    kept = [g for g in link if not any(g & f == g for f in misses)]
+    return link, tuple(sorted(misses + kept)), not kept
+
+
 def link_and_deletion(d: SimplicialComplex, x: str) -> tuple[SimplicialComplex, SimplicialComplex]:
     """(link, deletion) of the vertex, both on the ground set minus x."""
     i = d.vertex_id(x)
-    bit = 1 << i
+    link, dele, _ = _split(d.facets, 1 << i)
     labels = d.labels[:i] + d.labels[i + 1 :]
-    keep = (1 << d.n) - 1 & ~bit
-    link_facets = _maximal({f & ~bit for f in d.facets if f & bit})
-    link = SimplicialComplex(labels, tuple(_compress(link_facets, keep)))
-    deletion = SimplicialComplex(labels, tuple(_compress(_deletion(d.facets, bit)[0], keep)))
-    return link, deletion
+    keep = (1 << d.n) - 1 & ~(1 << i)
+    return tuple(SimplicialComplex(labels, tuple(_compress(f, keep))) for f in (link, dele))
 
 
 def dimension(d: SimplicialComplex) -> Optional[int]:
@@ -89,24 +96,9 @@ def dimension(d: SimplicialComplex) -> Optional[int]:
     return max(f.bit_count() for f in d.facets) - 1
 
 
-def induced_subcomplex(d: SimplicialComplex, w: Sequence[str]) -> SimplicialComplex:
-    """Restriction to the vertex subset W, reindexed onto W."""
-    wmask = mask_of(d.vertex_id(lab) for lab in w)
-    restricted = _maximal({f & wmask for f in d.facets})
-    labels = tuple(d.labels[i] for i in bit_ids(wmask))
-    return SimplicialComplex(labels, tuple(_compress(restricted, wmask)))
-
-
-def _deletion(facets: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], bool]:
-    """Facets of the deletion of the vertex with this bit, and whether the
-    vertex sheds: every facet of the deletion is a facet of the complex."""
-    del_facets = _maximal({f & ~bit for f in facets})
-    return del_facets, set(del_facets) <= set(facets)
-
-
 def is_shedding(d: SimplicialComplex, x: str) -> bool:
-    """True iff every facet of del(x) is a facet of D."""
-    return _deletion(d.facets, 1 << d.vertex_id(x))[1]
+    """True iff no facet of del(x) is a face of lk(x)."""
+    return _split(d.facets, 1 << d.vertex_id(x))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +130,8 @@ def _vd_verdict(n: int, facets: tuple[int, ...]) -> bool:
         return hit
     verdict = False
     for v in range(n):
-        bit = 1 << v
-        del_facets, sheds = _deletion(facets, bit)
-        # the link is built only for a shedding vertex whose deletion is VD
-        if sheds and _vd_verdict(n, del_facets) and _vd_verdict(
-            n, _maximal({f & ~bit for f in facets if f & bit})
-        ):
+        link, dele, sheds = _split(facets, 1 << v)
+        if sheds and _vd_verdict(n, dele) and _vd_verdict(n, link):
             verdict = True
             break
     _VD_MEMO[key] = verdict
@@ -151,68 +139,5 @@ def _vd_verdict(n: int, facets: tuple[int, ...]) -> bool:
 
 
 def vertex_decomposable(d: SimplicialComplex) -> bool:
-    """Fast memoized verdict without certificate construction."""
+    """The memoized verdict of ``_vd_verdict``."""
     return _vd_verdict(d.n, d.facets)
-
-
-@dataclass(frozen=True)
-class VDCertificate:
-    verdict: bool
-    tree: Optional[dict]
-    failure_witness: Optional[dict]
-
-
-def _is_simplex(d: SimplicialComplex) -> bool:
-    return len(d.facets) == 1 and d.facets[0] == (1 << d.n) - 1
-
-
-def is_vertex_decomposable(d: SimplicialComplex) -> VDCertificate:
-    """Literal recursion; shedding candidates tried in ascending vertex id.
-
-    A VD complex gets the tree of its first shedding vertex whose deletion
-    and link are both VD.  Any other complex gets a failure witness: the
-    walk follows the first shedding vertex into its side that is not VD,
-    the deletion before the link, down to a complex where none is left.
-    """
-    if d.kind != KIND_ORDINARY or _is_simplex(d):
-        # the base cases are named "void", "empty" and "simplex"
-        return VDCertificate(True, {"base": d.kind if d.kind != KIND_ORDINARY else "simplex"}, None)
-    failing: Optional[SimplicialComplex] = None
-    for x in d.labels:
-        if not is_shedding(d, x):
-            continue
-        link, dele = link_and_deletion(d, x)
-        del_vd, link_vd = vertex_decomposable(dele), vertex_decomposable(link)
-        if del_vd and link_vd:
-            tree = {
-                "vertex": x,
-                "deletion": is_vertex_decomposable(dele).tree,
-                "link": is_vertex_decomposable(link).tree,
-            }
-            return VDCertificate(True, tree, None)
-        if failing is None:
-            failing = link if del_vd else dele
-    witness = d.to_json_obj() if failing is None else is_vertex_decomposable(failing).failure_witness
-    return VDCertificate(False, None, witness)
-
-
-def verify_certificate(d: SimplicialComplex, cert: VDCertificate) -> bool:
-    """Replay a positive certificate against the complex it claims to cover."""
-    if not cert.verdict or cert.tree is None:
-        return False
-
-    def replay(dd: SimplicialComplex, node: dict) -> bool:
-        base = node.get("base")
-        if base == "void":
-            return dd.kind == KIND_VOID
-        if base == "empty":
-            return dd.kind == KIND_EMPTY
-        if base == "simplex":
-            return _is_simplex(dd)
-        x = node["vertex"]
-        if x not in dd.labels or not is_shedding(dd, x):
-            return False
-        link, dele = link_and_deletion(dd, x)
-        return replay(dele, node["deletion"]) and replay(link, node["link"])
-
-    return replay(d, cert.tree)

@@ -26,6 +26,7 @@ from .hypergraph import (
 from .profile import profile_of
 
 MAX_ENUM_VERTICES = 7
+MAX_DEDUP_VERTICES = 6
 MAX_FAMILY_SIZE = 1_000  # bound on a family's n and edge_count
 
 
@@ -89,9 +90,11 @@ def family_from_json(text: str) -> FamilySpec:
 
 
 def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Hypergraph]:
-    """All labeled graphs on n vertices in lexicographic edge-set order."""
-    if not 1 <= n <= MAX_ENUM_VERTICES:
-        raise SizeLimitExceeded(f"graph enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
+    """All labeled graphs on n vertices in lexicographic edge-set order;
+    ``dedup`` tries all n! relabelings of each, so it stops at 6 vertices."""
+    top = MAX_DEDUP_VERTICES if dedup else MAX_ENUM_VERTICES
+    if not 1 <= n <= top:
+        raise SizeLimitExceeded(f"graph enumeration{' with dedup' if dedup else ''} supports 1..{top} vertices")
     labels = _labels(n)
     pairs = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
     seen: set[tuple[int, ...]] = set()

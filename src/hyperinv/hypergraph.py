@@ -18,8 +18,10 @@ in ``homological`` are the transversals of its facet complements.  Past
 
 One renumbering primitive, ``_compress``, moves masks onto the set bits
 of a vertex mask, in ascending order: deletion and contraction of a
-vertex, restrictions in ``complexes`` and the Hochster restrictions in
-``homological`` use it.
+vertex, the link and deletion of a vertex in ``complexes`` and the
+Hochster restrictions in ``homological`` use it.  Contraction needs no
+antichain normalization: the edges through x, less x, are kept, and an
+edge that misses x drops iff it contains one of them.
 
 One edge-union primitive, ``_lattice``, walks the lcm lattice: every
 nonzero union W of edges with the mask of the edges inside W.  The c and
@@ -68,19 +70,6 @@ def mask_of(ids: Iterable[int]) -> int:
 
 def edge_sort_key(mask: int) -> tuple:
     return (mask.bit_count(), tuple(bit_ids(mask)))
-
-
-def _minimal(masks: set[int]) -> tuple[int, ...]:
-    """The inclusion-minimal members of a set of masks, ascending.
-
-    A mask can only contain masks of smaller popcount, so walking in
-    popcount order each mask is tested against the minimal ones kept so far.
-    """
-    kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count):
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
 
 
 def _maximal(masks: set[int]) -> tuple[int, ...]:
@@ -227,11 +216,15 @@ def _deleted(edges: Iterable[int], n: int, i: int) -> tuple[int, ...]:
     return tuple(_compress([e for e in edges if not e >> i & 1], (1 << n) - 1 & ~(1 << i)))
 
 
-def _contracted(edges: Iterable[int], n: int, i: int) -> tuple[int, ...]:
-    """Minimal sets among the edges over 0..n-1 minus vertex i, bit i removed;
-    (0,) if {i} is an edge."""
+def _contracted(edges: Sequence[int], n: int, i: int) -> tuple[int, ...]:
+    """Minimal sets among the edges over 0..n-1 minus vertex i, bit i removed,
+    ascending; (0,) if {i} is an edge.  The edges through i, less i, stay
+    (they are an antichain and lie in no other edge); an edge that misses i
+    drops iff it contains one of them."""
     bit = 1 << i
-    return tuple(_compress(_minimal({e & ~bit for e in edges}), (1 << n) - 1 & ~bit))
+    through = [e ^ bit for e in edges if e & bit]
+    kept = through + [e for e in edges if not e & bit and not any(t & e == t for t in through)]
+    return tuple(sorted(_compress(kept, (1 << n) - 1 & ~bit)))
 
 
 def deletion(h: Hypergraph, x: str) -> Hypergraph:
@@ -311,25 +304,12 @@ def _cycles(h: Hypergraph, n: int) -> Iterator[CycleWitness]:
 
 
 def _canonical_witness(w: CycleWitness) -> CycleWitness:
-    """Least representative under rotation and reflection."""
-    n = w.length
+    """Least representative under rotation and reflection.  ``_cycles``
+    starts every cycle at its least vertex, so no other rotation can be
+    less: only the reversal, which keeps that anchor, is compared."""
     vs, es = w.vertex_ids, w.edge_masks
-    best = None
-    for r in range(n):
-        fwd_v = tuple(vs[(r + i) % n] for i in range(n))
-        fwd_e = tuple(es[(r + i) % n] for i in range(n))
-        # reversal: vertices reversed starting at same anchor, edge roles shift
-        rev_v = (fwd_v[0],) + tuple(reversed(fwd_v[1:]))
-        rev_e = tuple(reversed(fwd_e))
-        for cand in (
-            (fwd_v, fwd_e),
-            (rev_v, rev_e),
-        ):
-            key = (cand[0], tuple(tuple(bit_ids(e)) for e in cand[1]))
-            if best is None or key < best[0]:
-                best = (key, cand)
-    assert best is not None
-    return CycleWitness(best[1][0], best[1][1])
+    rev = CycleWitness(vs[:1] + vs[:0:-1], es[::-1])
+    return min(w, rev, key=lambda c: (c.vertex_ids, [tuple(bit_ids(e)) for e in c.edge_masks]))
 
 
 def find_cycle(h: Hypergraph, n: int) -> Optional[CycleWitness]:

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional
 
 from .bouquets import BouquetInvariants, BouquetSet, bouquet_invariants, dprime_invariant
-from .complexes import SimplicialComplex, independence_complex, is_shedding, vertex_decomposable
+from .complexes import SimplicialComplex, _split, independence_complex, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
 from .errors import HyperinvError, SearchLimitExceeded
 from .homological import FIELD_Q, BettiTable, betti_table
@@ -101,7 +101,8 @@ class Profile:
     @_cached
     def shedding(self) -> tuple[bool, ...]:
         """Whether each vertex, by id, is a shedding vertex of the complex."""
-        return tuple(is_shedding(self.complex, x) for x in self.h.labels)
+        facets = self.complex.facets
+        return tuple(_split(facets, 1 << i)[2] for i in range(self.h.n))
 
     @_cached
     def shedding_vertices(self) -> list[str]:

@@ -2,7 +2,9 @@
 
 The oracles deliberately avoid the package's algorithms: raw subset
 enumeration for matching numbers, definition-level enumeration of
-bouquet sets, naive recursion for vertex decomposability, dense
+bouquet sets, naive recursion for vertex decomposability, pairwise
+comparison for minimal and maximal sets, every rotation and reflection
+for cycle witnesses, dense
 Gaussian elimination (Fractions, or integers mod p) for homology ranks,
 and a fresh generator per draw, picking vertices one at a time, for
 random hypergraphs.
@@ -231,6 +233,30 @@ def oracle_vd(facets, n):
     return False
 
 
+def oracle_minimal_sets(masks):
+    """The inclusion-minimal members of a collection of masks, ascending, by
+    comparing every pair."""
+    masks = set(masks)
+    return tuple(sorted(m for m in masks if not any(o != m and o & m == o for o in masks)))
+
+
+def oracle_split(facets, i):
+    """(link, deletion, sheds) of vertex i, renumbered onto the ground set
+    without i: the maximal sets of f \\ i over the facets f through i, and
+    over all facets; i sheds iff every facet of the deletion is a facet."""
+
+    def maximal(sets):
+        return tuple(sorted(s for s in sets if not any(o != s and s & o == s for o in sets)))
+
+    def drop(m):
+        return m & ((1 << i) - 1) | m >> (i + 1) << i
+
+    bit = 1 << i
+    link = maximal({f & ~bit for f in facets if f & bit})
+    dele = maximal({f & ~bit for f in facets})
+    return tuple(map(drop, link)), tuple(map(drop, dele)), set(dele) <= set(facets)
+
+
 def oracle_independence_facets(h):
     ind = [u for u in range(1 << h.n) if not any(e & u == e for e in h.edges)]
     s = set(ind)
@@ -250,6 +276,31 @@ def oracle_minimal_nonfaces(facets, n):
     """Inclusion-minimal non-faces, by scanning every subset of the ground set."""
     nonfaces = [u for u in range(1 << n) if not any(u & f == u for f in facets)]
     return tuple(sorted(u for u in nonfaces if not any(o != u and o & u == o for o in nonfaces)))
+
+
+# ---------------------------------------------------------------------------
+# cycle witness oracle: every rotation and reflection
+
+
+def oracle_canonical_witness(w):
+    """The least of the 2n rotations and reflections of a cycle witness,
+    comparing vertex ids, then the edges' vertex ids."""
+    from hyperinv.hypergraph import CycleWitness
+
+    n = w.length
+    vs, es = w.vertex_ids, w.edge_masks
+    best = None
+    for r in range(n):
+        fwd_v = tuple(vs[(r + i) % n] for i in range(n))
+        fwd_e = tuple(es[(r + i) % n] for i in range(n))
+        # reversed from the same anchor: the edge closing the cycle comes first
+        rev_v = (fwd_v[0],) + tuple(reversed(fwd_v[1:]))
+        rev_e = tuple(reversed(fwd_e))
+        for cand in ((fwd_v, fwd_e), (rev_v, rev_e)):
+            key = (cand[0], tuple(tuple(bit_ids(e)) for e in cand[1]))
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return CycleWitness(*best[1])
 
 
 # ---------------------------------------------------------------------------

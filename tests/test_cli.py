@@ -393,6 +393,13 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: family field '{field}' {message}" in err
 
+    def test_dedup_on_seven_vertices_exits_two(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify", "lemma-dim", "--family",
+                                 '{"kind": "all_graphs", "n": 7, "dedup": true}',
+                                 "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert "error: graph enumeration with dedup supports 1..6 vertices" in err
+
     def test_jobs_byte_identical(self, capsys, tmp_path):
         argv = [
             "verify",

@@ -44,6 +44,12 @@ class TestEnumerateGraphs:
         with pytest.raises(SizeLimitExceeded):
             list(enumerate_graphs(8))
 
+    def test_dedup_above_six_vertices_raises_before_any_graph(self):
+        """Dedup tries n! relabelings of each of the 2^(n(n-1)/2) graphs."""
+        with pytest.raises(SizeLimitExceeded, match="with dedup supports 1..6 vertices"):
+            next(enumerate_graphs(7, dedup=True))
+        assert next(enumerate_graphs(7)).edges == ()
+
     def test_deterministic_order(self):
         a = [h.edges for h in enumerate_graphs(4)]
         b = [h.edges for h in enumerate_graphs(4)]

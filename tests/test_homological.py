@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     oracle_betti_table,
     oracle_minimal_nonfaces,
+    oracle_minimal_sets,
     oracle_rank,
     oracle_reduced_homology,
     tiny_hypergraphs,
@@ -28,7 +29,7 @@ from hyperinv.complexes import SimplicialComplex, complex_from_facets
 from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
 import hyperinv.homological as homological
 from hyperinv.homological import _all_faces, _rank, _reduce, parse_field
-from hyperinv.hypergraph import _contracted, _deleted, _minimal
+from hyperinv.hypergraph import _contracted, _deleted
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
 # entries are {(i, j): rank}); reg/pd follow as max(j-i)/max(i).
@@ -161,7 +162,7 @@ def antichains(draw, max_n=9, max_size=4):
     edge = st.integers(min_value=1, max_value=max(1, (1 << n) - 1)).filter(
         lambda m: m.bit_count() <= max_size
     )
-    return n, _minimal(set(draw(st.lists(edge, max_size=8)))) if n else ()
+    return n, oracle_minimal_sets(draw(st.lists(edge, max_size=8))) if n else ()
 
 
 @st.composite

@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import (
     oracle_betti_table,
     oracle_bouquet_numbers,
+    oracle_canonical_witness,
     oracle_dprime_search,
     oracle_independence_facets,
     oracle_matching_numbers,
+    oracle_minimal_sets,
     oracle_random_hypergraph,
 )
 from hyperinv import (
@@ -41,9 +43,9 @@ from hyperinv.generators import FamilySpec, _labels, random_hypergraph
 from hyperinv.hypergraph import (
     _canonical_witness,
     _compress,
+    _contracted,
     _cycles,
     _maximal,
-    _minimal,
     bit_ids,
     find_cycle,
     mask_of,
@@ -143,12 +145,26 @@ def test_compress_matches_bitwise_renumbering(case):
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=12))
 def test_antichain_helpers_match_brute_force(masks):
     as_sets = {m: frozenset(bit_ids(m)) for m in masks}
-    assert _minimal(masks) == tuple(
-        sorted(m for m in masks if not any(as_sets[o] < as_sets[m] for o in masks))
-    )
     assert _maximal(masks) == tuple(
         sorted(m for m in masks if not any(as_sets[m] < as_sets[o] for o in masks))
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=8), st.integers(0, n - 1))))
+@example((3, [0b001, 0b110], 0))  # {x0} is an edge: the void marker (0,)
+@example((3, [0b011, 0b110, 0b101], 1))  # 0b101 contains 0b011 less x1: it drops
+@example((4, [0b0011, 0b0101, 0b1000], 0))  # the edge missing x0 contains no other: all stay
+@example((2, [], 1))
+def test_contracted_is_the_minimal_sets(case):
+    """On an antichain, ``_contracted`` gives the minimal sets of E \\ {i},
+    renumbered onto the ground set without i, ascending."""
+    n, raw, i = case
+    edges = oracle_minimal_sets(raw)
+    minimal = oracle_minimal_sets(e & ~(1 << i) for e in edges)
+    want = tuple(sorted(m & ((1 << i) - 1) | m >> (i + 1) << i for m in minimal))
+    assert _contracted(edges, n, i) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,6 +379,18 @@ def test_find_cycle_is_the_first_enumerated_cycle(h):
     for n in range(2, 8):
         first = next(_cycles(h, n), None)
         assert find_cycle(h, n) == (first and _canonical_witness(first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=7, max_edge_size=3, max_edges=7))
+@example(from_masks([f"x{i + 1}" for i in range(4)], [0b0011, 0b0110, 0b1100, 0b1001, 0b0101]))
+@example(from_masks(["x1", "x2"], [0b11]))
+def test_canonical_witness_is_the_least_rotation_or_reflection(h):
+    """Every enumerated cycle, not only the first: comparing a witness with
+    its reversal gives the least of all its rotations and reflections."""
+    for n in range(2, 8):
+        for w in _cycles(h, n):
+            assert _canonical_witness(w) == oracle_canonical_witness(w)
 
 
 @settings(max_examples=150, deadline=None)
