@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -351,22 +351,63 @@ class VerificationReport:
         return obj
 
 
-def _run_shard(name: str, fam_obj: dict, fam_idx: int, shard: int, jobs: int) -> list[tuple]:
-    fam_obj = dict(fam_obj)
-    filters = tuple(fam_obj.pop("filters"))
-    check_filters(filters)  # an unknown filter is an input error, before any draw
+def _run_shard(name: str, fams: Sequence[FamilySpec], shard: int, jobs: int) -> list[tuple]:
+    """The (family, index, instance, result) rows of one shard of every family."""
     check = get_suite(name).check
     out = []
-    # the filters run per instance, so that a cap hit in one omits the instance
-    for idx, h in stream(FamilySpec(**fam_obj), shard, jobs):
-        try:
-            if not passes_filters(h, filters):
-                continue
-            res = check(h).to_json_obj()
-        except SearchLimitExceeded as exc:
-            res = {"omitted": str(exc)}
-        out.append((fam_idx, idx, h, res))  # serialized only as a counterexample
+    for fi, spec in enumerate(fams):
+        check_filters(spec.filters)  # an unknown filter is an input error, before any draw
+        # the filters run per instance, so that a cap hit in one omits the instance
+        for idx, h in stream(replace(spec, filters=()), shard, jobs):
+            try:
+                if not passes_filters(h, spec.filters):
+                    continue
+                res = check(h).to_json_obj()
+            except SearchLimitExceeded as exc:
+                res = {"omitted": str(exc)}
+            out.append((fi, idx, h, res))  # serialized only as a counterexample
     return out
+
+
+def _fork_shards(name: str, fams: Sequence[FamilySpec], workers: int) -> list[tuple]:
+    """The rows of every shard, shard s run in forked child s.  The lowest failed
+    shard's exception is raised here; every child is killed and reaped first."""
+    import pickle
+    import signal
+    import traceback
+
+    children = []  # (pid, read end of its pipe)
+    try:
+        for shard in range(workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:  # leave through os._exit: no atexit hooks, no inherited buffers
+                    os.close(r)
+                    try:
+                        out = _run_shard(name, fams, shard, workers)
+                    except BaseException as exc:
+                        out = (exc, traceback.format_exc())
+                    with open(w, "wb") as fh:
+                        pickle.dump(out, fh)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        rows = []
+        for pid, fh in children:
+            try:
+                out = pickle.load(fh)
+            except Exception:  # the child died first, or its exception does not pickle
+                raise RuntimeError(f"verify worker {pid} exited without a report") from None
+            if isinstance(out, tuple):  # the child's exception, and its traceback there
+                raise out[0] from RuntimeError(f"in verify worker {pid}:\n{out[1]}")
+            rows += out
+        return rows
+    finally:
+        for pid, fh in children:
+            os.kill(pid, signal.SIGKILL)  # harmless to a child that has sent its rows
+            fh.close()
+            os.waitpid(pid, 0)
 
 
 def write_json(path: str, obj) -> None:
@@ -394,24 +435,10 @@ def run_suite(
     fams = suite.default_families if families is None else tuple(families)
     if not fams:
         raise HyperinvError("the family list is empty")
-    rows: list[tuple] = []
-    if jobs == 1:
-        for fi, spec in enumerate(fams):
-            rows.extend(_run_shard(name, spec.to_json_obj(), fi, 0, 1))
-    else:
-        # imported here: a run that does not fork never loads the pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one shard per worker, so a huge jobs makes no more work than the CPUs
-        workers = min(jobs, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_shard, name, spec.to_json_obj(), fi, shard, workers)
-                for fi, spec in enumerate(fams)
-                for shard in range(workers)
-            ]
-            for fut in futures:
-                rows.extend(fut.result())
+    # one shard per worker, and no more workers than the CPUs this process may use
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus) if hasattr(os, "fork") else 1
+    rows = _run_shard(name, fams, 0, 1) if workers == 1 else _fork_shards(name, fams, workers)
     rows.sort(key=lambda r: (r[0], r[1]))
     omitted = tuple(
         {"family": fi, "index": idx, "reason": res["omitted"]}

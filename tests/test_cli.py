@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from conftest import disjoint_edges_and_c5
 import hyperinv
 from hyperinv import named_instance
 from hyperinv.cli import main
+from hyperinv.errors import HyperinvError
 from hyperinv.generators import FILTERS
 from hyperinv.suites import SUITES
 
@@ -517,27 +520,42 @@ class TestVerify:
 
 
 FOOTPRINT = """
+import os
 import sys
 import hyperinv
 from hyperinv.cli import main
 from hyperinv.generators import FamilySpec
 from hyperinv.suites import run_suite
+jobs = int(sys.argv[3])
+if jobs > 1:
+    os.sched_getaffinity = lambda pid: set(range(jobs))  # fork even on one usable CPU
 assert main(["invariants", sys.argv[1], "--skip-homology"]) == 0
-run_suite("lemma-dim", [FamilySpec(kind="all_graphs", n=3)], jobs=1, out_dir=sys.argv[2])
+run_suite("lemma-dim", [FamilySpec(kind="all_graphs", n=3)], jobs=jobs, out_dir=sys.argv[2])
 loaded = sorted(m for m in sys.modules
                 if m == "concurrent.futures" or m.split(".")[0] == "multiprocessing")
 sys.exit(" ".join(loaded) or None)
 """
 
 
+def run_footprint(h1_file, tmp_path, jobs):
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, h1_file, str(tmp_path), str(jobs)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+
+
 def test_a_run_that_does_not_fork_loads_no_process_pool(h1_file, tmp_path):
     """An invariants report and a --jobs 1 verify run in a fresh interpreter
     load neither concurrent.futures nor multiprocessing."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, h1_file, str(tmp_path)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-    )
+    proc = run_footprint(h1_file, tmp_path, 1)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_forked_run_loads_no_process_pool(h1_file, tmp_path):
+    """A --jobs 2 run forks its workers itself: it loads neither
+    concurrent.futures nor multiprocessing either."""
+    proc = run_footprint(h1_file, tmp_path, 2)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -555,6 +573,110 @@ class TestInternalError:
         assert code == cli.EXIT_INTERNAL == 4
         assert out == ""
         assert "Traceback" in err and "RuntimeError: planted bug" in err
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="verify forks its workers only where os.fork exists")
+class TestForkedWorkers:
+    """The exit-code contract holds at --jobs 2, where each shard runs in a
+    forked child, and no child outlives the run."""
+
+    FAMILY = '{"kind": "all_graphs", "n": 4}'
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # two usable CPUs, so --jobs 2 forks two children on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+
+    def plant(self, monkeypatch, fault):
+        """Run ``fault(shard)`` in each forked child before its shard."""
+        import hyperinv.suites as suites
+
+        parent, run_shard = os.getpid(), suites._run_shard
+
+        def planted(name, fams, shard, jobs):
+            assert os.getpid() != parent, "a shard ran in the parent"
+            fault(shard)
+            return run_shard(name, fams, shard, jobs)
+
+        monkeypatch.setattr(suites, "_run_shard", planted)
+
+    def verify(self, capsys, tmp_path, family=FAMILY, jobs="2"):
+        return run_cli(capsys, "verify", "lemma-dim", "--family", family, "--jobs", jobs,
+                       "--out-dir", str(tmp_path))
+
+    def test_input_error_in_a_worker_exits_two(self, capsys, tmp_path):
+        family = '{"kind":"random_hypergraph","n":2,"max_edge_size":2,"edge_count":2,"count":4}'
+        code, out, err = self.verify(capsys, tmp_path, family)
+        assert code == 2 and out == ""
+        assert "error: cannot place 2 distinct edges" in err and "Traceback" not in err
+
+    def test_planted_error_in_a_worker_exits_four_with_traceback(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def fault(shard):
+            if shard == 1:
+                raise RuntimeError("planted bug")
+
+        self.plant(monkeypatch, fault)
+        code, out, err = self.verify(capsys, tmp_path)
+        assert code == 4 and out == ""
+        assert "Traceback" in err and "RuntimeError: planted bug" in err
+        assert "in verify worker" in err and ", in fault\n" in err  # the child's own frames
+
+    def test_worker_killed_exits_four(self, capsys, monkeypatch, tmp_path):
+        def fault(shard):
+            if shard == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.plant(monkeypatch, fault)
+        code, out, err = self.verify(capsys, tmp_path)
+        assert code == 4 and out == ""
+        assert "RuntimeError: verify worker" in err and "exited without a report" in err
+
+    def test_unpicklable_worker_exception_exits_four(self, capsys, monkeypatch, tmp_path):
+        class LocalError(Exception):  # a local class does not pickle
+            pass
+
+        def fault(shard):
+            raise LocalError("cannot be sent")
+
+        self.plant(monkeypatch, fault)
+        code, _, err = self.verify(capsys, tmp_path)
+        assert code == 4
+        assert "RuntimeError: verify worker" in err and "exited without a report" in err
+
+    def test_lowest_failed_shard_wins_and_the_rest_are_killed(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def fault(shard):
+            if shard == 0:
+                time.sleep(0.2)  # fails after shard 1 has
+            if shard < 2:
+                raise HyperinvError(f"shard {shard} failed")
+            time.sleep(30)  # killed, not waited for
+
+        self.plant(monkeypatch, fault)
+        start = time.monotonic()
+        code, _, err = self.verify(capsys, tmp_path, jobs="3")
+        assert time.monotonic() - start < 20
+        assert code == 2
+        assert "error: shard 0 failed" in err and "shard 1" not in err
+
+    def test_keyboard_interrupt_in_a_worker_reaps_every_child(self, monkeypatch, tmp_path):
+        def fault(shard):
+            if shard == 0:
+                raise KeyboardInterrupt
+            time.sleep(30)
+
+        self.plant(monkeypatch, fault)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "lemma-dim", "--family", self.FAMILY, "--jobs", "2",
+                  "--out-dir", str(tmp_path)])
 
 
 # Small JSON values of every type, and instances and family specs, often

@@ -1,8 +1,7 @@
 """Suite registry behaviour, runner determinism, self-test fault."""
 
-import concurrent.futures
 import json
-from concurrent.futures import Future
+import os
 
 import pytest
 
@@ -199,39 +198,63 @@ class TestRunner:
         assert "elapsed" not in rep.to_json_obj()
         assert "omitted" not in rep.to_json_obj()  # written only when non-empty
 
-    @pytest.mark.parametrize("cpus,jobs,workers", [(2, 64, 2), (None, 64, 1), (8, 3, 3)])
-    def test_worker_pool_bounded_by_cpu_count(self, tmp_path, monkeypatch, cpus, jobs, workers):
-        """The pool never exceeds the CPUs, and each worker gets one shard
-        per family, however large ``--jobs`` is.  The pool runs its tasks
-        inline, so no process is started."""
-        pools = []
-        submits = []
+    def assert_workers(self, tmp_path, monkeypatch, jobs, cpus, mask, workers):
+        """With ``cpu_count`` reading ``cpus`` and an affinity mask ``mask``
+        (None: the platform has none), a --jobs ``jobs`` run of lemma-dim
+        starts ``workers`` children, child s runs shard s of every family,
+        a single worker forks nothing, and the report is the serial one.
+        The fork helper is replaced by an inline runner, so no process is
+        started."""
+        forks, shard_runs = [], []
+        run_shard = suites_module._run_shard
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        def recording_shard(name, fams, shard, jobs):
+            shard_runs.extend((fi, shard, jobs) for fi in range(len(fams)))
+            return run_shard(name, fams, shard, jobs)
 
-            def __enter__(self):
-                return self
+        def inline_forks(name, fams, workers):
+            forks.append(workers)
+            return [row for s in range(workers) for row in recording_shard(name, fams, s, workers)]
 
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                submits.append(args)
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        # run_suite imports the pool when it forks, so patch it at its source
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(suites_module, "_fork_shards", inline_forks)
         monkeypatch.setattr(suites_module.os, "cpu_count", lambda: cpus)
+        if mask is None:
+            monkeypatch.delattr(suites_module.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(suites_module.os, "sched_getaffinity", lambda pid: set(mask))
         fams = [FamilySpec(kind="all_graphs", n=4), FamilySpec(kind="named", name="c5")]
         serial = run_suite("lemma-dim", fams, out_dir=str(tmp_path))
-        pooled = run_suite("lemma-dim", fams, jobs=jobs, out_dir=str(tmp_path))
-        assert pools == [workers]
-        assert len(submits) == workers * len(fams)
-        assert pooled.to_json_obj() == serial.to_json_obj()
+        monkeypatch.setattr(suites_module, "_run_shard", recording_shard)
+        sharded = run_suite("lemma-dim", fams, jobs=jobs, out_dir=str(tmp_path))
+        assert forks == ([workers] if workers > 1 else [])
+        assert sorted(shard_runs) == [(fi, s, workers) for fi in range(2) for s in range(workers)]
+        assert sharded.to_json_obj() == serial.to_json_obj()
+
+    @pytest.mark.parametrize("cpus,jobs,workers", [(2, 64, 2), (None, 64, 1), (8, 3, 3)])
+    def test_worker_pool_bounded_by_cpu_count(self, tmp_path, monkeypatch, cpus, jobs, workers):
+        """Without an affinity mask the workers are min(jobs, cpu_count),
+        however large ``--jobs`` is; an unknown cpu_count means one."""
+        self.assert_workers(tmp_path, monkeypatch, jobs, cpus, None, workers)
+
+    @pytest.mark.parametrize("mask,jobs,workers", [({0, 1}, 64, 2), ({3}, 64, 1), ({0, 2, 5}, 2, 2)])
+    def test_workers_bounded_by_affinity_mask(self, tmp_path, monkeypatch, mask, jobs, workers):
+        """The workers are bounded by the CPUs this process may use, not by
+        the host's count: a mask smaller than cpu_count wins."""
+        self.assert_workers(tmp_path, monkeypatch, jobs, 8, mask, workers)
+
+    def test_no_fork_runs_in_process(self, tmp_path, monkeypatch):
+        """Where os.fork does not exist, any --jobs runs in this process."""
+        monkeypatch.delattr(suites_module.os, "fork")
+        self.assert_workers(tmp_path, monkeypatch, 4, 8, {0, 1, 2, 3}, 1)
+
+    def test_forked_children_are_reaped(self, tmp_path):
+        """Two real forked shards give the serial rows and leave no child behind."""
+        fams = [FamilySpec(kind="all_graphs", n=4), FamilySpec(kind="named", name="c5")]
+        forked = suites_module._fork_shards("lemma-dim", fams, 2)
+        serial = suites_module._run_shard("lemma-dim", fams, 0, 1)
+        assert sorted(forked, key=lambda r: r[:2]) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_default_families_used_when_none_given(self, tmp_path):
         rep = run_suite("graph-cc", out_dir=str(tmp_path))
