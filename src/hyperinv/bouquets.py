@@ -90,7 +90,7 @@ def make_bouquet(h: Hypergraph, stems: Sequence[int], roots: Optional[int] = Non
         raise InvalidBouquet("bouquet needs at least one stem")
     for s in stem_list:
         if s not in h.edges:
-            raise InvalidBouquet(f"stem is not an edge: {tuple(bit_ids(s))}")
+            raise InvalidBouquet(f"stem is not an edge: {bit_ids(s)}")
     if len(stem_list) >= 2:
         inter = reduce(and_, stem_list)
         if not inter:
@@ -223,29 +223,26 @@ def _dprime_walk(h: Hypergraph, facets: Sequence[int]) -> tuple[int, int]:
             if len(faces) > cap:
                 raise SearchLimitExceeded(f"d' search candidates exceed cap {cap}")
             r = (r - 1) & f
-    star: dict[int, int] = {}  # vertex bit -> union of the edges through it
+    star = [0] * h.n  # vertex id -> union of the edges through it
     for e in h.edges:
         for v in bit_ids(e):
-            star[1 << v] = star.get(1 << v, 0) | e
+            star[v] |= e
     best, best_r = 0, 0
     for r_mask in sorted(faces):
-        union, rest = 0, r_mask
-        while rest:
-            low = rest & -rest
-            union |= star[low]
-            rest ^= low
+        roots = bit_ids(r_mask)
+        union = 0
+        for v in roots:
+            union |= star[v]
         # the base and the freed roots both lie in the union of touched edges
         if union.bit_count() <= best:
             continue
         base = (union & ~r_mask).bit_count()
         # only a root that shares an edge with another root can be freed
-        shared, rest = 0, r_mask
-        while rest:
-            low = rest & -rest
-            if star[low] & (r_mask ^ low):
-                shared |= low
-            rest ^= low
-        if base + shared.bit_count() <= best:
+        shared = 0
+        for v in roots:
+            if star[v] & (r_mask ^ 1 << v):
+                shared += 1
+        if base + shared <= best:
             continue
         size = base + _freed_count([c for e in h.edges if (c := e & r_mask) & (c - 1)])
         if size > best:
@@ -299,13 +296,11 @@ def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
     edges = h.edges
     found = []
     for w, inside in _lattice(edges):
-        free, rest = w.bit_count(), inside  # |W| minus the sizes of the edges counted
-        while rest and free >= 0:
-            low = rest & -rest
-            free -= edges[low.bit_length() - 1].bit_count()
-            rest ^= low
+        free, ids = w.bit_count(), bit_ids(inside)  # |W| minus the sizes of the edges inside
+        for i in ids:
+            free -= edges[i].bit_count()
         if not free:
-            found.append((w, tuple(edges[i] for i in bit_ids(inside))))
+            found.append((w, tuple(edges[i] for i in ids)))
     return [m for _, m in sorted(found)]
 
 
@@ -319,7 +314,7 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
     scored = 0
     for matching in _induced_matchings(h):
         rest = [e for e in h.edges if e not in matching]
-        for hubs in product(*[tuple(bit_ids(e)) for e in matching]):
+        for hubs in product(*[bit_ids(e) for e in matching]):
             slot = {1 << hub: i for i, hub in enumerate(hubs)}
             hub_mask = sum(slot)
             stems: list[list[int]] = [[e] for e in matching]
@@ -379,7 +374,7 @@ def _grouped_flowers(
     if ceiling <= floor:
         return floor, (), 1
     best: tuple[int, tuple[int, ...]] = (-1, ())
-    for tried, roots in enumerate(product(*[tuple(bit_ids(e)) for e in singles]), 1):
+    for tried, roots in enumerate(product(*[bit_ids(e) for e in singles]), 1):
         flowers = fixed
         for e, r in zip(singles, roots):
             flowers |= e & ~(1 << r)
@@ -416,7 +411,7 @@ def cover_from_bouquets(h: Hypergraph, bset: BouquetSet) -> int:
         candidates = e & bset.flowers
         if not candidates:
             raise HyperinvError("edge misses the flower set; witness not optimal")
-        cover |= 1 << next(bit_ids(candidates))
+        cover |= 1 << bit_ids(candidates)[0]
     # the greedy pass can leave a redundant early pick; prune to a minimal
     # subcover (still inside the flower set)
     for v in bit_ids(cover):

@@ -5,13 +5,15 @@ report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional
+from functools import partial, reduce
+from operator import or_
+from typing import Callable, Optional, Sequence
 
 from .complexes import independence_complex, is_shedding
 from .errors import SearchLimitExceeded
 from .hypergraph import (
     Hypergraph,
+    _compress,
     _neighborhood_minus,
     bit_ids,
     deletion,
@@ -27,8 +29,11 @@ def is_codominated(h: Hypergraph, x: str) -> Optional[int]:
     E\\{x}, N(y\\x) contained in N(x\\y).  Vertices in no edge are never
     codominated.
     """
-    bx = 1 << h.vertex_id(x)
-    edges = h.edges
+    return _codominated(h.edges, 1 << h.vertex_id(x))
+
+
+def _codominated(edges: Sequence[int], bx: int) -> Optional[int]:
+    """``is_codominated`` on edge masks in canonical order and a vertex bit."""
     for e in edges:  # canonical order gives the least witness
         if e & bx and all(
             _neighborhood_minus(edges, 1 << y, bx) <= _neighborhood_minus(edges, bx, 1 << y)
@@ -49,28 +54,25 @@ class EliminationOrder:
 
 
 def _codismantle_order(
-    h: Hypergraph, witness: Callable[[str], Optional[int]], memo_fail: set
-) -> Optional[list[str]]:
-    """An elimination order of h, or None; ``witness(x)`` is
-    ``is_codominated(h, x)``, asked only as the search reaches x.  More
-    than ``DEFAULT_CODISMANTLE_CAP`` failed edge sets in ``memo_fail``
-    raise ``SearchLimitExceeded``."""
-    if not h.edges:
+    edges: Sequence[int], alive: int, witness: Callable[[int], Optional[int]], memo_fail: set
+) -> Optional[list[int]]:
+    """An elimination order (vertex ids) of canonical edge masks over the
+    vertices in ``alive``, or None; ``witness(bx)`` is ``_codominated`` at bit
+    bx, asked as the search reaches it.  A failed state is keyed by its edges
+    renumbered onto ``alive``; past ``DEFAULT_CODISMANTLE_CAP`` it raises."""
+    if not edges:
         return []
-    state = frozenset(h.edges)
+    state = frozenset(_compress(edges, alive))
     if state in memo_fail:
         return None
-    support = 0
-    for e in h.edges:
-        support |= e
-    for i in bit_ids(support):
-        x = h.labels[i]
-        if witness(x) is None:
+    for i in bit_ids(reduce(or_, edges)):
+        bx = 1 << i
+        if witness(bx) is None:
             continue
-        rest_h = deletion(h, x)
-        rest = _codismantle_order(rest_h, partial(is_codominated, rest_h), memo_fail)
-        if rest is not None:
-            return [x] + rest
+        rest = [e for e in edges if not e & bx]
+        order = _codismantle_order(rest, alive ^ bx, partial(_codominated, rest), memo_fail)
+        if order is not None:
+            return [i] + order
     memo_fail.add(state)
     if len(memo_fail) > DEFAULT_CODISMANTLE_CAP:
         raise SearchLimitExceeded(
@@ -85,10 +87,12 @@ def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
     """
     from .profile import profile_of  # the profile module builds on this one
 
-    order = _codismantle_order(h, profile_of(h).codominated_witness, set())
+    first = profile_of(h).codominated_witness
+    order = _codismantle_order(
+        h.edges, h.full_mask, lambda bx: first(h.labels[bx.bit_length() - 1]), set())
     if order is None:
         return None
-    return EliminationOrder(tuple(order), True)
+    return EliminationOrder(tuple(h.labels[i] for i in order), True)
 
 
 def replay_elimination(h: Hypergraph, order: EliminationOrder) -> bool:

@@ -110,7 +110,7 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Hypergraph]:
             if canon in seen:
                 continue
             seen.add(canon)
-        yield from_masks(labels, masks)
+        yield Hypergraph(labels, masks)  # pairs in combinations order are in canonical order
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +126,33 @@ def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
     Duplicate draws are resampled; a draw containing an existing edge is
     discarded, and a draw strictly inside existing edges evicts those
     supersets.  The final edge count can therefore fall below the
-    requested one, but generation always terminates.
+    requested one, but generation always terminates.  An edge is
+    ``sample(bits, randint(2, top))``, their ``getrandbits`` calls made
+    inline while n <= 21; past that ``sample`` may take its set branch.
     """
     n = spec.n
     if spec.max_edge_size < 2 or n < 2:
         raise Unsatisfiable("need at least two vertices and edge size two")
     rng = _RNG
     rng.seed(f"{spec.seed}:{index}")  # the state Random(seed) starts in
+    getrandbits = rng.getrandbits
     # sample picks by position, so drawing bit values picks the same vertices
     bits = [1 << v for v in range(n)]
-    top = min(spec.max_edge_size, n)
+    sizes = min(spec.max_edge_size, n) - 1  # randint(2, top) is 2 + _randbelow(top - 1)
     edges: list[int] = []
     for _ in range(spec.edge_count):
         for _attempt in range(200):
-            m = sum(rng.sample(bits, rng.randint(2, top)))
+            while (k := getrandbits(sizes.bit_length())) >= sizes:
+                pass  # _randbelow rejects draws past its bound
+            if n > 21:
+                m = sum(rng.sample(bits, k + 2))
+            else:  # sample's pool branch: swap each pick with the last unpicked
+                pool, m = bits.copy(), 0
+                for left in range(n, n - k - 2, -1):
+                    while (j := getrandbits(left.bit_length())) >= left:
+                        pass
+                    m |= pool[j]
+                    pool[j] = pool[left - 1]
             if m not in edges:
                 break
         else:

@@ -53,12 +53,21 @@ DEFAULT_CYCLE_EDGE_CAP = 20
 DEFAULT_TRANSVERSAL_CAP = 10_000
 
 
-def bit_ids(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+_SMALL_BIT_IDS: list[tuple[int, ...]] = [()]  # masks with top bit i: those below 2**i, + (i,)
+for _i in range(10):
+    _SMALL_BIT_IDS += [ids + (_i,) for ids in _SMALL_BIT_IDS]
+
+
+def bit_ids(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask``, ascending; from a table below 2**10."""
+    if mask < 1024:
+        return _SMALL_BIT_IDS[mask]
+    ids = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        ids.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(ids)
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -69,7 +78,7 @@ def mask_of(ids: Iterable[int]) -> int:
 
 
 def edge_sort_key(mask: int) -> tuple:
-    return (mask.bit_count(), tuple(bit_ids(mask)))
+    return (mask.bit_count(), bit_ids(mask))
 
 
 def _maximal(masks: set[int]) -> tuple[int, ...]:
@@ -180,7 +189,7 @@ def build(vertex_labels: Sequence[str], edge_lists: Sequence[Sequence[str]]) -> 
     for a, b in combinations(masks, 2):
         if a & b == a or a & b == b:
             raise AntichainViolation(
-                f"edge containment between {tuple(bit_ids(a))} and {tuple(bit_ids(b))}"
+                f"edge containment between {bit_ids(a)} and {bit_ids(b)}"
             )
     masks.sort(key=edge_sort_key)
     return Hypergraph(labels, tuple(masks))
@@ -309,7 +318,7 @@ def _canonical_witness(w: CycleWitness) -> CycleWitness:
     less: only the reversal, which keeps that anchor, is compared."""
     vs, es = w.vertex_ids, w.edge_masks
     rev = CycleWitness(vs[:1] + vs[:0:-1], es[::-1])
-    return min(w, rev, key=lambda c: (c.vertex_ids, [tuple(bit_ids(e)) for e in c.edge_masks]))
+    return min(w, rev, key=lambda c: (c.vertex_ids, [bit_ids(e) for e in c.edge_masks]))
 
 
 def find_cycle(h: Hypergraph, n: int) -> Optional[CycleWitness]:

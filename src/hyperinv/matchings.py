@@ -38,9 +38,9 @@ def classify_family(h: Hypergraph, family: Sequence[int]) -> EdgeFamily:
     edges = []
     for e in family:
         if e not in h.edges:
-            raise UnknownEdge(f"not an edge of this hypergraph: {tuple(bit_ids(e))}")
+            raise UnknownEdge(f"not an edge of this hypergraph: {bit_ids(e)}")
         if e in edges:
-            raise UnknownEdge(f"repeated edge in family: {tuple(bit_ids(e))}")
+            raise UnknownEdge(f"repeated edge in family: {bit_ids(e)}")
         edges.append(e)
     edges.sort(key=lambda e: h.edges.index(e))
     union = 0
@@ -80,24 +80,20 @@ def matching_invariants(h: Hypergraph) -> MatchingInvariants:
     if len(h.edges) > DEFAULT_EDGE_CAP:
         raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
     edges = h.edges
+    sizes = [e.bit_count() for e in edges]
     c, c_ids, c_prime, c_prime_ids = 0, (), 0, ()
     for union, inside in _lattice(edges):
         size = union.bit_count()
         weight = size - inside.bit_count()
         if weight <= 0 or weight < c:
             continue  # c <= c', so it can beat neither optimum
-        ids = tuple(bit_ids(inside)) if weight >= c_prime else None  # a tie or a gain
-        if ids and (weight > c_prime or ids < c_prime_ids):
+        ids = bit_ids(inside)
+        if weight > c_prime or weight == c_prime and ids < c_prime_ids:
             c_prime, c_prime_ids = weight, ids
-        rest = inside  # a matching: the edge sizes sum to |W|
-        while rest and size >= 0:
-            low = rest & -rest
-            size -= edges[low.bit_length() - 1].bit_count()
-            rest ^= low
-        if not size:
-            ids = ids or tuple(bit_ids(inside))
-            if weight > c or ids < c_ids:
-                c, c_ids = weight, ids
+        for i in ids:  # a matching: the edge sizes sum to |W|
+            size -= sizes[i]
+        if not size and (weight > c or ids < c_ids):
+            c, c_ids = weight, ids
     m, m_ids = _best_matching(edges)
     return MatchingInvariants(c, c_prime, m, h, {"c": c_ids, "c_prime": c_prime_ids, "m": m_ids})
 
@@ -133,7 +129,7 @@ def is_two_collage(h: Hypergraph, collage: Sequence[int]) -> bool:
     """True iff every edge, minus one vertex, fits inside a collage member."""
     for c in collage:
         if c not in h.edges:
-            raise UnknownEdge(f"not an edge of this hypergraph: {tuple(bit_ids(c))}")
+            raise UnknownEdge(f"not an edge of this hypergraph: {bit_ids(c)}")
     for e in h.edges:
         ok = False
         for v in bit_ids(e):
@@ -183,8 +179,9 @@ def independent_set_from_semi_induced(h: Hypergraph, family: Sequence[int]) -> i
     for e in fam.edges:
         union |= e
         if not e & s:
-            least = next(bit_ids(e))
+            least = bit_ids(e)[0]
             s |= 1 << least
     g = union & ~s
-    assert not any(e & g == e for e in h.edges), "construction must be independent"
+    if any(e & g == e for e in h.edges):  # a fault here, not in the input: exit 4
+        raise RuntimeError("greedy set from a semi-induced matching is not independent")
     return g

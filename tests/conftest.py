@@ -6,8 +6,9 @@ bouquet sets, naive recursion for vertex decomposability, pairwise
 comparison for minimal and maximal sets, every rotation and reflection
 for cycle witnesses, dense
 Gaussian elimination (Fractions, or integers mod p) for homology ranks,
-and a fresh generator per draw, picking vertices one at a time, for
-random hypergraphs.
+a fresh generator per draw, picking vertices one at a time, for
+random hypergraphs, and a search that builds each deleted hypergraph for
+codismantlability.
 Tests freeze oracle outputs and compare the package against them.
 """
 
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
 
-from hyperinv import build, from_masks, named_instance
-from hyperinv.errors import Unsatisfiable
+import hyperinv.decomposition as decomposition
+from hyperinv import build, deletion, from_masks, is_codominated, named_instance
+from hyperinv.errors import SearchLimitExceeded, Unsatisfiable
 from hyperinv.hypergraph import bit_ids
 
 
@@ -414,6 +417,38 @@ def oracle_random_hypergraph(spec, index):
         edges = [e for e in edges if e & m != m or e == m]
         edges.append(m)
     return from_masks([f"x{i + 1}" for i in range(n)], edges)
+
+
+# ---------------------------------------------------------------------------
+# codismantlability oracle: every step builds the deleted hypergraph
+
+
+def oracle_codismantle_order(h, witness, memo_fail):
+    """An elimination order of h, or None; ``witness(x)`` is
+    ``is_codominated(h, x)``, asked only as the search reaches x.  More
+    than ``DEFAULT_CODISMANTLE_CAP`` failed edge sets in ``memo_fail``
+    raise ``SearchLimitExceeded``."""
+    if not h.edges:
+        return []
+    state = frozenset(h.edges)
+    if state in memo_fail:
+        return None
+    support = 0
+    for e in h.edges:
+        support |= e
+    for i in bit_ids(support):
+        x = h.labels[i]
+        if witness(x) is None:
+            continue
+        rest_h = deletion(h, x)
+        rest = oracle_codismantle_order(rest_h, partial(is_codominated, rest_h), memo_fail)
+        if rest is not None:
+            return [x] + rest
+    memo_fail.add(state)
+    if len(memo_fail) > decomposition.DEFAULT_CODISMANTLE_CAP:
+        raise SearchLimitExceeded(
+            f"codismantlability search failed states exceed cap {decomposition.DEFAULT_CODISMANTLE_CAP}")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ class TestCodismantlable:
         assert decomposition.DEFAULT_CODISMANTLE_CAP == 10_000
         h = disjoint_edges_and_c5(4)
         failed = set()
-        assert decomposition._codismantle_order(h, partial(is_codominated, h), failed) is None
+        witness = partial(decomposition._codominated, h.edges)
+        assert decomposition._codismantle_order(h.edges, h.full_mask, witness, failed) is None
         assert len(failed) == 16
         monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 16)
         assert is_codismantlable(disjoint_edges_and_c5(4)) is None

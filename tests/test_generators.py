@@ -1,5 +1,6 @@
 """Instance generators: enumeration counts, determinism, filters."""
 
+import hashlib
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,7 +16,10 @@ from hyperinv.generators import (
     named_instance,
     stream,
 )
-from hyperinv.hypergraph import uniformity_profile
+from hyperinv.hypergraph import from_masks, uniformity_profile
+
+# recorded from the draws made through Random.randint and Random.sample
+GOLDEN_DRAWS_SHA256 = "86e2dfd1f6ee436e0941313b30ed38f766c465a2992b64c597ae59490342f75b"
 
 # frozen at first build from the deterministic generator
 GOLDEN_RANDOM = {
@@ -50,6 +54,10 @@ class TestEnumerateGraphs:
             next(enumerate_graphs(7, dedup=True))
         assert next(enumerate_graphs(7)).edges == ()
 
+    def test_edges_come_in_canonical_order(self):
+        for h in enumerate_graphs(5):
+            assert h.edges == from_masks(h.labels, h.edges).edges
+
     def test_deterministic_order(self):
         a = [h.edges for h in enumerate_graphs(4)]
         b = [h.edges for h in enumerate_graphs(4)]
@@ -60,6 +68,30 @@ class TestRandomHypergraph:
     def test_golden_instance(self):
         spec = FamilySpec(kind="random_hypergraph", n=6, max_edge_size=3, edge_count=3, seed=1)
         assert random_hypergraph(spec, 0).to_json_obj() == GOLDEN_RANDOM
+
+    def test_golden_draws(self):
+        """3,000 draws over six specs hash to the digest recorded with the
+        draws made through ``Random.randint`` and ``Random.sample``: both
+        branches of ``sample`` (n 30 and 60), edge sizes up to n, and a
+        spec every draw of which is refused."""
+        specs = [
+            dict(n=2, max_edge_size=2, edge_count=1, seed=1),
+            dict(n=12, max_edge_size=5, edge_count=8, seed=2),
+            dict(n=30, max_edge_size=8, edge_count=10, seed=3),
+            dict(n=60, max_edge_size=12, edge_count=12, seed=4),
+            dict(n=21, max_edge_size=30, edge_count=6, seed=5),
+            dict(n=3, max_edge_size=2, edge_count=4, seed=6),  # three pairs, four edges
+        ]
+        digest = hashlib.sha256()
+        for fields in specs:
+            spec = FamilySpec(kind="random_hypergraph", **fields)
+            for i in range(500):
+                try:
+                    drawn = random_hypergraph(spec, i).edges
+                except Unsatisfiable as exc:
+                    drawn = str(exc)
+                digest.update(f"{fields}:{i}:{drawn}\n".encode())
+        assert digest.hexdigest() == GOLDEN_DRAWS_SHA256
 
     def test_determinism(self):
         spec = FamilySpec(kind="random_hypergraph", n=7, max_edge_size=3, edge_count=5, seed=9)

@@ -78,6 +78,20 @@ class TestBuild:
         assert edge_sort_key(mask_of([0, 5])) < edge_sort_key(mask_of([1, 2, 3]))
         assert edge_sort_key(mask_of([0, 2])) < edge_sort_key(mask_of([1, 2]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 2047), st.sets(st.integers(0, 63), max_size=8).map(mask_of)))
+    @example(0)
+    @example(1)
+    @example(1023)
+    @example(1024)
+    @example(1025)
+    @example(1 << 40)
+    def test_bit_ids_match_the_bit_walk_across_the_table_bound(self, mask):
+        """Below 2**10 the ids are read from a table, above it walked."""
+        walked = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        ids = bit_ids(mask)
+        assert type(ids) is tuple and list(ids) == walked
+
 
 class TestDeletionContraction:
     def test_h1_delete_x2(self, h1):

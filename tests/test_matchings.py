@@ -1,6 +1,14 @@
 """Matching invariants against a raw-subset oracle, collages, greedy sets."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
+
+import hyperinv
 
 import hyperinv.matchings as matchings
 from conftest import oracle_matching_numbers, tiny_hypergraphs
@@ -118,7 +126,43 @@ class TestCollagesAndMatchings:
         assert sorted(len(m) for m in mms) == [1, 1]
 
 
+# The greedy construction is made to read a family that is not
+# semi-induced as one: a-b, c-d with the edge b-d inside their union.
+# The greedy picks a and c, which leaves the edge b-d.  The subprocess
+# runs it under python -O, which deletes asserts.
+DEPENDENT_GREEDY = """
+import dataclasses
+import hyperinv.matchings as matchings
+from hyperinv import build
+
+real = matchings.classify_family
+matchings.classify_family = lambda h, fam: dataclasses.replace(real(h, fam), semi_induced=True)
+h = build(["a", "b", "c", "d"], [["a", "b"], ["c", "d"], ["b", "d"]])
+try:
+    matchings.independent_set_from_semi_induced(h, [0b0011, 0b1100])
+except RuntimeError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
 class TestGreedyIndependentSet:
+    def test_a_dependent_greedy_set_is_an_internal_error(self, monkeypatch):
+        real = matchings.classify_family
+        monkeypatch.setattr(matchings, "classify_family",
+                            lambda h, fam: replace(real(h, fam), semi_induced=True))
+        h = build(["a", "b", "c", "d"], [["a", "b"], ["c", "d"], ["b", "d"]])
+        with pytest.raises(RuntimeError,
+                           match="^greedy set from a semi-induced matching is not independent$"):
+            independent_set_from_semi_induced(h, [0b0011, 0b1100])
+
+    def test_the_independence_check_holds_under_python_O(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-O", "-c", DEPENDENT_GREEDY], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "RuntimeError greedy set from a semi-induced matching is not independent\n")
+
     def test_h1_replay(self, h1):
         g = independent_set_from_semi_induced(h1, list(h1.edges))
         assert sorted(h1.edge_labels(g)) == ["x3", "x5", "x6"]

@@ -1,16 +1,18 @@
 """Property-based invariant checks over randomly drawn hypergraphs."""
 
 import json
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from operator import or_
 
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    disjoint_edges_and_c5,
     oracle_betti_table,
     oracle_bouquet_numbers,
     oracle_canonical_witness,
+    oracle_codismantle_order,
     oracle_dprime_search,
     oracle_independence_facets,
     oracle_matching_numbers,
@@ -38,6 +40,7 @@ from hyperinv import (
 )
 from hyperinv.bouquets import _freed_count, _induced_matchings, _max_freed
 from hyperinv.complexes import dimension
+from hyperinv.decomposition import _codismantle_order, _codominated
 from hyperinv.errors import Unsatisfiable
 from hyperinv.generators import FamilySpec, _labels, random_hypergraph
 from hyperinv.hypergraph import (
@@ -239,6 +242,21 @@ def test_dprime_search_matches_the_face_by_face_oracle(h):
     assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(hypergraphs(max_n=9, max_edge_size=4, max_edges=8),
+                 graphs(max_n=9, max_edges=12),
+                 st.integers(0, 6).map(disjoint_edges_and_c5)))
+@example(disjoint_edges_and_c5(6))
+def test_codismantle_search_matches_the_oracle(h):
+    """The search on edge masks finds the order (or None) of the search that
+    builds each deleted hypergraph, and fails on the same edge sets."""
+    failed, oracle_failed = set(), set()
+    order = _codismantle_order(h.edges, h.full_mask, partial(_codominated, h.edges), failed)
+    want = oracle_codismantle_order(h, partial(is_codominated, h), oracle_failed)
+    assert (None if order is None else [h.labels[i] for i in order]) == want
+    assert failed == oracle_failed
+
+
 @settings(max_examples=150, deadline=None)
 @given(hypergraphs())
 def test_codominated_implies_shedding(h):
@@ -420,15 +438,16 @@ def _draw(draw_fn, spec, index):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(
-    st.builds(FamilySpec, kind=st.just("random_hypergraph"), n=st.integers(0, 10),
-              max_edge_size=st.integers(1, 5), edge_count=st.integers(0, 14),
+    st.builds(FamilySpec, kind=st.just("random_hypergraph"), n=st.integers(0, 40),
+              max_edge_size=st.integers(1, 8), edge_count=st.integers(0, 14),
               seed=st.integers(-5, 10**6)),
     st.integers(0, 10**4)), min_size=1, max_size=6))
 @example([(FamilySpec(kind="random_hypergraph", n=2, max_edge_size=2, edge_count=2), 0)])
 def test_random_draws_match_a_freshly_seeded_oracle(draws):
     """Draw for draw, in any order of specs, the shared re-seeded generator
     gives the instances (or the refusal) of a fresh Random per draw, and
-    every instance on n vertices shares one label tuple."""
+    every instance on n vertices shares one label tuple.  Past 21 vertices
+    ``Random.sample`` may take its set branch."""
     for spec, index in draws:
         got = _draw(random_hypergraph, spec, index)
         assert got == _draw(oracle_random_hypergraph, spec, index)
