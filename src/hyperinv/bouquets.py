@@ -16,9 +16,8 @@ of the remaining edges to hubs they contain.
 Each search is one pass.  It scores every candidate by its flower count
 on bitmasks, in a fixed order with strict improvement.  The first best
 candidate wins, and only its bouquet set is built and classified, once.
-``dprime_invariant`` runs the d' search alone; ``bouquet_invariants``
-adds the d search; the lemmas-dprime rows, which read d' by value, run
-its walk ``_dprime_walk`` alone, which returns d' and the winning R.
+``dprime_invariant`` runs the d' search alone: ``_dprime_walk`` (d' and the
+winning R), then ``_dprime_witness`` on R; ``bouquet_invariants`` adds d.
 
 A root set R scores the vertices outside R of the union of the edges
 that meet R, plus its freed roots.  An edge meeting R in one root is
@@ -166,7 +165,8 @@ class BouquetInvariants:
 
 def dprime_invariant(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
     """d' with its witness, without the d search; ``facets`` span the independence complex."""
-    return _dprime_search(h, facets)
+    best, best_r = _dprime_walk(h.edges, h.n, facets)
+    return best, _dprime_witness(h, best_r)
 
 
 def bouquet_invariants(
@@ -185,35 +185,32 @@ def bouquet_invariants(
 # d' : semi-strongly disjoint maximization
 
 
-def _dprime_search(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
-    """d' with the witness built from the root set of ``_dprime_walk``."""
-    best, best_r = _dprime_walk(h, facets)
-    # one single-stem bouquet per touched edge, in canonical edge order:
-    # the forced root where the edge meets R once, the kept root elsewhere
-    _, best_kept = _max_freed([c for e in h.edges if (c := e & best_r) & (c - 1)])
-    kept_roots = iter(best_kept)
+def _dprime_witness(h: Hypergraph, best_r: int) -> BouquetSet:
+    """One single-stem bouquet per edge touched by the walk's R, in edge order: rooted
+    at the forced root where the edge meets R once, at the kept root elsewhere."""
+    kept_roots = iter(_max_freed([c for e in h.edges if (c := e & best_r) & (c - 1)])[1])
     bouquets = tuple(
         Bouquet((e,), next(kept_roots) if c & (c - 1) else c)
         for e in h.edges
         if (c := e & best_r)
     )
-    return best, classify_bouquet_set(h, bouquets)
+    return classify_bouquet_set(h, bouquets)
 
 
-def _dprime_walk(h: Hypergraph, facets: Sequence[int]) -> tuple[int, int]:
+def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[int, int]:
     """d' and the first root set R that reaches it (empty when no R touches
-    an edge: no edges, or only singleton edges).  Root sets R are the faces
-    of the independence complex (given by its ``facets``) inside the edge
-    support, in ascending mask order; a root set that also holds vertices
-    in no edge scores the same as its part inside the support, which comes
-    first.  Each R is scored in closed form (``_freed_count``), unless its
-    edge union, or that union's part outside R with the roots that share an
-    edge, cannot beat the best so far.  Past ``DEFAULT_EDGE_CAP`` edges, or
-    at the first root set past ``DEFAULT_CANDIDATE_CAP``, it raises
-    ``SearchLimitExceeded``."""
-    if len(h.edges) > DEFAULT_EDGE_CAP:
-        raise SearchLimitExceeded(f"{len(h.edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
-    support = reduce(or_, h.edges, 0)
+    an edge: no edges, or only singleton edges), on edge masks over vertex
+    ids 0..n-1.  Root sets R are the faces of the independence complex
+    (given by its ``facets``) inside the edge support, in ascending mask
+    order; a root set that also holds vertices in no edge scores the same
+    as its part inside the support, which comes first.  Each R is scored in
+    closed form (``_freed_count``), unless its edge union, or that union's
+    part outside R with the roots that share an edge, cannot beat the best
+    so far.  Past ``DEFAULT_EDGE_CAP`` edges, or at the first root set past
+    ``DEFAULT_CANDIDATE_CAP``, it raises ``SearchLimitExceeded``."""
+    if len(edges) > DEFAULT_EDGE_CAP:
+        raise SearchLimitExceeded(f"{len(edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
+    support = reduce(or_, edges, 0)
     cap = DEFAULT_CANDIDATE_CAP
     faces = set()
     for f in {f & support for f in facets}:
@@ -223,8 +220,8 @@ def _dprime_walk(h: Hypergraph, facets: Sequence[int]) -> tuple[int, int]:
             if len(faces) > cap:
                 raise SearchLimitExceeded(f"d' search candidates exceed cap {cap}")
             r = (r - 1) & f
-    star = [0] * h.n  # vertex id -> union of the edges through it
-    for e in h.edges:
+    star = [0] * n  # vertex id -> union of the edges through it
+    for e in edges:
         for v in bit_ids(e):
             star[v] |= e
     best, best_r = 0, 0
@@ -244,7 +241,7 @@ def _dprime_walk(h: Hypergraph, facets: Sequence[int]) -> tuple[int, int]:
                 shared += 1
         if base + shared <= best:
             continue
-        size = base + _freed_count([c for e in h.edges if (c := e & r_mask) & (c - 1)])
+        size = base + _freed_count([c for e in edges if (c := e & r_mask) & (c - 1)])
         if size > best:
             best, best_r = size, r_mask
     return best, best_r
@@ -397,7 +394,7 @@ def cover_from_bouquets(h: Hypergraph, bset: BouquetSet) -> int:
 
     if not bset.semi_strongly_disjoint:
         raise NotSemiStronglyDisjoint("bouquet set has dependent roots")
-    d_prime = profile_of(h).dprime[0]
+    d_prime = profile_of(h).dprime_walk[0]
     if bset.flowers.bit_count() != d_prime:
         raise NotOptimalWitness(
             f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}"

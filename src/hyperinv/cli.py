@@ -39,7 +39,7 @@ EXIT_INTERNAL = 4
 
 def _load_instance(path: str) -> Hypergraph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # whatever the locale
             return from_json(fh.read())
     except OSError as exc:
         raise HyperinvError(f"cannot read {path}: {exc}") from exc

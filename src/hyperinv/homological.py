@@ -2,12 +2,13 @@
 complex, via the reduced-homology sum over induced subcomplexes, plus
 regularity, projective dimension, and the Alexander dual.
 
-The Hochster sum runs over the lcm lattice of the edges only.  Ranks are
-exact, over the rationals or GF(p), by one sparse column eliminator that
-pivots on units and falls back to fraction-free cross-multiplication on
-the rational entries that are not +-1.  The reduced chain complex
-includes the empty face, so restrictions whose only face is empty
-contribute the (-1)-dimensional class.
+The Hochster sum runs over the lcm lattice of the edges only; for reg and
+pd alone ``betti_table`` walks it largest element first, only until no
+smaller one can raise them.  Ranks are exact, over the rationals or
+GF(p), by one sparse column eliminator that pivots on units and falls
+back to fraction-free cross-multiplication on the rational entries that
+are not +-1.  The reduced chain complex includes the empty face, so
+restrictions whose only face is empty contribute the (-1)-dimensional class.
 
 Every homology question, ``reduced_homology`` included, goes through the
 rules below first; the plain eliminator ranks each boundary map of the
@@ -177,14 +178,8 @@ class BettiTable:
     entries: dict  # (i, j) -> rank, zero entries omitted
     n: int
     field: str
-
-    @property
-    def reg(self) -> int:
-        return max((j - i for i, j in self.entries), default=0)
-
-    @property
-    def pd(self) -> int:
-        return max((i for i, _ in self.entries), default=0)
+    reg: int  # max j - i over the entries, 0 without any
+    pd: int  # max i over the entries, 0 without any
 
     def to_json_obj(self) -> dict:
         return {
@@ -195,7 +190,7 @@ class BettiTable:
         }
 
 
-def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
+def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: bool = False) -> BettiTable:
     """Exact graded Betti numbers of the quotient by the edge ideal.
 
     Hochster's formula: for a vertex subset W, the restriction of the
@@ -205,14 +200,32 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
     are visited: elsewhere rule (a) gives zero.  A restriction is looked up
     by its labelled edges (their union is W) before any renumbering; a miss
     is compressed, sorted, sent through the rules and kept under both keys.
+
+    With ``skip`` a vertex mask S, the table is that of H\\S: Ind(H\\S)
+    restricts as Ind(H) at the W that miss S, which are the unions of the
+    edges of H\\S, so H's lattice and memo keys serve.  With ``bounded`` the
+    walk goes down the lattice by |W|: a class of H~_d at W adds
+    i = |W| - d - 1 <= |W| to pd and d + 1 <= |W| - 1 to reg (i >= 1), so it
+    stops at the first W with |W| <= pd and |W| - 1 <= reg.  That table
+    holds every entry of degree above that |W| and may lack any other: read
+    only its reg and pd.
     """
     if h.n > DEFAULT_BETTI_CAP:
         raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {DEFAULT_BETTI_CAP}")
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     edges, memo = h.edges, _SUBGRAPH_HOMOLOGY_MEMO
+    lattice = _lattice(edges)
+    if bounded:
+        lattice = sorted(lattice, key=lambda wi: -wi[0].bit_count())
     entries: dict[tuple[int, int], int] = {}
-    for w, inside in _lattice(edges):
+    reg = pd = 0
+    for w, inside in lattice:
+        j = w.bit_count()
+        if bounded and j <= pd and j <= reg + 1:
+            break
+        if w & skip:
+            continue
         sub = []
         while inside:
             low = inside & -inside
@@ -220,18 +233,28 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q) -> BettiTable:
             inside ^= low
         key = (field, *sub)
         hom = memo.get(key)
-        j = w.bit_count()
         if hom is None:
             hom = memo[key] = _subhypergraph_homology(j, tuple(sorted(_compress(sub, w))), field)
         for dim, rank in hom.items():
             i = j - dim - 1
             if i >= 1:
                 entries[(i, j)] = entries.get((i, j), 0) + rank
-    return BettiTable(entries, h.n, field)
+                if i > pd:
+                    pd = i
+                if dim >= reg:
+                    reg = dim + 1
+    return BettiTable(entries, h.n - skip.bit_count(), field, reg, pd)
+
+
+def _reg_pd(h: Hypergraph, field: str = FIELD_Q, skip: int = 0) -> tuple[int, int]:
+    """(reg, pd) of H, or of H\\S for the vertex mask ``skip``, by the bounded walk."""
+    t = betti_table(h, field, skip, bounded=True)
+    return t.reg, t.pd
 
 
 def reg_and_pd(h: Hypergraph, field: str = FIELD_Q) -> dict:
-    t = betti_table(h, field)
+    """reg and pd of the Betti table, by its bounded walk."""
+    t = betti_table(h, field, bounded=True)
     return {"reg": t.reg, "pd": t.pd}
 
 

@@ -225,15 +225,17 @@ def _deleted(edges: Iterable[int], n: int, i: int) -> tuple[int, ...]:
     return tuple(_compress([e for e in edges if not e >> i & 1], (1 << n) - 1 & ~(1 << i)))
 
 
-def _contracted(edges: Sequence[int], n: int, i: int) -> tuple[int, ...]:
-    """Minimal sets among the edges over 0..n-1 minus vertex i, bit i removed,
-    ascending; (0,) if {i} is an edge.  The edges through i, less i, stay
-    (they are an antichain and lie in no other edge); an edge that misses i
-    drops iff it contains one of them."""
-    bit = 1 << i
+def _contract(edges: Sequence[int], bit: int) -> list[int]:
+    """Minimal sets among the edges less the vertex of ``bit``, same ids; [0]
+    if it is an edge.  The edges through it, less it, stay (an antichain in
+    no other edge); an edge that misses it drops iff it contains one."""
     through = [e ^ bit for e in edges if e & bit]
-    kept = through + [e for e in edges if not e & bit and not any(t & e == t for t in through)]
-    return tuple(sorted(_compress(kept, (1 << n) - 1 & ~bit)))
+    return through + [e for e in edges if not e & bit and not any(t & e == t for t in through)]
+
+
+def _contracted(edges: Sequence[int], n: int, i: int) -> tuple[int, ...]:
+    """``_contract`` at vertex i, renumbered onto 0..n-2, ascending."""
+    return tuple(sorted(_compress(_contract(edges, 1 << i), (1 << n) - 1 & ~(1 << i))))
 
 
 def deletion(h: Hypergraph, x: str) -> Hypergraph:

@@ -1,8 +1,8 @@
 """Per-instance invariant profile.
 
 A ``Profile`` holds the invariants of one hypergraph, each computed on
-first read through the public layer functions, under the cap constants
-of their modules.
+first read, and only as far as it is read, under the cap constants of
+their modules.
 The hypothesis filters, the suite checks and the ``invariants`` report
 read them from ``profile_of(h)``, which keeps the profile of the last
 hypergraph object asked for only: a filter's verdict is reused by the
@@ -11,37 +11,42 @@ check of the same instance, and nothing outlives the next instance.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Optional
 
-from .bouquets import BouquetInvariants, BouquetSet, bouquet_invariants, dprime_invariant
+from .bouquets import BouquetInvariants, BouquetSet, _dprime_walk, _dprime_witness, bouquet_invariants
 from .complexes import SimplicialComplex, _split, independence_complex, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
 from .errors import HyperinvError, SearchLimitExceeded
-from .homological import FIELD_Q, BettiTable, betti_table
+from .homological import FIELD_Q, BettiTable, _reg_pd, betti_table
 from .hypergraph import (
     CoverList,
     Hypergraph,
     bit_ids,
     contraction,
-    deletion,
     find_cycle,
     three_cycle_edge_condition,
 )
 from .matchings import MatchingInvariants, matching_invariants
 
 
-class _cached(cached_property):
-    """A ``cached_property`` that keeps a cap error too and raises it on every read."""
+class _cached:
+    """A lazy field, stored in the instance dict on first read, where later reads
+    find it before this non-data descriptor; a cap error is kept and re-raised."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
 
     def __get__(self, obj, owner=None):
-        if obj is not None and self.attrname in obj._cap_errors:
-            raise obj._cap_errors[self.attrname]
+        if obj is None:
+            return self
+        if self.name in obj._cap_errors:
+            raise obj._cap_errors[self.name]
         try:
-            return super().__get__(obj, owner)
+            value = obj.__dict__[self.name] = self.fn(obj)
         except SearchLimitExceeded as exc:
-            obj._cap_errors[self.attrname] = exc
+            obj._cap_errors[self.name] = exc
             raise
+        return value
 
 
 class Profile:
@@ -89,9 +94,15 @@ class Profile:
         return bouquet_invariants(self.h, self.complex.facets, dprime=self.dprime)
 
     @_cached
+    def dprime_walk(self) -> tuple[int, int]:
+        """d' and the root set that reaches it first, by the walk alone."""
+        return _dprime_walk(self.h.edges, self.h.n, self.complex.facets)
+
+    @_cached
     def dprime(self) -> tuple[int, BouquetSet]:
-        """d' with its witness; the d search runs only if d is read."""
-        return dprime_invariant(self.h, self.complex.facets)
+        """d' with its witness, built from the walk's root set."""
+        d_prime, roots = self.dprime_walk
+        return d_prime, _dprime_witness(self.h, roots)
 
     @_cached
     def covers(self) -> CoverList:
@@ -113,15 +124,18 @@ class Profile:
         return [self.h.labels[i] for i in bit_ids(support) if self.shedding[i]]
 
     @_cached
-    def shedding_splits(self) -> list[tuple[str, BettiTable, BettiTable]]:
-        """(x, Betti table of H\\x, Betti table of H/x) at each shedding
-        vertex x whose contraction is not the void marker."""
-        splits = []
-        for x in self.shedding_vertices:
-            ctr = contraction(self.h, x)
-            if not ctr.void:
-                splits.append((x, betti_table(deletion(self.h, x)), betti_table(ctr)))
-        return splits
+    def reg_pd(self) -> tuple[int, int]:
+        """(reg, pd) over Q, by the bounded Hochster walk."""
+        return _reg_pd(self.h)
+
+    @_cached
+    def shedding_splits(self) -> list[tuple[str, tuple[int, int], tuple[int, int]]]:
+        """(x, (reg, pd) of H\\x, (reg, pd) of H/x) at each shedding x whose H/x is
+        not void: H\\x is walked on H's lattice, H/x (restricting to links) on its own."""
+        h = self.h
+        ctrs = [(x, ctr) for x in self.shedding_vertices if not (ctr := contraction(h, x)).void]
+        dels = [_reg_pd(h, skip=1 << h.vertex_id(x)) for x, _ in ctrs]  # one lattice
+        return [(x, dele, _reg_pd(ctr)) for (x, ctr), dele in zip(ctrs, dels)]
 
     def codominated_witness(self, x: str) -> Optional[int]:
         """The least codominated witness of x, or None."""

@@ -16,17 +16,11 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .bouquets import _dprime_walk, cover_from_bouquets
-from .complexes import dimension, link_and_deletion
+from .complexes import _split, dimension
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
 from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
-from .hypergraph import (
-    Hypergraph,
-    c2_free,
-    contraction,
-    deletion,
-    is_graph,
-)
+from .hypergraph import Hypergraph, _contract, c2_free, is_graph
 from .matchings import (
     independent_set_from_semi_induced,
     is_two_collage,
@@ -124,7 +118,7 @@ def _lemma_dim(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 def _prop_mh(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     inv = p.matchings
     collage_ok = all(is_two_collage(h, mm) for mm in maximal_matchings(h))
-    reg = p.betti().reg
+    reg = p.reg_pd[0]
     ok = inv.c <= inv.c_prime <= inv.m and collage_ok and inv.c <= reg <= inv.m
     return ok, dict(
         c=inv.c,
@@ -148,20 +142,20 @@ def _prop_cd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 def _theorem_reg(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     c_prime = p.matchings.c_prime
     top = _dim_plus_one(p)
-    reg = p.betti().reg
+    reg = p.reg_pd[0]
     return reg <= c_prime <= top, dict(reg=reg, c_prime=c_prime, dim_plus_one=top)
 
 
 def _theorem_pd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
-    d_prime = p.dprime[0]
-    pd = p.betti().pd
+    d_prime = p.dprime_walk[0]
+    pd = p.reg_pd[1]
     return pd <= d_prime, dict(pd=pd, d_prime=d_prime)
 
 
 def _theorem_final(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     d_prime, witness = p.dprime
     covers = p.covers
-    pd = p.betti().pd
+    pd = p.reg_pd[1]
     cover = cover_from_bouquets(h, witness)
     flowers = witness.flowers
     # Theorem final (ii): with size-two stems the flower set itself covers
@@ -182,15 +176,16 @@ def _corollary_codis(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 
 
 def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
-    # Ind(H/x) and Ind(H\x) are the link and deletion of x in Ind(H)
-    dp = p.dprime[0]
+    # Ind(H/x) and Ind(H\x) are the link and deletion of x in Ind(H), on H's vertex ids
+    dp = p.dprime_walk[0]
     rows = []
     ok = True
     for x in p.shedding_vertices:
-        ctr, dele = contraction(h, x), deletion(h, x)
-        link, del_complex = link_and_deletion(p.complex, x)
-        dp_ctr = None if ctr.void else _dprime_walk(ctr, link.facets)[0]
-        dp_del = _dprime_walk(dele, del_complex.facets)[0]
+        bit = 1 << h.vertex_id(x)
+        link, del_facets, _ = _split(p.complex.facets, bit)
+        ctr = _contract(h.edges, bit)
+        dp_ctr = None if 0 in ctr else _dprime_walk(ctr, h.n, link)[0]  # 0: {x} is an edge
+        dp_del = _dprime_walk([e for e in h.edges if not e & bit], h.n, del_facets)[0]
         good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
@@ -198,9 +193,9 @@ def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 
 
 def _recursion_pd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
-    pd = p.betti().pd
+    pd = p.reg_pd[1]
     rows = [
-        {"vertex": x, "pd_deletion": dele.pd, "pd_contraction": ctr.pd}
+        {"vertex": x, "pd_deletion": dele[1], "pd_contraction": ctr[1]}
         for x, dele, ctr in p.shedding_splits
     ]
     ok = all(pd == max(r["pd_deletion"] + 1, r["pd_contraction"]) for r in rows)
@@ -208,9 +203,9 @@ def _recursion_pd(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 
 
 def _recursion_reg(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
-    reg = p.betti().reg
+    reg = p.reg_pd[0]
     rows = [
-        {"vertex": x, "reg_deletion": dele.reg, "reg_contraction": ctr.reg}
+        {"vertex": x, "reg_deletion": dele[0], "reg_contraction": ctr[0]}
         for x, dele, ctr in p.shedding_splits
     ]
     ok = all(reg <= max(r["reg_deletion"], r["reg_contraction"] + 1) for r in rows)
@@ -227,7 +222,7 @@ class Suite:
     statement: str
     check: Callable[[Hypergraph], SuiteResult]
     default_families: tuple[FamilySpec, ...]
-    homology: bool  # whether the conclusion reads Betti tables
+    homology: bool  # whether the conclusion reads homology (reg, pd)
 
 
 def _fam(**kw) -> FamilySpec:

@@ -273,7 +273,7 @@ def test_each_search_classifies_one_bouquet_set(monkeypatch):
     for _, h in witness_cases():
         facets = maximal_independent_sets(h)
         for name, search in (("d", lambda: bouquets._d_search(h)),
-                             ("d'", lambda: bouquets._dprime_search(h, facets))):
+                             ("d'", lambda: bouquets.dprime_invariant(h, facets))):
             calls.clear()
             search()
             assert len(calls) == 1, name

@@ -257,9 +257,11 @@ class TestInvariants:
         once and stores cap + 1 root sets."""
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 100)
         walks, stored = [], []
-        search = bouquets._dprime_search
-        monkeypatch.setattr(bouquets, "_dprime_search",
-                            lambda h, facets: walks.append(h) or search(h, facets))
+        walk = bouquets._dprime_walk
+        for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
+            if getattr(mod, "_dprime_walk", None) is walk:
+                monkeypatch.setattr(mod, "_dprime_walk",
+                                    lambda *args: walks.append(args) or walk(*args))
 
         class CountedSet(set):
             def add(self, item):
@@ -557,6 +559,30 @@ def test_a_forked_run_loads_no_process_pool(h1_file, tmp_path):
     concurrent.futures nor multiprocessing either."""
     proc = run_footprint(h1_file, tmp_path, 2)
     assert proc.returncode == 0, proc.stderr
+
+
+def run_invariants(path, **env_overrides):
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperinv.__file__).parents[1]), **env_overrides)
+    return subprocess.run(
+        [sys.executable, "-m", "hyperinv.cli", "invariants", str(path)],
+        capture_output=True, env=env, timeout=120,
+    )
+
+
+def test_a_utf8_instance_reads_the_same_under_the_c_locale(tmp_path):
+    """Instance files are UTF-8 whatever the locale: a non-ASCII label gives
+    the same report under LC_ALL=C without UTF-8 mode, and a Latin-1 file
+    is still an input error there."""
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+    path = tmp_path / "accent.json"
+    path.write_bytes('{"vertices": ["a", "\u00e9"], "edges": [["a", "\u00e9"]]}'.encode())
+    default, c = run_invariants(path), run_invariants(path, **c_locale)
+    assert default.returncode == c.returncode == 0, c.stderr
+    assert c.stdout == default.stdout and "\u00e9" in json.loads(c.stdout)["instance"]["vertices"]
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"vertices": ["a", "\u00e9"], "edges": [["a", "\u00e9"]]}'.encode("latin-1"))
+    bad = run_invariants(latin1, **c_locale)
+    assert bad.returncode == 2 and b"malformed instance file" in bad.stderr
 
 
 class TestInternalError:

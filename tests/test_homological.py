@@ -1,5 +1,8 @@
 """Reduced homology, Betti tables, reg/pd, Alexander duality."""
 
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -381,6 +384,45 @@ class TestBettiTable:
         with pytest.raises(HyperinvError) as exc:
             betti_table(void)
         assert not isinstance(exc.value, SizeLimitExceeded)
+
+
+class TestClosedForms:
+    """Betti tables known in closed form, inside the Betti cap: the full
+    table and the bounded walk's reg and pd."""
+
+    @staticmethod
+    def check(h, entries):
+        t = betti_table(h)
+        assert t.entries == {k: r for k, r in entries.items() if r}
+        assert reg_and_pd(h) == {"reg": t.reg, "pd": t.pd}
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_disjoint_edges_are_the_koszul_complex(self, s):
+        """k disjoint s-edges: beta_{i, si} = C(k, i)."""
+        for k in range(1, 12 // s + 1):
+            labels = [f"x{v}" for v in range(k * s)]
+            h = from_masks(labels, [((1 << s) - 1) << (s * e) for e in range(k)])
+            self.check(h, {(i, s * i): comb(k, i) for i in range(1, k + 1)})
+
+    def test_complete_uniform_hypergraphs(self):
+        """All d-subsets of n vertices: Ind is the (d-2)-skeleton of the
+        simplex, and beta_{j-d+1, j} = C(n, j) C(j-1, d-1)."""
+        for n in range(1, 11):
+            for d in range(1, min(n, 5) + 1):
+                edges = sorted(sum(1 << v for v in c) for c in combinations(range(n), d))
+                h = from_masks([f"x{v}" for v in range(n)], edges)
+                self.check(h, {(j - d + 1, j): comb(n, j) * comb(j - 1, d - 1)
+                               for j in range(d, n + 1)})
+
+    def test_complete_bipartite_graphs(self):
+        """K_{m,n}: beta_{i, i+1} = sum over a + b = i + 1, a, b >= 1, of C(m, a) C(n, b)."""
+        for m in range(1, 7):
+            for n in range(1, min(6, 12 - m) + 1):
+                edges = sorted((1 << a) | (1 << (m + b)) for a in range(m) for b in range(n))
+                h = from_masks([f"x{v}" for v in range(m + n)], edges)
+                self.check(h, {(i, i + 1): sum(comb(m, a) * comb(n, i + 1 - a)
+                                               for a in range(1, i + 1))
+                               for i in range(1, m + n)})
 
 
 class TestAlexanderDuality:

@@ -9,6 +9,7 @@ import pytest
 
 import hyperinv.bouquets as bouquets
 import hyperinv.decomposition as decomposition
+import hyperinv.homological as homological
 import hyperinv.hypergraph as hypergraph
 from hyperinv import (
     SUITES,
@@ -29,7 +30,6 @@ PROFILED = {
     "hypergraph": ("find_cycle", "three_cycle_edge_condition", "minimal_vertex_covers"),
     "matchings": ("matching_invariants",),
     "bouquets": ("bouquet_invariants", "dprime_invariant"),
-    "homological": ("betti_table",),
     "decomposition": ("is_codismantlable",),
 }
 
@@ -44,7 +44,8 @@ def _key(obj):
 @pytest.fixture
 def counts(monkeypatch):
     """Counter of (function, argument) calls, over every reference to each
-    profiled function inside the package, plus the d search."""
+    profiled function inside the package, plus the d search, the d' walk
+    and the Betti tables."""
     seen = Counter()
 
     def counted(name, fn):
@@ -63,6 +64,24 @@ def counts(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is orig:
                         monkeypatch.setattr(mod, attr, wrapped)
+    # the d' walk takes masks: keyed by its edges, vertex count and facets;
+    # a Betti table by H, field, skipped vertices and bound, so that the
+    # reg and pd walks of H and of H\\x on H's lattice count apart
+    walk, table = bouquets._dprime_walk, homological.betti_table
+
+    def counted_walk(edges, n, facets):
+        seen[("_dprime_walk", tuple(edges), n, tuple(facets))] += 1
+        return walk(edges, n, facets)
+
+    def counted_table(h, field="Q", skip=0, bounded=False):
+        seen[("betti_table", _key(h), field, skip, bounded)] += 1
+        return table(h, field, skip, bounded)
+
+    for mod in modules:
+        if getattr(mod, "_dprime_walk", None) is walk:
+            monkeypatch.setattr(mod, "_dprime_walk", counted_walk)
+        if getattr(mod, "betti_table", None) is table:
+            monkeypatch.setattr(mod, "betti_table", counted_table)
     d_search = bouquets._d_search
     monkeypatch.setattr(bouquets, "_d_search",
                         counted("_d_search", lambda h: d_search(h)))
@@ -94,8 +113,9 @@ def _profiled(counts):
 
 @pytest.mark.parametrize("flags", [["--skip-homology"], []])
 def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys, flags):
-    """Also with homology: the recursion checks share the Betti tables of
-    the deletions and contractions at the shedding vertices."""
+    """Also with homology: the reg and pd checks share the walks of H, and
+    the recursion checks those of the deletions and contractions at the
+    shedding vertices."""
     for k, h in enumerate(instances()):
         path = tmp_path / f"instance-{k}.json"
         path.write_text(h.to_json())
@@ -104,6 +124,7 @@ def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys
         capsys.readouterr()
         tested = counts[("is_codominated", _key(h))]
         assert max(_profiled(counts).values()) == 1, counts.most_common(3)
+        assert (("betti_table", _key(h), "Q", 0, True) in counts) == (not flags)
         # d is read by the report and by prop-cd, and computed once for both
         assert _d_searches(counts) == 1
         # each vertex once, for the rows and the elimination order, plus the
@@ -136,16 +157,18 @@ def test_one_report_dualizes_its_input_once(monkeypatch, tmp_path, capsys):
     for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
         if getattr(mod, "maximal_independent_sets", None) is mis:
             monkeypatch.setattr(mod, "maximal_independent_sets", counted)
-    search = bouquets._dprime_search
+    walk = bouquets._dprime_walk
 
-    def traced(h, facets):
-        in_search.append(h)
+    def traced(*args):
+        in_search.append(args)
         try:
-            return search(h, facets)
+            return walk(*args)
         finally:
             in_search.pop()
 
-    monkeypatch.setattr(bouquets, "_dprime_search", traced)
+    for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
+        if getattr(mod, "_dprime_walk", None) is walk:
+            monkeypatch.setattr(mod, "_dprime_walk", traced)
     for k, h in enumerate(instances()):
         path = tmp_path / f"instance-{k}.json"
         path.write_text(h.to_json())
@@ -190,8 +213,13 @@ def test_filter_verdicts_are_reused_by_the_check(counts, tmp_path):
 
 
 def test_profile_reads_d_prime_from_bouquets_when_d_was_read(counts):
+    """One d' walk per profile, whether d' is read by value, with its
+    witness or through the bouquets; the witness is the one of
+    ``dprime_invariant``."""
     p = profile_of(named_instance("h1"))
+    assert p.dprime_walk[0] == 5
     assert p.bouquets.d_prime == p.dprime[0] == 5
+    assert sum(c for key, c in counts.items() if key[0] == "_dprime_walk") == 1
+    want = bouquets.dprime_invariant(p.h, p.complex.facets)[1].to_json_obj(p.h)
     assert json.dumps(p.dprime[1].to_json_obj(p.h)) == json.dumps(
-        p.bouquets.witnesses["d_prime"].to_json_obj(p.h))
-    assert sum(c for key, c in counts.items() if key[0] == "dprime_invariant") == 1
+        p.bouquets.witnesses["d_prime"].to_json_obj(p.h)) == json.dumps(want)

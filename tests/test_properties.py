@@ -22,6 +22,7 @@ from conftest import (
 from hyperinv import (
     betti_table,
     bouquet_invariants,
+    check_instance,
     contraction,
     deletion,
     dprime_invariant,
@@ -30,11 +31,13 @@ from hyperinv import (
     independent_set_from_semi_induced,
     is_codismantlable,
     is_codominated,
+    is_shedding,
     is_shedding_vertex,
     link_and_deletion,
     matching_invariants,
     maximal_independent_sets,
     minimal_vertex_covers,
+    profile_of,
     reg_and_pd,
     vertex_decomposable,
 )
@@ -43,6 +46,7 @@ from hyperinv.complexes import dimension
 from hyperinv.decomposition import _codismantle_order, _codominated
 from hyperinv.errors import Unsatisfiable
 from hyperinv.generators import FamilySpec, _labels, random_hypergraph
+from hyperinv.homological import _reg_pd
 from hyperinv.hypergraph import (
     _canonical_witness,
     _compress,
@@ -317,6 +321,55 @@ def test_betti_table_matches_oracle_and_ignores_labels(pair):
     entries = betti_table(h).entries
     assert entries == oracle_betti_table(h)
     assert betti_table(moved).entries == entries
+
+
+def _oracle_reg_pd(h, p):
+    entries = oracle_betti_table(h, p)
+    return max((j - i for i, j in entries), default=0), max((i for i, _ in entries), default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=6))
+@example(from_masks(["x1", "x2", "x3"], [0b001, 0b110]))  # a singleton edge
+def test_bounded_walk_gives_the_oracle_reg_and_pd(h):
+    """The walk's stopping rule loses nothing: reg and pd equal those of the
+    oracle table, over Q and F2, and with the bit of each vertex x skipped
+    they are those of H\\x.  The bounded table agrees with the full one
+    above its lowest degree, and the full table with x skipped is H\\x's."""
+    for field, p in (("Q", None), ("F2", 2)):
+        assert _reg_pd(h, field) == _oracle_reg_pd(h, p), field
+        top, full = betti_table(h, field, bounded=True).entries, betti_table(h, field).entries
+        low = min((j for _, j in top), default=0)
+        assert {k: r for k, r in top.items() if k[1] > low} == {
+            k: r for k, r in full.items() if k[1] > low}
+        for i, x in enumerate(h.labels):
+            assert _reg_pd(h, field, skip=1 << i) == _oracle_reg_pd(deletion(h, x), p), (field, x)
+            assert betti_table(h, field, skip=1 << i) == betti_table(deletion(h, x), field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs(max_n=8, max_edge_size=3, max_edges=7))
+@example(from_masks(["x1", "x2", "x3"], [0b001, 0b110]))  # {x1} is an edge: H/x1 is void
+@example(from_masks(["x1", "x2", "x3", "x4"], [0b0001, 0b0110, 0b1010]))
+def test_shedding_rows_on_masks_match_the_relabelled_hypergraphs(h):
+    """At every shedding vertex x in an edge, the d' lemma rows equal d' of
+    ``contraction(h, x)`` and ``deletion(h, x)`` on their own complexes (None
+    for a void contraction), and the recursion rows equal the reg and pd of
+    their Betti tables."""
+    delta = independence_complex(h)
+    support = reduce(or_, h.edges, 0)
+    shedding = [x for i, x in enumerate(h.labels) if support >> i & 1 and is_shedding(delta, x)]
+    lemma_rows, splits = [], []
+    for x in shedding:
+        ctr, rest = contraction(h, x), deletion(h, x)
+        dp_ctr = None if ctr.void else dprime_invariant(ctr, maximal_independent_sets(ctr))[0]
+        dp_del = dprime_invariant(rest, maximal_independent_sets(rest))[0]
+        lemma_rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
+        if not ctr.void:
+            splits.append((x, *((t.reg, t.pd) for t in (betti_table(rest), betti_table(ctr)))))
+    h = from_masks(h.labels, h.edges)  # a new object: a new profile
+    assert check_instance("lemmas-dprime", h).details["shedding"] == lemma_rows
+    assert profile_of(h).shedding_splits == splits
 
 
 @settings(max_examples=100, deadline=None)

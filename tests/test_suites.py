@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+import hyperinv.homological as homological
+import hyperinv.profile as profile_module
 import hyperinv.suites as suites_module
 from conftest import oracle_bouquet_numbers
 from hyperinv import (
@@ -20,7 +22,6 @@ from hyperinv import (
 from hyperinv.errors import UnknownSuite
 from hyperinv.generators import FamilySpec
 from hyperinv.hypergraph import Hypergraph
-from hyperinv.profile import Profile
 
 EXPECTED_SUITES = {
     "theorem-main",
@@ -99,13 +100,15 @@ class TestSingleInstanceChecks:
 
 class TestTable:
     def test_homology_flag_marks_the_suites_that_read_betti_tables(self, monkeypatch):
-        """With Betti tables unreadable, a suite without the flag never
-        raises, and each suite with it raises somewhere."""
+        """With Betti tables unreadable (reg and pd too: they are bounded
+        Betti-table walks), a suite without the flag never raises, and each
+        suite with it raises somewhere."""
 
-        def unreadable(self, field="q"):
+        def unreadable(*args, **kwargs):
             raise LookupError("Betti table read")
 
-        monkeypatch.setattr(Profile, "betti", unreadable)
+        for mod in (homological, profile_module):
+            monkeypatch.setattr(mod, "betti_table", unreadable)
         for name, suite in SUITES.items():
             raised = False
             for inst in ("h1", "h2", "p3", "star3", "c4", "c5"):
