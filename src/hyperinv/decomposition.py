@@ -10,16 +10,7 @@ from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .complexes import independence_complex, is_shedding
-from .errors import SearchLimitExceeded
-from .hypergraph import (
-    Hypergraph,
-    _compress,
-    _neighborhood_minus,
-    bit_ids,
-    deletion,
-)
-
-DEFAULT_CODISMANTLE_CAP = 10_000  # edge sets found to have no elimination order
+from .hypergraph import Hypergraph, _neighborhood_minus, bit_ids, deletion
 
 
 def is_codominated(h: Hypergraph, x: str) -> Optional[int]:
@@ -50,49 +41,39 @@ def is_shedding_vertex(h: Hypergraph, x: str) -> bool:
 @dataclass(frozen=True)
 class EliminationOrder:
     order: tuple[str, ...]
-    valid: bool
 
 
 def _codismantle_order(
-    edges: Sequence[int], alive: int, witness: Callable[[int], Optional[int]], memo_fail: set
+    edges: Sequence[int], witness: Callable[[int], Optional[int]]
 ) -> Optional[list[int]]:
-    """An elimination order (vertex ids) of canonical edge masks over the
-    vertices in ``alive``, or None; ``witness(bx)`` is ``_codominated`` at bit
-    bx, asked as the search reaches it.  A failed state is keyed by its edges
-    renumbered onto ``alive``; past ``DEFAULT_CODISMANTLE_CAP`` it raises."""
-    if not edges:
-        return []
-    state = frozenset(_compress(edges, alive))
-    if state in memo_fail:
-        return None
-    for i in bit_ids(reduce(or_, edges)):
-        bx = 1 << i
-        if witness(bx) is None:
-            continue
-        rest = [e for e in edges if not e & bx]
-        order = _codismantle_order(rest, alive ^ bx, partial(_codominated, rest), memo_fail)
-        if order is not None:
-            return [i] + order
-    memo_fail.add(state)
-    if len(memo_fail) > DEFAULT_CODISMANTLE_CAP:
-        raise SearchLimitExceeded(
-            f"codismantlability search failed states exceed cap {DEFAULT_CODISMANTLE_CAP}")
-    return None
+    """An elimination order (vertex ids) of canonical edge masks, or None:
+    while edges remain, delete the least-id codominated vertex.  The first
+    step asks ``witness(bx)``, later ones ``_codominated`` on the edges left.
+    Greedy is exact: deleting any codominated vertex of a codismantlable
+    hypergraph leaves a codismantlable one (the lemma in the README)."""
+    order = []
+    while edges:
+        i = next((i for i in bit_ids(reduce(or_, edges)) if witness(1 << i) is not None), None)
+        if i is None:
+            return None
+        order.append(i)
+        edges = [e for e in edges if not e >> i & 1]
+        witness = partial(_codominated, edges)
+    return order
 
 
 def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
-    """Backtracking search for a codominated-vertex elimination order.
+    """The greedy codominated-vertex elimination order, or None.
 
     Its first step reads the codominated witnesses of H's profile.
     """
     from .profile import profile_of  # the profile module builds on this one
 
     first = profile_of(h).codominated_witness
-    order = _codismantle_order(
-        h.edges, h.full_mask, lambda bx: first(h.labels[bx.bit_length() - 1]), set())
+    order = _codismantle_order(h.edges, lambda bx: first(h.labels[bx.bit_length() - 1]))
     if order is None:
         return None
-    return EliminationOrder(tuple(h.labels[i] for i in order), True)
+    return EliminationOrder(tuple(h.labels[i] for i in order))
 
 
 def replay_elimination(h: Hypergraph, order: EliminationOrder) -> bool:

@@ -7,8 +7,8 @@ comparison for minimal and maximal sets, every rotation and reflection
 for cycle witnesses, dense
 Gaussian elimination (Fractions, or integers mod p) for homology ranks,
 a fresh generator per draw, picking vertices one at a time, for
-random hypergraphs, and a search that builds each deleted hypergraph for
-codismantlability.
+random hypergraphs, and a backtracking search that builds each deleted
+hypergraph for codismantlability.
 Tests freeze oracle outputs and compare the package against them.
 """
 
@@ -21,9 +21,8 @@ from itertools import combinations
 
 import pytest
 
-import hyperinv.decomposition as decomposition
 from hyperinv import build, deletion, from_masks, is_codominated, named_instance
-from hyperinv.errors import SearchLimitExceeded, Unsatisfiable
+from hyperinv.errors import Unsatisfiable
 from hyperinv.hypergraph import bit_ids
 
 
@@ -424,10 +423,10 @@ def oracle_random_hypergraph(spec, index):
 
 
 def oracle_codismantle_order(h, witness, memo_fail):
-    """An elimination order of h, or None; ``witness(x)`` is
-    ``is_codominated(h, x)``, asked only as the search reaches x.  More
-    than ``DEFAULT_CODISMANTLE_CAP`` failed edge sets in ``memo_fail``
-    raise ``SearchLimitExceeded``."""
+    """An elimination order of h, or None, by backtracking: the first order
+    in ascending vertex id; ``witness(x)`` is ``is_codominated(h, x)``, asked
+    only as the search reaches x, and ``memo_fail`` keeps the failed edge
+    sets."""
     if not h.edges:
         return []
     state = frozenset(h.edges)
@@ -445,9 +444,6 @@ def oracle_codismantle_order(h, witness, memo_fail):
         if rest is not None:
             return [x] + rest
     memo_fail.add(state)
-    if len(memo_fail) > decomposition.DEFAULT_CODISMANTLE_CAP:
-        raise SearchLimitExceeded(
-            f"codismantlability search failed states exceed cap {decomposition.DEFAULT_CODISMANTLE_CAP}")
     return None
 
 

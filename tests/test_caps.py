@@ -5,17 +5,14 @@ import re
 import pytest
 
 import hyperinv.bouquets as bouquets
-import hyperinv.decomposition as decomposition
 import hyperinv.homological as homological
 import hyperinv.hypergraph as hypergraph
 import hyperinv.matchings as matchings
-from conftest import disjoint_edges_and_c5
 from hyperinv import (
     betti_table,
     dprime_invariant,
     find_cycle,
     from_masks,
-    is_codismantlable,
     matching_invariants,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -48,8 +45,6 @@ CAPS = [
      "3 edges exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_of(three_disjoint_edges()),
      "d' search candidates exceed cap {cap}"),
-    (decomposition, "DEFAULT_CODISMANTLE_CAP", 4, lambda: is_codismantlable(disjoint_edges_and_c5(2)),
-     "codismantlability search failed states exceed cap {cap}"),
     (homological, "DEFAULT_HOMOLOGY_CAP", 3, lambda: reduced_homology(complex_from_facets("abc", [1])),
      "ground set 3 exceeds homology cap {cap}"),
     (homological, "DEFAULT_BETTI_CAP", 6, lambda: betti_table(named_instance("h1")),

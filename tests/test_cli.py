@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperinv.bouquets as bouquets
-import hyperinv.decomposition as decomposition
 import hyperinv.hypergraph as hypergraph
 import hyperinv.matchings as matchings
 from conftest import disjoint_edges_and_c5
@@ -236,17 +235,15 @@ class TestInvariants:
         lemmas = report["theorems"]["lemmas-dprime"]
         assert lemmas["conclusion_holds"] and lemmas["details"]["d_prime"] == 9
 
-    def test_codismantle_cap_omits_the_section(self, capsys, tmp_path, monkeypatch):
-        """Four disjoint edges and a C5 fail on 16 edge sets, one over the
-        lowered cap: only the codismantlability section is omitted."""
-        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 15)
+    def test_no_elimination_order_reports_null(self, capsys, tmp_path):
+        """Four disjoint edges and a C5 have no elimination order: the
+        section reads null, and nothing is capped."""
         path = tmp_path / "codis.json"
         path.write_text(disjoint_edges_and_c5(4).to_json())
         code, out, err = run_cli(capsys, "invariants", str(path), "--skip-homology")
-        assert code == 3 and "Traceback" not in err
+        assert code == 0
         report = json.loads(out)
-        assert report["codismantlable"] == {
-            "omitted": "codismantlability search failed states exceed cap 15"}
+        assert report["codismantlable"] is None
         for key in ("matchings", "bouquets", "complex", "covers", "vertex_classification"):
             assert "omitted" not in report[key], key
 

@@ -1,10 +1,5 @@
 """Codominated vertices, codismantlability, shedding/codominated reports."""
 
-from functools import partial
-
-import pytest
-
-import hyperinv.decomposition as decomposition
 from conftest import disjoint_edges_and_c5, tiny_hypergraphs
 
 from hyperinv import (
@@ -19,7 +14,6 @@ from hyperinv import (
     theorem_main_report,
 )
 from hyperinv.decomposition import EliminationOrder
-from hyperinv.errors import SearchLimitExceeded
 
 
 class TestCodominated:
@@ -62,9 +56,9 @@ class TestCodismantlable:
         assert order is not None and order.order == ()
 
     def test_replay_rejects_bad_orders(self, h1):
-        assert not replay_elimination(h1, EliminationOrder(("x5",), True))
-        assert not replay_elimination(h1, EliminationOrder(("x2",), True))  # stops early
-        assert not replay_elimination(h1, EliminationOrder(("x2", "zz"), True))
+        assert not replay_elimination(h1, EliminationOrder(("x5",)))
+        assert not replay_elimination(h1, EliminationOrder(("x2",)))  # stops early
+        assert not replay_elimination(h1, EliminationOrder(("x2", "zz")))
 
     def test_elimination_steps_are_codominated(self):
         for h in tiny_hypergraphs():
@@ -77,22 +71,19 @@ class TestCodismantlable:
                 cur = deletion(cur, x)
             assert not cur.edges
 
-    def test_failed_states_past_the_cap_raise(self, monkeypatch):
-        """With a C5 left no edge set has an elimination order: the search
-        fails on every one of the 2^k sets of disjoint edges left beside
-        it.  One failed set over the cap, read at call time, raises."""
-        assert decomposition.DEFAULT_CODISMANTLE_CAP == 10_000
-        h = disjoint_edges_and_c5(4)
-        failed = set()
-        witness = partial(decomposition._codominated, h.edges)
-        assert decomposition._codismantle_order(h.edges, h.full_mask, witness, failed) is None
-        assert len(failed) == 16
-        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 16)
-        assert is_codismantlable(disjoint_edges_and_c5(4)) is None
-        monkeypatch.setattr(decomposition, "DEFAULT_CODISMANTLE_CAP", 15)
-        with pytest.raises(SearchLimitExceeded,
-                           match="^codismantlability search failed states exceed cap 15$"):
-            is_codismantlable(disjoint_edges_and_c5(4))
+    def test_c5_beside_disjoint_edges_settles_without_a_cap(self):
+        """Beside a C5 no edge set has an elimination order.  The greedy loop
+        deletes the 14 disjoint edges' first vertices, then finds nothing
+        codominated in the C5: None, with no search over the 2^14 edge sets."""
+        assert is_codismantlable(disjoint_edges_and_c5(14)) is None
+
+    def test_deep_orders_need_no_recursion(self):
+        """1,100 disjoint edges have an elimination order of 1,100 steps, the
+        first vertex of each edge, deeper than the interpreter's stack."""
+        labels = [f"x{i + 1}" for i in range(2200)]
+        h = build(labels, [labels[2 * k: 2 * k + 2] for k in range(1100)])
+        order = is_codismantlable(h)
+        assert order is not None and order.order == tuple(labels[::2])
 
 
 class TestEquivalenceReport:

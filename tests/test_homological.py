@@ -21,6 +21,7 @@ from hyperinv import (
     build,
     complex_to_hypergraph,
     contraction,
+    enumerate_graphs,
     from_masks,
     independence_complex,
     minimal_nonfaces,
@@ -32,7 +33,7 @@ from hyperinv.complexes import SimplicialComplex, complex_from_facets
 from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
 import hyperinv.homological as homological
 from hyperinv.homological import _all_faces, _rank, _reduce, parse_field
-from hyperinv.hypergraph import _contracted, _deleted
+from hyperinv.hypergraph import _contracted, _deleted, bit_ids
 
 # Golden Betti tables, frozen from the definition-level oracle (betti
 # entries are {(i, j): rank}); reg/pd follow as max(j-i)/max(i).
@@ -423,6 +424,26 @@ class TestClosedForms:
                 self.check(h, {(i, i + 1): sum(comb(m, a) * comb(n, i + 1 - a)
                                                for a in range(1, i + 1))
                                for i in range(1, m + n)})
+
+
+class TestPublishedTheorems:
+    """Theorems from the literature that share no code with the paper's suites."""
+
+    def test_froberg_reg_one_iff_the_complement_is_chordal(self):
+        """reg(S/I(G)) = 1 iff the complement of G is chordal (R. Fröberg,
+        Banach Center Publ. 26, 1990), on every labelled graph with at most
+        5 vertices and an edge; networkx decides chordality."""
+        nx = pytest.importorskip("networkx")
+        total = 0
+        for n in range(2, 6):
+            for g in enumerate_graphs(n):
+                if not g.edges:
+                    continue
+                total += 1
+                complement = nx.complement(nx.Graph([bit_ids(e) for e in g.edges]))
+                complement.add_nodes_from(range(n))
+                assert (reg_and_pd(g)["reg"] == 1) == nx.is_chordal(complement), g.edges
+        assert total == 1094
 
 
 class TestAlexanderDuality:

@@ -246,19 +246,33 @@ def test_dprime_search_matches_the_face_by_face_oracle(h):
     assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
 
 
+CODISMANTLE_STREAMS = st.one_of(hypergraphs(max_n=9, max_edge_size=4, max_edges=8),
+                                graphs(max_n=9, max_edges=12),
+                                st.integers(0, 6).map(disjoint_edges_and_c5))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(hypergraphs(max_n=9, max_edge_size=4, max_edges=8),
-                 graphs(max_n=9, max_edges=12),
-                 st.integers(0, 6).map(disjoint_edges_and_c5)))
+@given(CODISMANTLE_STREAMS)
 @example(disjoint_edges_and_c5(6))
 def test_codismantle_search_matches_the_oracle(h):
-    """The search on edge masks finds the order (or None) of the search that
-    builds each deleted hypergraph, and fails on the same edge sets."""
-    failed, oracle_failed = set(), set()
-    order = _codismantle_order(h.edges, h.full_mask, partial(_codominated, h.edges), failed)
-    want = oracle_codismantle_order(h, partial(is_codominated, h), oracle_failed)
+    """The greedy loop on edge masks finds the order (or None) of the
+    backtracking search that builds each deleted hypergraph."""
+    order = _codismantle_order(h.edges, partial(_codominated, h.edges))
+    want = oracle_codismantle_order(h, partial(is_codominated, h), set())
     assert (None if order is None else [h.labels[i] for i in order]) == want
-    assert failed == oracle_failed
+
+
+@settings(max_examples=200, deadline=None)
+@given(CODISMANTLE_STREAMS)
+def test_deleting_any_codominated_vertex_keeps_codismantlability(h):
+    """The lemma behind the greedy loop: if H is codismantlable and x is
+    codominated in H, the backtracking oracle finds H\\x codismantlable."""
+    if oracle_codismantle_order(h, partial(is_codominated, h), set()) is None:
+        return
+    for x in h.labels:
+        if is_codominated(h, x) is not None:
+            rest = deletion(h, x)
+            assert oracle_codismantle_order(rest, partial(is_codominated, rest), set()) is not None, x
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,7 +407,7 @@ def test_every_value_ignores_labels(pair):
 
 
 @settings(max_examples=100, deadline=None)
-@given(hypergraphs())
+@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=8))
 def test_reg_pd_bounds(h):
     got = reg_and_pd(h)
     if not h.edges:
@@ -401,6 +415,8 @@ def test_reg_pd_bounds(h):
         return
     assert got["pd"] >= 1  # a nonzero ideal never has a free quotient
     assert got["pd"] <= h.n
+    # the minimal covers are the associated primes, and each one's height bounds pd below
+    assert got["pd"] >= minimal_vertex_covers(h).bigheight
     # an induced matching survives restriction, so its weight bounds reg below
     assert matching_invariants(h).c <= got["reg"]
 
