@@ -15,16 +15,16 @@ rules below first; the plain eliminator ranks each boundary map of the
 irreducible core that they leave.  One memo keeps the answers, under the
 renumbered hypergraph and first under a Hochster restriction's own edges.
 
-Each restriction K is first reduced by rules, tried in order, that keep its
-reduced homology over every field, being cones, suspensions and homotopy
-equivalences (K\\w drops w and its edges, K/w keeps the minimal edges
-minus w): (a) n = 0 gives {-1: 1}, and a vertex in no edge is a cone point:
-zero; (b) a singleton edge {v}: v is in no face, go on with K\\v; (c) some
-c != w in no edge of K\\w makes Ind(K\\w) a cone, so Ind K is the suspension
-of the link Ind(K/w) of w: degrees shift up by one; (d) some c != w in no
-edge of K/w makes that link a cone, so Ind K ~ Ind(K\\w), the fold lemma of
-Engström (Discrete Math. 309, 2009) for graphs; (e) otherwise the faces of
-the irreducible core are enumerated.
+Each restriction K is reduced first by rules tried in order, exact over
+every field (K\\w drops w and its edges, K/w keeps the minimal edges minus
+w): (a) n = 0 gives {-1: 1}, a vertex in no edge is a cone point: zero;
+(b) a singleton edge {v} (no face holds v) goes on with K\\v, ahead of (c),
+where K/v would be the void marker; (c) Ind K is Ind(K\\w) and the cone from
+w on the link Ind(K/w), glued along the link, so at the first w where no
+degree d has H~_d(K/w) and H~_d(K\\w) both nonzero Mayer-Vietoris splits:
+H~_d(K) = H~_d(K\\w) + H~_{d-1}(K/w) (Adamaszek, J. Combin. Theory Ser. A
+119, 2012); a cone K\\w (a suspension) and a cone link (Engstrom's fold
+lemma) are its special cases; (d) otherwise the faces of K are enumerated.
 """
 
 from __future__ import annotations
@@ -155,21 +155,19 @@ def _subhypergraph_homology(n: int, edges: tuple[int, ...], field: str) -> dict[
 
 
 def _homology_by_rules(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
-    """Rules (a)-(e) of the module docstring; reduced hypergraphs go through the memo."""
+    """Rules (a)-(d) of the module docstring; reduced hypergraphs go through the memo."""
     full = (1 << n) - 1
     if not n or reduce(or_, edges, 0) != full:  # (a)
         return {} if n else {-1: 1}
     for e in edges:
         if not e & (e - 1):  # (b)
             return _subhypergraph_homology(n - 1, _deleted(edges, n, e.bit_length() - 1), field)
-    for w in range(n):
-        if reduce(or_, [e for e in edges if not e >> w & 1], 1 << w) != full:  # (c)
-            hom = _subhypergraph_homology(n - 1, _contracted(edges, n, w), field)
-            return {d + 1: r for d, r in hom.items()}
-    for w in range(n):
-        if reduce(or_, _contracted(edges, n, w), 0) != full >> 1:  # (d)
-            return _subhypergraph_homology(n - 1, _deleted(edges, n, w), field)
-    facets = tuple(full & ~c for c in _minimal_transversals(edges))  # (e)
+    for w in range(n):  # (c), read through the memo in ascending w
+        lk = _subhypergraph_homology(n - 1, _contracted(edges, n, w), field)
+        dl = _subhypergraph_homology(n - 1, _deleted(edges, n, w), field)
+        if lk.keys().isdisjoint(dl):  # so every map H~_d(lk) -> H~_d(dl) is zero
+            return {d: dl.get(d, 0) + lk.get(d - 1, 0) for d in {*dl, *(d + 1 for d in lk)}}
+    facets = tuple(full & ~c for c in _minimal_transversals(edges))  # (d)
     return _homology_from_faces(_all_faces(facets), field)
 
 

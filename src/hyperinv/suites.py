@@ -58,6 +58,7 @@ HYPOTHESES: dict[str, Callable[[Hypergraph], bool]] = {
     "graph": is_graph,  # unlike the graph filter, an edgeless H counts
     "uniform": lambda h: len({e.bit_count() for e in h.edges}) == 1,
     "strong_intersection": FILTERS["d_uniform_strong"],
+    "no_singleton_edges": lambda h: all(e & (e - 1) for e in h.edges),
 }
 
 
@@ -183,10 +184,9 @@ def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     for x in p.shedding_vertices:
         bit = 1 << h.vertex_id(x)
         link, del_facets, _ = _split(p.complex.facets, bit)
-        ctr = _contract(h.edges, bit)
-        dp_ctr = None if 0 in ctr else _dprime_walk(ctr, h.n, link)[0]  # 0: {x} is an edge
+        dp_ctr = _dprime_walk(_contract(h.edges, bit), h.n, link)[0]  # {x} is no edge
         dp_del = _dprime_walk([e for e in h.edges if not e & bit], h.n, del_facets)[0]
-        good = (dp_ctr is None or dp_ctr <= dp) and dp_del + 1 <= dp
+        good = dp_ctr <= dp and dp_del + 1 <= dp
         ok = ok and good
         rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
     return ok, dict(d_prime=dp, shedding=rows)
@@ -235,8 +235,9 @@ _GRAPHS4 = _fam(kind="all_graphs", n=4)
 _RANDOM = _fam(n=6, max_edge_size=3, edge_count=4, seed=11, count=300)
 
 # (name, hypotheses, conclusion, homology, statement, default families).
-# A row names the hypotheses that its random family filters on; the
-# families are written out, since their filters appear in the report.
+# A row's random family filters on the row's hypotheses but
+# no_singleton_edges, which every drawn instance meets; the families are
+# written out, since their filters appear in the report.
 _TABLE = (
     ("theorem-main", ("c5_free", "three_cycle_condition"), _theorem_main, False,
      "on C5-free instances whose 3-cycles use only size-2 edges, "
@@ -267,7 +268,7 @@ _TABLE = (
      (_fam(kind="all_graphs", n=5, filters=("c5_free", "vertex_decomposable")),
       _fam(n=6, max_edge_size=3, edge_count=4, seed=31, count=300,
            filters=("c2_free", "c5_free", "vertex_decomposable")))),
-    ("theorem-pd", ("vertex_decomposable",), _theorem_pd, True,
+    ("theorem-pd", ("no_singleton_edges", "vertex_decomposable"), _theorem_pd, True,
      "on vertex-decomposable instances pd <= d'",
      (_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
       _fam(n=6, max_edge_size=3, edge_count=4, seed=37, count=300,
@@ -283,7 +284,7 @@ _TABLE = (
      (_fam(kind="all_graphs", n=4, filters=("c5_free", "vertex_decomposable")),
       _fam(n=6, max_edge_size=3, edge_count=4, seed=41, count=300,
            filters=("c5_free", "three_cycle_condition", "vertex_decomposable")))),
-    ("lemmas-dprime", (), _lemmas_dprime, False,
+    ("lemmas-dprime", ("no_singleton_edges",), _lemmas_dprime, False,
      "at a shedding vertex x, d'(H/x) <= d'(H) and d'(H\\x)+1 <= d'(H)",
      (_GRAPHS4, _fam(n=6, max_edge_size=3, edge_count=4, seed=43, count=200))),
     ("recursion-pd", ("vertex_decomposable",), _recursion_pd, True,

@@ -301,6 +301,17 @@ class TestCheck:
         res = json.loads(out)
         assert res["details"]["bigheight"] == 3
 
+    @pytest.mark.parametrize("theorem", ["theorem-pd", "lemmas-dprime"])
+    def test_singleton_edge_is_outside_the_hypotheses(self, capsys, tmp_path, theorem):
+        """A singleton edge {a} adds 1 to pd, as a Koszul factor, but never to
+        d', which needs a root and a flower: no counterexample, exit 0."""
+        path = tmp_path / "singleton.json"
+        path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a"], ["b", "c"]]}))
+        code, out, _ = run_cli(capsys, "check", str(path), "--theorem", theorem)
+        assert code == 0
+        assert json.loads(out) == {"conclusion_holds": None, "details": {"no_singleton_edges": False},
+                                   "hypotheses_hold": False}
+
     def test_unknown_theorem_exit_two(self, capsys, h1_file):
         code, _, _ = run_cli(capsys, "check", h1_file, "--theorem", "no-such")
         assert code == 2

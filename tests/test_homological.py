@@ -178,8 +178,9 @@ def graphs(draw, max_n=8):
 
 
 class TestConeReductions:
-    """Restrictions are reduced by rules (a)-(d) of ``homological`` before
-    any face is built; only irreducible cores reach the faces (e)."""
+    """Restrictions are reduced by rules (a)-(c) of ``homological`` before
+    any face is built; only cores where every vertex's link and deletion
+    share a homology degree reach the faces (d)."""
 
     @settings(max_examples=60, deadline=None)
     @given(antichains())
@@ -191,41 +192,44 @@ class TestConeReductions:
             got = homological._subhypergraph_homology(n, edges, field)
             assert got == oracle_reduced_homology(faces, p), field
 
-    @pytest.mark.parametrize(
-        "name, rule, step",
-        [
-            # (c): w = the centre, whose deletion leaves the leaves in no edge
-            ("star3", "c", (3, (0b001, 0b010, 0b100))),
-            ("p3", "c", (2, (0b01, 0b10))),  # w = the middle vertex
-            ("two_disjoint_edges", "c", (3, (0b001, 0b110))),
-            # (d): x3 is in no edge of C4/x1 (N(x3) = N(x1)), so x1 is deleted
-            ("c4", "d", (3, (0b011, 0b110))),
-            # (e): C5 is irreducible; its 11 faces are enumerated
-            ("c5", "e", 11),
-        ],
-    )
-    def test_first_rule_applied(self, monkeypatch, name, rule, step):
-        """The first step hands on a contraction K/w (c), a deletion K\\w (d)
-        or the faces (e); the answer equals the homology over all faces."""
-        h = named_instance(name)
-        edges = tuple(sorted(h.edges))
-        faces = _all_faces(independence_complex(h).facets)
-        made_by = {
-            "c": [(h.n - 1, _contracted(edges, h.n, w)) for w in range(h.n)],
-            "d": [(h.n - 1, _deleted(edges, h.n, w)) for w in range(h.n)],
-            "e": [len(faces)],
-        }
+    @staticmethod
+    def first_steps(monkeypatch, n, edges, field, p):
+        """The hypergraphs and face counts that one rule step hands on, each
+        hypergraph answered by the dense oracle, and the step's answer."""
         steps = []
-        monkeypatch.setattr(homological, "_subhypergraph_homology",
-                            lambda n, es, field: steps.append((n, es)) or {})
+
+        def handed_on(m, es, field):
+            steps.append((m, es))
+            return oracle_reduced_homology(
+                [u for u in range(1 << m) if not any(e & u == e for e in es)], p)
+
+        monkeypatch.setattr(homological, "_subhypergraph_homology", handed_on)
         monkeypatch.setattr(homological, "_homology_from_faces",
                             lambda fs, field: steps.append(len(fs)) or {})
-        homological._homology_by_rules(h.n, edges, "Q")
-        assert steps == [step] and step in made_by[rule]
+        hom = homological._homology_by_rules(n, edges, field)
         monkeypatch.undo()
-        expect = homological._homology_from_faces(faces, "Q")
-        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
-        assert homological._subhypergraph_homology(h.n, edges, "Q") == expect
+        return steps, hom
+
+    @pytest.mark.parametrize("name", ["star3", "p3", "two_disjoint_edges", "c4", "c5"])
+    def test_first_rule_applied(self, monkeypatch, name):
+        """The link and deletion of vertex 0 share no homology degree, so the
+        split (c) hands on K/w and K\\w at w = 0 and builds no face."""
+        h = named_instance(name)
+        edges = tuple(sorted(h.edges))
+        steps, hom = self.first_steps(monkeypatch, h.n, edges, "Q", None)
+        assert steps == [(h.n - 1, _contracted(edges, h.n, 0)), (h.n - 1, _deleted(edges, h.n, 0))]
+        assert hom == oracle_reduced_homology(_all_faces(independence_complex(h).facets))
+
+    @pytest.mark.parametrize("field, p", [("Q", None), ("F2", 2)])
+    def test_rp2_reaches_the_faces(self, monkeypatch, field, p):
+        """Every vertex link of the six-vertex RP2 is a circle and every
+        deletion a Moebius band, both with a class in degree 1: the split
+        tries each vertex and the 32 faces go to the fallback (d)."""
+        h = complex_to_hypergraph(_rp2())
+        edges = tuple(sorted(h.edges))
+        steps, _ = self.first_steps(monkeypatch, h.n, edges, field, p)
+        assert steps == [s for w in range(h.n) for s in ((h.n - 1, _contracted(edges, h.n, w)),
+                                                        (h.n - 1, _deleted(edges, h.n, w)))] + [32]
 
 
 class TestKernel:
@@ -424,6 +428,57 @@ class TestClosedForms:
                 self.check(h, {(i, i + 1): sum(comb(m, a) * comb(n, i + 1 - a)
                                                for a in range(1, i + 1))
                                for i in range(1, m + n)})
+
+    @staticmethod
+    def path_or_cycle_table(n, cycle):
+        """Betti table of P_n or C_n by Hochster's formula, with Kozlov's
+        homotopy types (J. Combin. Theory Ser. A 88, 1999): Ind(P_l) is
+        contractible for l = 1 mod 3, S^(k-1) for l = 3k and S^k for l = 3k+2;
+        Ind(C_n) is S^(k-1) v S^(k-1) for n = 3k, S^(k-1) for n = 3k+1 and S^k
+        for n = 3k+2.  Any other restriction is a disjoint union of paths, one
+        per run of W, and Ind of a disjoint union is the join of the parts."""
+        entries = {}
+        for w in range(1, 1 << n):
+            if cycle and w == (1 << n) - 1:
+                k, r = divmod(n, 3)
+                hom = {k - 1: 2} if r == 0 else {k - 1: 1} if r == 1 else {k: 1}
+            else:
+                bits = format(w, f"0{n}b")
+                if cycle:  # start at a vertex outside W, so no run wraps around
+                    z = bits.index("0")
+                    bits = bits[z:] + bits[:z]
+                hom = {-1: 1}  # Ind of no vertex; joining S^s shifts degrees by s + 1
+                for run in filter(None, bits.split("0")):
+                    k, r = divmod(len(run), 3)
+                    if r == 1:
+                        hom = {}
+                        break
+                    hom = {d + k + (r == 2): b for d, b in hom.items()}
+            j = w.bit_count()
+            for d, b in hom.items():
+                entries[(j - d - 1, j)] = entries.get((j - d - 1, j), 0) + b
+        return entries
+
+    @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
+    def test_paths_and_cycles(self, monkeypatch, cycle):
+        """The closed form equals the dense oracle up to 10 vertices, and the
+        Betti table up to 16 with the cap lifted, where no face is built."""
+        def graph(n):
+            closing = [1 | 1 << (n - 1)] if cycle else []
+            edges = [1 << v | 1 << (v + 1) for v in range(n - 1)] + closing
+            return from_masks([f"x{v}" for v in range(n)], sorted(edges))
+
+        low = 3 if cycle else 2
+        for n in range(low, 11):
+            assert self.path_or_cycle_table(n, cycle) == oracle_betti_table(graph(n)), n
+        faces = []
+        monkeypatch.setattr(homological, "DEFAULT_BETTI_CAP", 16)
+        monkeypatch.setattr(homological, "_homology_from_faces",
+                            lambda fs, field: faces.append(fs) or {})
+        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+        for n in range(low, 17):
+            self.check(graph(n), self.path_or_cycle_table(n, cycle))
+        assert faces == []
 
 
 class TestPublishedTheorems:
