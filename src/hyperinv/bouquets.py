@@ -297,8 +297,8 @@ def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
         for i in ids:
             free -= edges[i].bit_count()
         if not free:
-            found.append((w, tuple(edges[i] for i in ids)))
-    return [m for _, m in sorted(found)]
+            found.append(tuple(edges[i] for i in ids))
+    return found
 
 
 def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:

@@ -24,7 +24,9 @@ w on the link Ind(K/w), glued along the link, so at the first w where no
 degree d has H~_d(K/w) and H~_d(K\\w) both nonzero Mayer-Vietoris splits:
 H~_d(K) = H~_d(K\\w) + H~_{d-1}(K/w) (Adamaszek, J. Combin. Theory Ser. A
 119, 2012); a cone K\\w (a suspension) and a cone link (Engstrom's fold
-lemma) are its special cases; (d) otherwise the faces of K are enumerated.
+lemma) are its special cases, and a side whose edges miss a vertex is not
+built, as (a) makes it zero; (d) otherwise the faces of K are enumerated,
+on at most ``DEFAULT_HOMOLOGY_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .hypergraph import (
     Hypergraph,
     _all_faces,
     _compress,
-    _contracted,
+    _contract,
     _deleted,
     _lattice,
     _minimal_transversals,
@@ -49,7 +51,6 @@ from .hypergraph import (
 )
 
 DEFAULT_HOMOLOGY_CAP = 14
-DEFAULT_BETTI_CAP = 12
 
 FIELD_Q = "Q"
 
@@ -130,8 +131,6 @@ def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
 def reduced_homology(d: SimplicialComplex, field: str = FIELD_Q) -> dict[int, int]:
     """Reduced Betti numbers of D keyed by dimension, zero entries omitted.
     D is the independence complex of its minimal non-faces, so the rules apply."""
-    if d.n > DEFAULT_HOMOLOGY_CAP:
-        raise SizeLimitExceeded(f"ground set {d.n} exceeds homology cap {DEFAULT_HOMOLOGY_CAP}")
     if not d.facets:  # the void complex
         return {}
     return _subhypergraph_homology(d.n, minimal_nonfaces(d), field)
@@ -146,28 +145,45 @@ _SUBGRAPH_HOMOLOGY_MEMO: dict[tuple, dict[int, int]] = {}
 
 
 def _subhypergraph_homology(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
-    """Homology of the independence complex of a (compressed) hypergraph."""
-    key = (n, field, *edges)
-    hit = _SUBGRAPH_HOMOLOGY_MEMO.get(key)
-    if hit is None:
-        hit = _SUBGRAPH_HOMOLOGY_MEMO[key] = _homology_by_rules(n, edges, field)
-    return hit
+    """Homology of the independence complex of a (compressed) hypergraph: a
+    memo miss runs the rules on one explicit stack, no Python frame per step."""
+    memo, key = _SUBGRAPH_HOMOLOGY_MEMO, (n, field, *edges)
+    stack = [] if (hom := memo.get(key)) is not None else [(key, _homology_by_rules(n, edges, field))]
+    while stack:
+        key, rules = stack[-1]
+        try:
+            n, edges = rules.send(hom)
+        except StopIteration as done:
+            hom = memo[key] = done.value
+            stack.pop()
+            continue
+        key = (n, field, *edges)
+        if (hom := memo.get(key)) is None:
+            stack.append((key, _homology_by_rules(n, edges, field)))
+    return hom
 
 
-def _homology_by_rules(n: int, edges: tuple[int, ...], field: str) -> dict[int, int]:
-    """Rules (a)-(d) of the module docstring; reduced hypergraphs go through the memo."""
+def _homology_by_rules(n: int, edges: tuple[int, ...], field: str):
+    """Rules (a)-(d) of the module docstring, as a generator: it yields each
+    reduced hypergraph (n - 1, edges) it needs and is sent its homology."""
     full = (1 << n) - 1
     if not n or reduce(or_, edges, 0) != full:  # (a)
         return {} if n else {-1: 1}
     for e in edges:
         if not e & (e - 1):  # (b)
-            return _subhypergraph_homology(n - 1, _deleted(edges, n, e.bit_length() - 1), field)
-    for w in range(n):  # (c), read through the memo in ascending w
-        lk = _subhypergraph_homology(n - 1, _contracted(edges, n, w), field)
-        dl = _subhypergraph_homology(n - 1, _deleted(edges, n, w), field)
+            return (yield n - 1, _deleted(edges, n, e.bit_length() - 1))
+    for w in range(n):  # (c), in ascending w
+        rest = full ^ 1 << w
+        sides = []  # H~(K/w), then H~(K\w); a side whose edges miss a vertex is a cone, zero by (a)
+        for side in (_contract(edges, 1 << w), [e for e in edges if not e >> w & 1]):
+            cone = reduce(or_, side, 0) != rest
+            sides.append({} if cone else (yield n - 1, tuple(sorted(_compress(side, rest)))))
+        lk, dl = sides
         if lk.keys().isdisjoint(dl):  # so every map H~_d(lk) -> H~_d(dl) is zero
             return {d: dl.get(d, 0) + lk.get(d - 1, 0) for d in {*dl, *(d + 1 for d in lk)}}
-    facets = tuple(full & ~c for c in _minimal_transversals(edges))  # (d)
+    if n > DEFAULT_HOMOLOGY_CAP:  # (d)
+        raise SizeLimitExceeded(f"homology fallback on {n} vertices exceeds cap {DEFAULT_HOMOLOGY_CAP}")
+    facets = tuple(full & ~c for c in _minimal_transversals(edges))
     return _homology_from_faces(_all_faces(facets), field)
 
 
@@ -208,8 +224,6 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: boo
     holds every entry of degree above that |W| and may lack any other: read
     only its reg and pd.
     """
-    if h.n > DEFAULT_BETTI_CAP:
-        raise SizeLimitExceeded(f"{h.n} vertices exceed Betti cap {DEFAULT_BETTI_CAP}")
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
     edges, memo = h.edges, _SUBGRAPH_HOMOLOGY_MEMO
@@ -252,8 +266,7 @@ def _reg_pd(h: Hypergraph, field: str = FIELD_Q, skip: int = 0) -> tuple[int, in
 
 def reg_and_pd(h: Hypergraph, field: str = FIELD_Q) -> dict:
     """reg and pd of the Betti table, by its bounded walk."""
-    t = betti_table(h, field, bounded=True)
-    return {"reg": t.reg, "pd": t.pd}
+    return dict(zip(("reg", "pd"), _reg_pd(h, field)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,12 @@ antichain normalization: the edges through x, less x, are kept, and an
 edge that misses x drops iff it contains one of them.
 
 One edge-union primitive, ``_lattice``, walks the lcm lattice: every
-nonzero union W of edges with the mask of the edges inside W.  The c and
-c' searches in ``matchings``, the induced matchings of the d search in
-``bouquets`` and the Hochster sum in ``homological`` read their families
-and restrictions from it.
+nonzero union W of edges with the mask of the edges inside W, ascending
+by W.  The c, c' and m searches in ``matchings``, the induced matchings
+of the d search in ``bouquets`` and the Hochster sum in ``homological``
+read their families and restrictions from it, so its one cap,
+``DEFAULT_LATTICE_CAP`` on the edges inside each W summed, bounds them
+all.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .errors import (
 DEFAULT_CYCLE_LENGTH_CAP = 7
 DEFAULT_CYCLE_EDGE_CAP = 20
 DEFAULT_TRANSVERSAL_CAP = 10_000
+DEFAULT_LATTICE_CAP = 20 << 19  # edges inside the edge unions, summed: at most 20 * 2^19 for 20 edges
 
 
 _SMALL_BIT_IDS: list[tuple[int, ...]] = [()]  # masks with top bit i: those below 2**i, + (i,)
@@ -390,26 +393,37 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(h.full_mask & ~c for c in minimal_vertex_covers(h).covers))
 
 
-_LATTICE_MEMO: dict[tuple[int, ...], tuple[tuple[int, int], ...]] = {}
+_LATTICE_MEMO: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], int]] = {}
 
 
 def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Each nonzero union W of edges (the lcm lattice) with the mask of the
-    indices of the edges inside W.  An edge inside W | e lies inside an
-    earlier union that also extends to W | e, so OR-ing their masks is exact.
-    Only the last edge list's lattice is kept: one per hypergraph."""
-    key = tuple(edges)
-    if key not in _LATTICE_MEMO:
+    indices of the edges inside W, in ascending order of W.  An edge inside
+    W | e lies inside an earlier union that also extends to W | e, so OR-ing
+    their masks is exact.  Only the last edge list's lattice is kept: one
+    per hypergraph.  Its size, the edges inside each W summed, bounds the
+    work of each walk over it.  The unions and their edges only grow, so
+    summing after each edge (once the unions times the edges merged could
+    pass the cap) raises ``SearchLimitExceeded`` iff the whole lattice's
+    size passes ``DEFAULT_LATTICE_CAP``, holding at most twice the cap unions."""
+    cap, key = DEFAULT_LATTICE_CAP, tuple(edges)
+    kept = _LATTICE_MEMO.get(key)
+    if kept is None:
         inside = {0: 0}
         for j, e in enumerate(edges):
             bit = 1 << j
             for w, m in list(inside.items()):
                 u = w | e
                 inside[u] = inside.get(u, 0) | m | bit
+            if len(inside) * (j + 1) > cap and sum(map(int.bit_count, inside.values())) > cap:
+                raise SearchLimitExceeded(f"edges inside the edge unions exceed lattice cap {cap}")
+        size = sum(map(int.bit_count, inside.values()))
         del inside[0]
         _LATTICE_MEMO.clear()
-        _LATTICE_MEMO[key] = tuple(inside.items())
-    return _LATTICE_MEMO[key]
+        kept = _LATTICE_MEMO[key] = tuple(sorted(inside.items())), size
+    if kept[1] > cap:  # kept under a larger cap
+        raise SearchLimitExceeded(f"edges inside the edge unions exceed lattice cap {cap}")
+    return kept[0]
 
 
 def _minimal_transversals(edges: Sequence[int]) -> tuple[int, ...]:

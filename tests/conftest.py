@@ -22,6 +22,7 @@ from itertools import combinations
 import pytest
 
 from hyperinv import build, deletion, from_masks, is_codominated, named_instance
+from hyperinv.complexes import complex_from_facets
 from hyperinv.errors import Unsatisfiable
 from hyperinv.hypergraph import bit_ids
 
@@ -49,6 +50,17 @@ def p3():
 @pytest.fixture
 def c5():
     return named_instance("c5")
+
+
+# The real projective plane on six vertices: its homology has 2-torsion,
+# so its Betti numbers over F2 differ from those over Q and F3.
+RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
+
+
+def rp2():
+    labels = [str(i) for i in range(1, 7)]
+    masks = [sum(1 << (int(c) - 1) for c in f) for f in RP2_FACETS]
+    return complex_from_facets(labels, masks)
 
 
 # ---------------------------------------------------------------------------

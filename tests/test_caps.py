@@ -7,9 +7,8 @@ import pytest
 import hyperinv.bouquets as bouquets
 import hyperinv.homological as homological
 import hyperinv.hypergraph as hypergraph
-import hyperinv.matchings as matchings
+from conftest import rp2
 from hyperinv import (
-    betti_table,
     dprime_invariant,
     find_cycle,
     from_masks,
@@ -19,7 +18,6 @@ from hyperinv import (
     named_instance,
     reduced_homology,
 )
-from hyperinv.complexes import complex_from_facets
 from hyperinv.errors import SearchLimitExceeded
 
 
@@ -31,6 +29,13 @@ def dprime_of(h):
     return dprime_invariant(h, maximal_independent_sets(h))
 
 
+def rp2_homology():
+    """Reduced homology of RP2 over F2, which only the face fallback answers;
+    a kept answer would do no work, so the memo starts empty."""
+    homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+    return reduced_homology(rp2(), "F2")
+
+
 # (module, constant, size of the input, the call on a fresh input, message at cap = size - 1)
 CAPS = [
     (hypergraph, "DEFAULT_CYCLE_LENGTH_CAP", 5, lambda: find_cycle(named_instance("c5"), 5),
@@ -39,16 +44,14 @@ CAPS = [
      "5 edges exceed cycle-search cap {cap}"),
     (hypergraph, "DEFAULT_TRANSVERSAL_CAP", 8, lambda: minimal_vertex_covers(three_disjoint_edges()),
      "minimal transversals exceed cap {cap}"),
-    (matchings, "DEFAULT_EDGE_CAP", 3, lambda: matching_invariants(named_instance("h1")),
-     "3 edges exceed cap {cap}"),
+    (hypergraph, "DEFAULT_LATTICE_CAP", 10, lambda: matching_invariants(named_instance("h1")),
+     "edges inside the edge unions exceed lattice cap {cap}"),
     (bouquets, "DEFAULT_EDGE_CAP", 3, lambda: dprime_of(named_instance("h1")),
      "3 edges exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_of(three_disjoint_edges()),
      "d' search candidates exceed cap {cap}"),
-    (homological, "DEFAULT_HOMOLOGY_CAP", 3, lambda: reduced_homology(complex_from_facets("abc", [1])),
-     "ground set 3 exceeds homology cap {cap}"),
-    (homological, "DEFAULT_BETTI_CAP", 6, lambda: betti_table(named_instance("h1")),
-     "6 vertices exceed Betti cap {cap}"),
+    (homological, "DEFAULT_HOMOLOGY_CAP", 6, rp2_homology,
+     "homology fallback on 6 vertices exceeds cap {cap}"),
 ]
 
 

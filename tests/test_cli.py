@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperinv.bouquets as bouquets
 import hyperinv.hypergraph as hypergraph
-import hyperinv.matchings as matchings
 from conftest import disjoint_edges_and_c5
 import hyperinv
 from hyperinv import named_instance
@@ -138,11 +137,16 @@ class TestInvariants:
         assert code == 2
 
     def test_cap_exit_three(self, capsys, h1_file, monkeypatch):
-        monkeypatch.setattr(matchings, "DEFAULT_EDGE_CAP", 2)
+        """h1's 6 edge unions hold 10 edges, summed: below that lattice cap,
+        the lattice walks (matchings, homology) are omitted and the rest is
+        reported."""
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 9)
         code, out, _ = run_cli(capsys, "invariants", h1_file)
         assert code == 3
         report = json.loads(out)
-        assert "omitted" in report["matchings"]
+        for key in ("matchings", "homology"):
+            assert report[key] == {"omitted": "edges inside the edge unions exceed lattice cap 9"}, key
+        assert report["covers"]["bigheight"] == 2
 
     def test_edge_cap_option_is_gone(self, capsys, h1_file):
         with pytest.raises(SystemExit) as exc:
@@ -152,7 +156,10 @@ class TestInvariants:
 
     def test_k8_partial_report_exit_three(self, capsys, tmp_path):
         """K8 has 28 edges: past the cycle-search cap (20), so its C5
-        hypothesis is omitted instead of ending the run."""
+        hypothesis is omitted instead of ending the run, and past the
+        bouquet edge cap (12).  Its 247 edge unions, holding 1,792 edges
+        summed, are well inside the lattice cap, so the matching numbers
+        are reported."""
         labels = [f"x{i + 1}" for i in range(8)]
         edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
         path = tmp_path / "k8.json"
@@ -160,8 +167,8 @@ class TestInvariants:
         code, out, _ = run_cli(capsys, "invariants", str(path))
         assert code == 3
         report = json.loads(out)
-        for key in ("matchings", "bouquets"):
-            assert "exceed" in report[key]["omitted"], key
+        assert report["bouquets"] == {"omitted": "28 edges exceed cap 12"}
+        assert [report["matchings"][k] for k in ("c", "c_prime", "m")] == [1, 1, 4]
         classes = report["vertex_classification"]
         assert "exceed" in classes["hypotheses"]["c5_free"]["omitted"]
         assert [row["vertex"] for row in classes["vertices"]] == labels
@@ -171,6 +178,37 @@ class TestInvariants:
         assert report["codismantlable"] == {"order": labels[:7]}
         assert report["homology"]["pd"] == 7
         assert report["covers"]["bigheight"] == 7
+
+    def test_capped_maximal_matchings_omit_prop_mh(self, capsys, tmp_path, monkeypatch):
+        """prop-mh walks every matching once the lattice passes: under a cap
+        of 2,000, K8's 247 edge unions (1,792 edges inside them, summed)
+        pass and its 764 matchings (2,128 edges) do not, so the check is
+        omitted and the matching numbers are reported."""
+        labels = [f"x{i + 1}" for i in range(8)]
+        path = tmp_path / "k8.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": [
+            [a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]}))
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 2000)
+        code, out, err = run_cli(capsys, "check", str(path), "--theorem", "prop-mh")
+        assert code == 3 and "Traceback" not in err
+        assert json.loads(out) == {"omitted": "edges in the matchings walked exceed lattice cap 2000"}
+        code, out, _ = run_cli(capsys, "check", str(path), "--theorem", "graph-cc")
+        assert code == 0 and json.loads(out)["details"] == {"c": 1, "c_prime": 1}
+
+    def test_one_edge_on_400_vertices_reports_its_sphere(self, capsys, tmp_path):
+        """One edge on 400 vertices is one lattice element, and the homology
+        rules take its 399 steps on an explicit stack: the report holds the
+        sphere's Betti table, and only the d' walk is capped."""
+        labels = [f"x{i + 1}" for i in range(400)]
+        path = tmp_path / "simplex.json"
+        path.write_text(json.dumps({"vertices": labels, "edges": [labels]}))
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert code == 3 and "Traceback" not in err
+        report = json.loads(out)
+        assert report["homology"] == {"entries": [[1, 400, 1]], "field": "Q", "pd": 1, "reg": 399}
+        assert [key for key, section in report.items() if "omitted" in section] == ["bouquets"]
+        for theorem in ("theorem-reg", "recursion-reg", "recursion-pd"):
+            assert run_cli(capsys, "check", str(path), "--theorem", theorem)[0] == 0, theorem
 
     def test_transversal_cap_partial_report_exit_three(self, capsys, tmp_path, monkeypatch):
         """18 disjoint edges have 2^18 minimal covers, past the transversal
@@ -472,8 +510,9 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: cannot write {missing}" in err and "Traceback" not in err
 
+    # 13 edges: past the bouquet edge cap (12) that the d' side of theorem-pd reads
     CAPPED = ('{"kind": "random_hypergraph", "n": 13, "max_edge_size": 2, '
-              '"edge_count": 12, "seed": 1, "count": 3}')
+              '"edge_count": 13, "seed": 1, "count": 3}')
 
     def test_cap_inside_a_check_exits_three_with_omitted_instances(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -483,7 +522,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["exit_status"] == 3 and report["instances_tested"] == 0
         assert report["omitted"] == [
-            {"family": 0, "index": i, "reason": "13 vertices exceed Betti cap 12"}
+            {"family": 0, "index": i, "reason": "13 edges exceed cap 12"}
             for i in range(3)
         ]
 

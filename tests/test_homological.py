@@ -12,6 +12,7 @@ from conftest import (
     oracle_minimal_sets,
     oracle_rank,
     oracle_reduced_homology,
+    rp2,
     tiny_hypergraphs,
 )
 
@@ -30,8 +31,9 @@ from hyperinv import (
     reg_and_pd,
 )
 from hyperinv.complexes import SimplicialComplex, complex_from_facets
-from hyperinv.errors import HyperinvError, SizeLimitExceeded, UnknownField
+from hyperinv.errors import HyperinvError, SearchLimitExceeded, SizeLimitExceeded, UnknownField
 import hyperinv.homological as homological
+import hyperinv.hypergraph as hypergraph
 from hyperinv.homological import _all_faces, _rank, _reduce, parse_field
 from hyperinv.hypergraph import _contracted, _deleted, bit_ids
 
@@ -44,17 +46,6 @@ GOLDEN = {
     "star3": {(1, 2): 3, (2, 3): 3, (3, 4): 1},
     "c5": {(1, 2): 5, (2, 3): 5, (3, 5): 1},
 }
-
-
-# The real projective plane on six vertices: its homology has 2-torsion,
-# so its Betti numbers over F2 differ from those over Q and F3.
-RP2_FACETS = ("123", "134", "145", "156", "126", "235", "245", "246", "346", "356")
-
-
-def _rp2():
-    labels = [str(i) for i in range(1, 7)]
-    masks = [sum(1 << (int(c) - 1) for c in f) for f in RP2_FACETS]
-    return complex_from_facets(labels, masks)
 
 
 def _columns(rows):
@@ -133,15 +124,21 @@ class TestReducedHomology:
             assert got == oracle_reduced_homology(_all_faces(d.facets))
 
     def test_torsion_separates_the_fields(self):
-        d = _rp2()
+        d = rp2()
         assert reduced_homology(d, "F2") == {1: 1, 2: 1}
         assert reduced_homology(d) == {}
         assert reduced_homology(d, "F3") == {}
 
     def test_cap(self):
-        d = complex_from_facets([f"v{i}" for i in range(16)], [1])
-        with pytest.raises(SizeLimitExceeded):
-            reduced_homology(d)
+        """The cap bounds the face fallback, not the ground set: a point with
+        15 ghost vertices needs no face, while the join of three RP2 over F2
+        reaches the fallback on all 18 vertices."""
+        assert reduced_homology(complex_from_facets([f"v{i}" for i in range(16)], [1])) == {}
+        facets = rp2().facets
+        join = [a | b << 6 | c << 12 for a in facets for b in facets for c in facets]
+        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+        with pytest.raises(SizeLimitExceeded, match="^homology fallback on 18 vertices exceeds cap 14$"):
+            reduced_homology(complex_from_facets([f"v{i}" for i in range(18)], join), "F2")
 
 
 @st.composite
@@ -196,28 +193,32 @@ class TestConeReductions:
     def first_steps(monkeypatch, n, edges, field, p):
         """The hypergraphs and face counts that one rule step hands on, each
         hypergraph answered by the dense oracle, and the step's answer."""
-        steps = []
-
-        def handed_on(m, es, field):
-            steps.append((m, es))
-            return oracle_reduced_homology(
-                [u for u in range(1 << m) if not any(e & u == e for e in es)], p)
-
-        monkeypatch.setattr(homological, "_subhypergraph_homology", handed_on)
+        steps, rules, hom = [], homological._homology_by_rules(n, edges, field), None
         monkeypatch.setattr(homological, "_homology_from_faces",
                             lambda fs, field: steps.append(len(fs)) or {})
-        hom = homological._homology_by_rules(n, edges, field)
+        try:
+            while True:
+                m, es = rules.send(hom)
+                steps.append((m, es))
+                hom = oracle_reduced_homology([u for u in range(1 << m) if not any(e & u == e for e in es)], p)
+        except StopIteration as done:
+            hom = done.value
         monkeypatch.undo()
         return steps, hom
 
-    @pytest.mark.parametrize("name", ["star3", "p3", "two_disjoint_edges", "c4", "c5"])
-    def test_first_rule_applied(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, link, deletion", [pytest.param(*case, id=case[0]) for case in (
+        ("star3", True, False), ("p3", False, True), ("two_disjoint_edges", True, False),
+        ("c4", False, True), ("c5", True, True))])
+    def test_first_rule_applied(self, monkeypatch, name, link, deletion):
         """The link and deletion of vertex 0 share no homology degree, so the
-        split (c) hands on K/w and K\\w at w = 0 and builds no face."""
+        split (c) answers at w = 0 and builds no face.  It hands on each of
+        K/w and K\\w unless its edges miss a vertex (the centre's deletion in
+        star3, the link of an end of p3): that side is a cone, zero."""
         h = named_instance(name)
         edges = tuple(sorted(h.edges))
         steps, hom = self.first_steps(monkeypatch, h.n, edges, "Q", None)
-        assert steps == [(h.n - 1, _contracted(edges, h.n, 0)), (h.n - 1, _deleted(edges, h.n, 0))]
+        assert steps == [(h.n - 1, side) for side, kept in (
+            (_contracted(edges, h.n, 0), link), (_deleted(edges, h.n, 0), deletion)) if kept]
         assert hom == oracle_reduced_homology(_all_faces(independence_complex(h).facets))
 
     @pytest.mark.parametrize("field, p", [("Q", None), ("F2", 2)])
@@ -225,7 +226,7 @@ class TestConeReductions:
         """Every vertex link of the six-vertex RP2 is a circle and every
         deletion a Moebius band, both with a class in degree 1: the split
         tries each vertex and the 32 faces go to the fallback (d)."""
-        h = complex_to_hypergraph(_rp2())
+        h = complex_to_hypergraph(rp2())
         edges = tuple(sorted(h.edges))
         steps, _ = self.first_steps(monkeypatch, h.n, edges, field, p)
         assert steps == [s for w in range(h.n) for s in ((h.n - 1, _contracted(edges, h.n, w)),
@@ -337,7 +338,7 @@ class TestBettiTable:
         assert betti_table(h, "F2").entries == q and betti_table(h, "F3").entries == q
 
     def test_torsion_changes_the_table_over_f2(self):
-        h = complex_to_hypergraph(_rp2())
+        h = complex_to_hypergraph(rp2())
         tables = {field: betti_table(h, field) for field in ("Q", "F2", "F3")}
         assert [(t.pd, t.reg) for t in tables.values()] == [(3, 2), (4, 3), (3, 2)]
         assert tables["F3"].entries == tables["Q"].entries
@@ -378,10 +379,29 @@ class TestBettiTable:
         assert obj["entries"] == sorted(obj["entries"])
         assert obj["reg"] == 1 and obj["pd"] == 3
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        """The walk is bounded by its lattice: one edge on 13 vertices is one
+        lattice element, past the 12 vertices of the former Betti cap."""
         h = build([f"v{i}" for i in range(13)], [["v0", "v1"]])
-        with pytest.raises(SizeLimitExceeded):
+        assert betti_table(h).entries == {(1, 2): 1}
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 0)
+        with pytest.raises(SearchLimitExceeded, match="^edges inside the edge unions exceed lattice cap 0$"):
             betti_table(h)
+
+    def test_chains_of_rule_steps_take_no_frames(self):
+        """Each rule step removes one vertex and runs on an explicit stack,
+        so chains of 399 steps pass the interpreter's recursion limit: one
+        edge on 400 vertices (cone steps down to a point) and the 400 edges
+        of size 399 (a two-sided split at every step, whose independence
+        complex is the 397-skeleton of the 399-simplex)."""
+        labels = [f"v{i}" for i in range(400)]
+        full = (1 << 400) - 1
+        sphere = complex_from_facets(labels, [full ^ 1 << i for i in range(400)])
+        homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
+        assert reduced_homology(sphere) == {398: 1}
+        assert betti_table(from_masks(labels, [full])).entries == {(1, 400): 1}
+        table = betti_table(from_masks(labels, [full ^ 1 << i for i in range(400)]))
+        assert table.entries == {(1, 399): 400, (2, 400): 399}
 
     def test_void_marker_is_undefined_not_capped(self):
         void = contraction(build(["a", "b"], [["a"]]), "a")
@@ -392,8 +412,8 @@ class TestBettiTable:
 
 
 class TestClosedForms:
-    """Betti tables known in closed form, inside the Betti cap: the full
-    table and the bounded walk's reg and pd."""
+    """Betti tables known in closed form, past what brute force reaches:
+    the full table and the bounded walk's reg and pd."""
 
     @staticmethod
     def check(h, entries):
@@ -403,8 +423,8 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("s", [2, 3])
     def test_disjoint_edges_are_the_koszul_complex(self, s):
-        """k disjoint s-edges: beta_{i, si} = C(k, i)."""
-        for k in range(1, 12 // s + 1):
+        """k disjoint s-edges: beta_{i, si} = C(k, i), up to 32 vertices."""
+        for k in range(1, 32 // s + 1):
             labels = [f"x{v}" for v in range(k * s)]
             h = from_masks(labels, [((1 << s) - 1) << (s * e) for e in range(k)])
             self.check(h, {(i, s * i): comb(k, i) for i in range(1, k + 1)})
@@ -420,9 +440,12 @@ class TestClosedForms:
                                for j in range(d, n + 1)})
 
     def test_complete_bipartite_graphs(self):
-        """K_{m,n}: beta_{i, i+1} = sum over a + b = i + 1, a, b >= 1, of C(m, a) C(n, b)."""
-        for m in range(1, 7):
-            for n in range(1, min(6, 12 - m) + 1):
+        """K_{m,n}: beta_{i, i+1} = sum over a + b = i + 1, a, b >= 1, of C(m, a) C(n, b),
+        for m + n <= 14; past 12 vertices only m <= n, as K_{n,m} differs by labels."""
+        for m in range(1, 14):
+            for n in range(1, 15 - m):
+                if m + n > 12 and m > n:
+                    continue
                 edges = sorted((1 << a) | (1 << (m + b)) for a in range(m) for b in range(n))
                 h = from_masks([f"x{v}" for v in range(m + n)], edges)
                 self.check(h, {(i, i + 1): sum(comb(m, a) * comb(n, i + 1 - a)
@@ -462,7 +485,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("cycle", [False, True], ids=["path", "cycle"])
     def test_paths_and_cycles(self, monkeypatch, cycle):
         """The closed form equals the dense oracle up to 10 vertices, and the
-        Betti table up to 16 with the cap lifted, where no face is built."""
+        Betti table up to 18, where no face is built."""
         def graph(n):
             closing = [1 | 1 << (n - 1)] if cycle else []
             edges = [1 << v | 1 << (v + 1) for v in range(n - 1)] + closing
@@ -472,11 +495,10 @@ class TestClosedForms:
         for n in range(low, 11):
             assert self.path_or_cycle_table(n, cycle) == oracle_betti_table(graph(n)), n
         faces = []
-        monkeypatch.setattr(homological, "DEFAULT_BETTI_CAP", 16)
         monkeypatch.setattr(homological, "_homology_from_faces",
                             lambda fs, field: faces.append(fs) or {})
         homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
-        for n in range(low, 17):
+        for n in range(low, 19):
             self.check(graph(n), self.path_or_cycle_table(n, cycle))
         assert faces == []
 
@@ -523,7 +545,7 @@ class TestAlexanderDuality:
         empty = SimplicialComplex(("a", "b", "c"), (0,))
         assert minimal_nonfaces(void) == (0,)
         assert minimal_nonfaces(empty) == (0b001, 0b010, 0b100)
-        cases = [void, empty, SimplicialComplex((), ()), SimplicialComplex((), (0,)), _rp2()]
+        cases = [void, empty, SimplicialComplex((), ()), SimplicialComplex((), (0,)), rp2()]
         for h in tiny_hypergraphs():
             d = independence_complex(h)
             cases += [d, alexander_dual(d)]

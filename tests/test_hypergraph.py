@@ -1,6 +1,7 @@
 """Construction, deletion/contraction, cycle search, uniformity, covers."""
 
 import json
+import random
 import time
 
 import pytest
@@ -301,6 +302,43 @@ class TestLattice:
         lattice = list(_lattice(edges))
         assert len(lattice) == len(expected)
         assert dict(lattice) == expected
+        assert [w for w, _ in lattice] == sorted(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists(max_n=8, max_edges=8), st.integers(-2, 2), st.randoms(use_true_random=False))
+    @example((3, [0b011, 0b110, 0b101]), 0, random.Random(0))  # K3: 3 + 3 edges inside 4 unions, at the cap
+    @example((3, [0b011, 0b110, 0b101]), -1, random.Random(0))  # one over it
+    def test_cap_raises_iff_the_lattice_passes_it(self, case, offset, rnd):
+        """With the cap near the lattice size, the edges inside each union
+        summed, ``_lattice`` raises iff the whole lattice's size passes the
+        cap, however the vertices are labelled and the edges ordered,
+        whether it builds the lattice or finds it kept from a call under a
+        larger cap."""
+        n, edges = case
+        unions = {0}
+        for e in edges:
+            unions |= {w | e for w in unions}
+        size = sum(e & w == e for w in unions for e in edges)
+        cap = max(size + offset, 0)
+        perm = rnd.sample(range(n), n)
+        relabelled = [mask_of(perm[v] for v in bit_ids(e)) for e in edges]
+        rnd.shuffle(relabelled)
+        default = hypergraph.DEFAULT_LATTICE_CAP
+        try:
+            for es in (edges, relabelled):
+                for kept in (False, True):
+                    hypergraph._LATTICE_MEMO.clear()
+                    if kept:
+                        _lattice(es)
+                    hypergraph.DEFAULT_LATTICE_CAP = cap
+                    if size > cap:
+                        with pytest.raises(SearchLimitExceeded, match=f"^edges inside the edge unions exceed lattice cap {cap}$"):
+                            _lattice(es)
+                    else:
+                        assert len(_lattice(es)) == len(unions) - 1
+                    hypergraph.DEFAULT_LATTICE_CAP = default
+        finally:
+            hypergraph.DEFAULT_LATTICE_CAP = default
 
 
 class TestMinimalTransversals:

@@ -1,15 +1,19 @@
 """Matching invariants against a raw-subset oracle, collages, greedy sets."""
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hyperinv
 
+import hyperinv.hypergraph as hypergraph
 import hyperinv.matchings as matchings
 from conftest import oracle_matching_numbers, tiny_hypergraphs
 
@@ -17,14 +21,17 @@ from hyperinv import (
     build,
     classify_family,
     enumerate_graphs,
+    from_masks,
     independent_set_from_semi_induced,
     is_two_collage,
     matching_invariants,
     maximal_matchings,
     random_hypergraph,
+    reg_and_pd,
 )
 from hyperinv.errors import NotSemiInduced, SearchLimitExceeded, UnknownEdge
 from hyperinv.generators import FamilySpec
+from hyperinv.hypergraph import bit_ids
 
 
 def edge_by_labels(h, labels):
@@ -91,14 +98,100 @@ class TestInvariants:
             inv = matching_invariants(h)
             assert (inv.c, inv.c_prime, inv.m) == oracle_matching_numbers(h)[:3]
 
-    def test_edge_cap(self, h1, monkeypatch):
-        monkeypatch.setattr(matchings, "DEFAULT_EDGE_CAP", 2)
-        with pytest.raises(SearchLimitExceeded):
+    def test_lattice_cap(self, h1, monkeypatch):
+        """The one cap of the search is the lattice's: h1's 6 edge unions
+        hold 10 edges, summed."""
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 9)
+        with pytest.raises(SearchLimitExceeded, match="^edges inside the edge unions exceed lattice cap 9$"):
             matching_invariants(h1)
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 10)
+        assert matching_invariants(h1).m == 4
 
     def test_edgeless(self):
         inv = matching_invariants(build(["a"], []))
         assert (inv.c, inv.c_prime, inv.m) == (0, 0, 0)
+
+
+def assert_matches_oracle(h):
+    """c, c', m and each witness equal those of the raw subset oracle."""
+    inv = matching_invariants(h)
+    *values, optima = oracle_matching_numbers(h)
+    assert [inv.c, inv.c_prime, inv.m] == values, h.edges
+    for name, (ids, _, _) in optima.items():
+        assert inv.witnesses[name].edges == tuple(h.edges[i] for i in ids), (name, h.edges)
+
+
+@st.composite
+def hypergraphs_with_singleton_edges(draw, max_n=7):
+    """Antichains with at least one singleton edge; the edges through it drop."""
+    n = draw(st.integers(1, max_n))
+    raw = draw(st.lists(st.integers(1, (1 << n) - 1).filter(lambda m: m.bit_count() <= 4),
+                        max_size=8))
+    raw.append(1 << draw(st.integers(0, n - 1)))
+    edges = {m for m in raw if not any(o != m and o & m == o for o in raw)}
+    return from_masks([f"x{i + 1}" for i in range(n)], sorted(edges))
+
+
+def graph(n, pairs):
+    return from_masks([f"x{i + 1}" for i in range(n)], sorted(1 << a | 1 << b for a, b in pairs))
+
+
+def graphs_past_twenty_edges():
+    """K_n for 7 <= n <= 14 and seeded random graphs on 10 to 14 vertices,
+    each with more than 20 edges."""
+    rng = random.Random(25)
+    out = [graph(n, combinations(range(n), 2)) for n in range(7, 15)]
+    for n in range(10, 15):
+        for p in (0.6, 0.8):
+            out.append(graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+class TestMatchingNumberFromTheLattice:
+    """m is read from the lattice pass, past the 20 edges that the
+    branch-and-bound it replaced was capped at."""
+
+    def test_all_graphs_up_to_five_vertices(self):
+        for n in range(1, 6):
+            for g in enumerate_graphs(n):
+                assert_matches_oracle(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hypergraphs_with_singleton_edges())
+    @example(from_masks(["a", "b", "c"], [0b001, 0b110]))
+    def test_hypergraphs_with_singleton_edges(self, h):
+        assert_matches_oracle(h)
+
+    def test_graphs_past_twenty_edges_against_networkx(self):
+        """On a graph m is the size of a maximum matching; networkx finds
+        one by Edmonds' blossom algorithm, which shares nothing with the
+        lattice."""
+        nx = pytest.importorskip("networkx")
+        for g in graphs_past_twenty_edges():
+            assert len(g.edges) > 20
+            inv = matching_invariants(g)
+            want = nx.max_weight_matching(nx.Graph([bit_ids(e) for e in g.edges]),
+                                          maxcardinality=True)
+            assert inv.m == len(want), g.edges
+            w = inv.witnesses["m"]
+            assert w.matching and w.weight == inv.m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True))))
+    def test_reg_is_at_most_m_on_graphs(self, case):
+        """On a graph reg S/I(G) is at most the matching number (H. T. Ha
+        and A. Van Tuyl, J. Algebraic Combin. 27, 2008).  Not on every
+        hypergraph: the edges {a, b, x} and {c, d, x} have reg 3 and m 2."""
+        g = graph(*case)
+        assert reg_and_pd(g)["reg"] <= matching_invariants(g).m
+
+    def test_reg_is_at_most_m_on_graphs_past_twenty_edges(self):
+        for g in graphs_past_twenty_edges():
+            if g.n <= 12:
+                assert reg_and_pd(g)["reg"] <= matching_invariants(g).m, g.edges
+        h = build(list("abcdx"), [["a", "b", "x"], ["c", "d", "x"]])
+        assert (reg_and_pd(h)["reg"], matching_invariants(h).m) == (3, 2)
 
 
 class TestCollagesAndMatchings:
@@ -124,6 +217,19 @@ class TestCollagesAndMatchings:
     def test_maximal_matchings_p3(self, p3):
         mms = maximal_matchings(p3)
         assert sorted(len(m) for m in mms) == [1, 1]
+
+    def test_maximal_matchings_walk_is_capped(self, monkeypatch):
+        """The walk visits each matching once and raises when their edges,
+        summed, pass the lattice cap: K8 has 28 matchings of one edge, 210
+        of two, 420 of three and 105 of four, its perfect matchings, which
+        are the maximal ones; 28 + 420 + 1260 + 420 = 2128 edges."""
+        labels = [f"x{i}" for i in range(8)]
+        k8 = build(labels, [[a, b] for a, b in combinations(labels, 2)])
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 2127)
+        with pytest.raises(SearchLimitExceeded, match="^edges in the matchings walked exceed lattice cap 2127$"):
+            maximal_matchings(k8)
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 2128)
+        assert len(maximal_matchings(k8)) == 105
 
 
 # The greedy construction is made to read a family that is not
