@@ -60,9 +60,9 @@ from .errors import (
 from .hypergraph import Hypergraph, _lattice, bit_ids, edge_sort_key
 from .matchings import classify_family
 
-DEFAULT_EDGE_CAP = 12
 # candidates either search may score: a root set R for d'; for d, a root
-# choice of a stem grouping, or a grouping that its flower ceiling cuts off
+# choice of a stem grouping, or a grouping or hub choice that a flower
+# ceiling cuts off; also the stem choices that classify a bouquet set
 DEFAULT_CANDIDATE_CAP = 500_000
 
 
@@ -111,7 +111,6 @@ class BouquetSet:
     stems: tuple[int, ...]
     strongly_disjoint: bool
     semi_strongly_disjoint: bool
-    strong_witness_stems: Optional[tuple[int, ...]]
 
     def to_json_obj(self, h: Hypergraph) -> dict:
         return {
@@ -138,22 +137,15 @@ def classify_bouquet_set(h: Hypergraph, bouquets: Sequence[Bouquet]) -> BouquetS
     if len(set(stems)) != len(stems):
         raise InvalidBouquet("an edge is a stem of two bouquets")
     semi = not any(e & roots == e for e in h.edges)  # the roots are independent
-    strong_witness: Optional[tuple[int, ...]] = () if not bouquets else None
-    for choice in product(*[b.stems for b in bouquets]) if bouquets else ():
-        if len(set(choice)) != len(choice):
-            continue
-        if classify_family(h, list(choice)).induced:
-            strong_witness = tuple(sorted(choice, key=edge_sort_key))
+    strong, cap = not bouquets, DEFAULT_CANDIDATE_CAP  # some choice of one stem each is induced
+    for tried, choice in enumerate(product(*[b.stems for b in bouquets]) if bouquets else (), 1):
+        if tried > cap:
+            raise SearchLimitExceeded(f"stem choices exceed cap {cap}")
+        if len(set(choice)) == len(choice) and classify_family(h, list(choice)).induced:
+            strong = True
             break
-    return BouquetSet(
-        tuple(bouquets),
-        flowers,
-        roots,
-        tuple(sorted(stems, key=edge_sort_key)),
-        strong_witness is not None,
-        semi,
-        strong_witness,
-    )
+    return BouquetSet(tuple(bouquets), flowers, roots, tuple(sorted(stems, key=edge_sort_key)),
+                      strong, semi)
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,9 @@ def bouquet_invariants(
     dprime: Optional[tuple[int, BouquetSet]] = None,
 ) -> BouquetInvariants:
     """d and d' with their witnesses; ``dprime``, when known, is what
-    ``dprime_invariant`` returned for the same arguments (its edge-cap check included)."""
+    ``dprime_invariant`` returned for the same arguments.  Every step of
+    either search counts against ``DEFAULT_CANDIDATE_CAP`` or is bounded
+    by it (see the README's caps section)."""
     dp_val, dp_wit = dprime_invariant(h, facets) if dprime is None else dprime
     d_val, d_wit = _d_search(h)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
@@ -206,10 +200,9 @@ def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[i
     as its part inside the support, which comes first.  Each R is scored in
     closed form (``_freed_count``), unless its edge union, or that union's
     part outside R with the roots that share an edge, cannot beat the best
-    so far.  Past ``DEFAULT_EDGE_CAP`` edges, or at the first root set past
-    ``DEFAULT_CANDIDATE_CAP``, it raises ``SearchLimitExceeded``."""
-    if len(edges) > DEFAULT_EDGE_CAP:
-        raise SearchLimitExceeded(f"{len(edges)} edges exceed cap {DEFAULT_EDGE_CAP}")
+    so far.  At the first root set past ``DEFAULT_CANDIDATE_CAP`` it raises
+    ``SearchLimitExceeded``, so it scores at most that many root sets, in
+    O(|R| + edges) steps each."""
     support = reduce(or_, edges, 0)
     cap = DEFAULT_CANDIDATE_CAP
     faces = set()
@@ -306,7 +299,7 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
     one records its stem groups and single-stem roots, and only it is
     turned into bouquets.  Past ``DEFAULT_CANDIDATE_CAP`` scored candidates
     it raises ``SearchLimitExceeded``."""
-    cap = DEFAULT_CANDIDATE_CAP
+    cap, over = DEFAULT_CANDIDATE_CAP, f"d search candidates exceed cap {DEFAULT_CANDIDATE_CAP}"
     best_val, best = 0, ([], ())
     scored = 0
     for matching in _induced_matchings(h):
@@ -322,9 +315,13 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
                     contested.append((e, sorted(slot[1 << v] for v in bit_ids(hit))))
                 elif hit:
                     stems[slot[hit]].append(e)
-            # every flower lies in a stem
+            # every flower lies in a stem, so a hub choice whose stems cannot
+            # beat the best is cut off, and counts as one candidate
             reach = reduce(or_, [e for s in stems for e in s] + [e for e, _ in contested])
             if reach.bit_count() <= best_val:
+                scored += 1
+                if scored > cap:
+                    raise SearchLimitExceeded(over)
                 continue
             base = [(reduce(or_, s), reduce(and_, s), len(s)) for s in stems]
             # the first contested edge varies fastest; with strict ">" this
@@ -337,7 +334,7 @@ def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
                 val, roots, tried = _grouped_flowers(groups, best_val)
                 scored += tried
                 if scored > cap:
-                    raise SearchLimitExceeded(f"d search candidates exceed cap {cap}")
+                    raise SearchLimitExceeded(over)
                 if val > best_val:
                     best_val = val
                     picked = [s + [e for e, j in reversed(pick) if j == i] for i, s in enumerate(stems)]

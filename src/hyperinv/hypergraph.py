@@ -29,7 +29,8 @@ by W.  The c, c' and m searches in ``matchings``, the induced matchings
 of the d search in ``bouquets`` and the Hochster sum in ``homological``
 read their families and restrictions from it, so its one cap,
 ``DEFAULT_LATTICE_CAP`` on the edges inside each W summed, bounds them
-all.
+all.  The Berge cycle search, ``find_cycle``, counts the paths it grows
+against the same constant; no cap counts edges or a cycle length.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ from .errors import (
     UnknownVertex,
 )
 
-DEFAULT_CYCLE_LENGTH_CAP = 7
-DEFAULT_CYCLE_EDGE_CAP = 20
 DEFAULT_TRANSVERSAL_CAP = 10_000
 DEFAULT_LATTICE_CAP = 20 << 19  # edges inside the edge unions, summed: at most 20 * 2^19 for 20 edges
 
@@ -287,34 +286,38 @@ def _cycles(h: Hypergraph, n: int) -> Iterator[CycleWitness]:
     """Backtracking enumeration of n-cycle witnesses.
 
     The first vertex is forced to be the least vertex on the cycle, so the
-    first witness yielded is deterministic.
+    first witness yielded is deterministic.  Each path scans only the edges
+    through its end vertex, in canonical order, and never enters a vertex
+    in fewer than two edges, which no cycle passes.  Past
+    ``DEFAULT_LATTICE_CAP`` paths grown it raises ``SearchLimitExceeded``.
     """
-    edges = h.edges
+    cap, paths = DEFAULT_LATTICE_CAP, 0
+    through = [[e for e in h.edges if e >> v & 1] for v in range(h.n)]
+    lone = mask_of(v for v in range(h.n) if len(through[v]) < 2)
 
     def extend(
         start: int, path_v: list[int], path_e: list[int], used_v: int
     ) -> Iterator[CycleWitness]:
-        cb = 1 << path_v[-1]
-        sb = 1 << start
+        nonlocal paths
+        if (paths := paths + 1) > cap:
+            raise SearchLimitExceeded(f"cycle search paths exceed lattice cap {cap}")
         if len(path_v) == n:
-            for e in edges:
-                if e & cb and e & sb and e not in path_e:
+            for e in through[path_v[-1]]:
+                if e >> start & 1 and e not in path_e:
                     yield CycleWitness(tuple(path_v), tuple(path_e + [e]))
             return
-        for e in edges:
-            if not e & cb or e in path_e:
+        for e in through[path_v[-1]]:
+            if e in path_e:
                 continue
             path_e.append(e)
             for w in bit_ids(e & ~used_v):
-                if w <= start:
-                    continue
                 path_v.append(w)
                 yield from extend(start, path_v, path_e, used_v | (1 << w))
                 path_v.pop()
             path_e.pop()
 
-    for start in range(h.n):
-        yield from extend(start, [start], [], 1 << start)
+    for start in bit_ids(h.full_mask & ~lone):  # every vertex up to the start counts as used
+        yield from extend(start, [start], [], (2 << start) - 1 | lone)
 
 
 def _canonical_witness(w: CycleWitness) -> CycleWitness:
@@ -327,14 +330,10 @@ def _canonical_witness(w: CycleWitness) -> CycleWitness:
 
 
 def find_cycle(h: Hypergraph, n: int) -> Optional[CycleWitness]:
-    """Exhaustive search for a Berge cycle of length n; None if absent."""
+    """Exhaustive search for a Berge cycle of length n; None if absent.
+    The paths it grows count against ``DEFAULT_LATTICE_CAP``."""
     if n < 2:
         raise HyperinvError("cycle length must be at least 2")
-    if n > DEFAULT_CYCLE_LENGTH_CAP:
-        raise SearchLimitExceeded(f"cycle length {n} exceeds cap {DEFAULT_CYCLE_LENGTH_CAP}")
-    if len(h.edges) > DEFAULT_CYCLE_EDGE_CAP:
-        raise SearchLimitExceeded(
-            f"{len(h.edges)} edges exceed cycle-search cap {DEFAULT_CYCLE_EDGE_CAP}")
     if len(h.edges) < n or h.n < n:  # an n-cycle has n distinct edges and n distinct vertices
         return None
     for w in _cycles(h, n):
@@ -393,7 +392,7 @@ def maximal_independent_sets(h: Hypergraph) -> tuple[int, ...]:
     return tuple(sorted(h.full_mask & ~c for c in minimal_vertex_covers(h).covers))
 
 
-_LATTICE_MEMO: dict[tuple[int, ...], tuple[tuple[tuple[int, int], ...], int]] = {}
+_LATTICE_MEMO: dict[tuple[int, ...], tuple[Optional[tuple[tuple[int, int], ...]], int]] = {}
 
 
 def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -405,10 +404,12 @@ def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
     work of each walk over it.  The unions and their edges only grow, so
     summing after each edge (once the unions times the edges merged could
     pass the cap) raises ``SearchLimitExceeded`` iff the whole lattice's
-    size passes ``DEFAULT_LATTICE_CAP``, holding at most twice the cap unions."""
+    size passes ``DEFAULT_LATTICE_CAP``, holding at most twice the cap unions.
+    A refusal is kept too, with the size it stopped at: only a cap raised
+    to that size builds again."""
     cap, key = DEFAULT_LATTICE_CAP, tuple(edges)
     kept = _LATTICE_MEMO.get(key)
-    if kept is None:
+    if kept is None or kept[0] is None and kept[1] <= cap:  # new, or refused under a smaller cap
         inside = {0: 0}
         for j, e in enumerate(edges):
             bit = 1 << j
@@ -416,12 +417,12 @@ def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
                 u = w | e
                 inside[u] = inside.get(u, 0) | m | bit
             if len(inside) * (j + 1) > cap and sum(map(int.bit_count, inside.values())) > cap:
-                raise SearchLimitExceeded(f"edges inside the edge unions exceed lattice cap {cap}")
-        size = sum(map(int.bit_count, inside.values()))
+                break
+        size = sum(map(int.bit_count, inside.values()))  # past the cap iff the loop broke
         del inside[0]
         _LATTICE_MEMO.clear()
-        kept = _LATTICE_MEMO[key] = tuple(sorted(inside.items())), size
-    if kept[1] > cap:  # kept under a larger cap
+        kept = _LATTICE_MEMO[key] = (tuple(sorted(inside.items())) if size <= cap else None), size
+    if kept[1] > cap:  # refused, or kept under a larger cap
         raise SearchLimitExceeded(f"edges inside the edge unions exceed lattice cap {cap}")
     return kept[0]
 

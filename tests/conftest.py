@@ -4,8 +4,9 @@ The oracles deliberately avoid the package's algorithms: raw subset
 enumeration for matching numbers, definition-level enumeration of
 bouquet sets, naive recursion for vertex decomposability, pairwise
 comparison for minimal and maximal sets, every rotation and reflection
-for cycle witnesses, dense
-Gaussian elimination (Fractions, or integers mod p) for homology ranks,
+for cycle witnesses, Hall's condition on vertex tuples for Berge
+cycles, dense Gaussian elimination (Fractions, or integers mod p) for
+homology ranks,
 a fresh generator per draw, picking vertices one at a time, for
 random hypergraphs, and a backtracking search that builds each deleted
 hypergraph for codismantlability.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -315,6 +316,24 @@ def oracle_canonical_witness(w):
             if best is None or key < best[0]:
                 best = (key, cand)
     return CycleWitness(*best[1])
+
+
+def oracle_has_berge_cycle(h, length):
+    """Whether H has a Berge cycle of the given length: some ordered tuple of
+    distinct vertices whose cyclically consecutive pairs lie in distinct
+    edges.  The edges through each pair form a family of sets, and Hall's
+    condition on every subfamily decides whether they have distinct
+    representatives."""
+    through = {}
+    for u, v in combinations(range(h.n), 2):
+        through[u, v] = through[v, u] = frozenset(
+            j for j, e in enumerate(h.edges) if e >> u & 1 and e >> v & 1)
+    for vs in permutations(range(h.n), length):
+        sets = [through[vs[i], vs[(i + 1) % length]] for i in range(length)]
+        if all(len(frozenset().union(*sub)) >= k
+               for k in range(1, length + 1) for sub in combinations(sets, k)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-import hyperinv.bouquets as bouquets
 from hyperinv import (
     SUITES,
     betti_table,
@@ -244,8 +243,7 @@ def test_criterion_08_reg_bound_on_c2_c5_free_vd():
     _report(8, bad == 0, f"reg <= c' <= dim+1 on {total} filtered instances, {bad} bad")
 
 
-def test_criterion_09_pd_bounded_by_d_prime(monkeypatch):
-    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 16)
+def test_criterion_09_pd_bounded_by_d_prime():
     bad = total = 0
     streams = [
         _graphs_up_to(5, ("vertex_decomposable",)),
@@ -260,8 +258,7 @@ def test_criterion_09_pd_bounded_by_d_prime(monkeypatch):
     _report(9, bad == 0, f"pd <= d' on {total} vertex-decomposable instances, {bad} bad")
 
 
-def test_criterion_10_bigheight_pd_dprime_on_vd_graphs(monkeypatch):
-    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 15)
+def test_criterion_10_bigheight_pd_dprime_on_vd_graphs():
     t0 = time.monotonic()
     total = bad = 0
     for h in _graphs_up_to(6, ("vertex_decomposable",)):

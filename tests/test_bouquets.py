@@ -165,23 +165,28 @@ class TestInvariants:
             bs = classify_bouquet_set(h, bouquets)
             assert bs.strongly_disjoint and bs.semi_strongly_disjoint
 
-    def test_edge_cap(self, h1, monkeypatch):
-        monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 2)
-        with pytest.raises(SearchLimitExceeded):
-            bouquet_invariants(h1, maximal_independent_sets(h1))
+    def test_many_edges_reach_both_searches(self):
+        """No edge count is refused: K10's 45 edges give d = d' = 9, well
+        inside the candidate cap."""
+        labels = [f"x{i}" for i in range(10)]
+        k10 = build(labels, [[u, v] for i, u in enumerate(labels) for v in labels[i + 1:]])
+        inv = bouquet_invariants(k10, maximal_independent_sets(k10))
+        assert (inv.d, inv.d_prime) == (9, 9)
+        assert inv.witnesses["d"].strongly_disjoint and inv.witnesses["d_prime"].semi_strongly_disjoint
 
     def test_candidate_cap_is_read_at_call_time(self, monkeypatch):
         """Three disjoint edges: d' scores the 3^3 - 1 nonempty root sets,
-        d scores 120 candidates (a counted value: the flower ceilings cut
-        some of the 5^3 - 1); one candidate over the cap raises."""
+        d scores 122 candidates (a counted value: the flower ceilings cut
+        some of the 5^3 - 1, and 2 hub choices count one each); one
+        candidate over the cap raises."""
         h = from_masks([f"x{i}" for i in range(6)], [0b11, 0b1100, 0b110000])
         facets = maximal_independent_sets(h)
         assert bouquets.DEFAULT_CANDIDATE_CAP == 500_000
-        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 120)
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 122)
         inv = bouquet_invariants(h, facets)
         assert (inv.d, inv.d_prime) == (3, 3)
-        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 119)
-        with pytest.raises(SearchLimitExceeded, match="^d search candidates exceed cap 119$"):
+        monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 121)
+        with pytest.raises(SearchLimitExceeded, match="^d search candidates exceed cap 121$"):
             bouquet_invariants(h, facets)
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 26)
         assert dprime_invariant(h, facets)[0] == 3
@@ -289,7 +294,7 @@ def test_golden_witnesses():
         assert g == want, g["name"]
 
 
-def test_dprime_entry_point_matches_bouquet_invariants(monkeypatch):
+def test_dprime_entry_point_matches_bouquet_invariants():
     """The d'-only search gives the d' and the witness of
     ``bouquet_invariants`` on every golden instance."""
     golden = json.loads(GOLDEN_WITNESSES.read_text())
@@ -300,6 +305,3 @@ def test_dprime_entry_point_matches_bouquet_invariants(monkeypatch):
         value, witness = dprime_invariant(h, facets)
         assert value == bouquet_invariants(h, facets).d_prime == len(want["d_prime"]["flowers"])
         assert witness.to_json_obj(h) == want["d_prime"], want["name"]
-    monkeypatch.setattr(bouquets, "DEFAULT_EDGE_CAP", 2)
-    with pytest.raises(SearchLimitExceeded):
-        dprime_invariant(named_instance("h1"), ())

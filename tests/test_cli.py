@@ -154,27 +154,26 @@ class TestInvariants:
         assert exc.value.code == 2
         assert "--edge-cap" in capsys.readouterr().err
 
-    def test_k8_partial_report_exit_three(self, capsys, tmp_path):
-        """K8 has 28 edges: past the cycle-search cap (20), so its C5
-        hypothesis is omitted instead of ending the run, and past the
-        bouquet edge cap (12).  Its 247 edge unions, holding 1,792 edges
-        summed, are well inside the lattice cap, so the matching numbers
-        are reported."""
+    def test_k8_full_report_exit_zero(self, capsys, tmp_path):
+        """K8 has 28 edges; no cap counts edges, so its C5 search and both
+        bouquet searches run, and its 247 edge unions, holding 1,792 edges
+        summed, are well inside the lattice cap."""
         labels = [f"x{i + 1}" for i in range(8)]
         edges = [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]]
         path = tmp_path / "k8.json"
         path.write_text(json.dumps({"vertices": labels, "edges": edges}))
         code, out, _ = run_cli(capsys, "invariants", str(path))
-        assert code == 3
+        assert code == 0
         report = json.loads(out)
-        assert report["bouquets"] == {"omitted": "28 edges exceed cap 12"}
+        assert "omitted" not in json.dumps(report)
+        assert (report["bouquets"]["d"], report["bouquets"]["d_prime"]) == (7, 7)
         assert [report["matchings"][k] for k in ("c", "c_prime", "m")] == [1, 1, 4]
         classes = report["vertex_classification"]
-        assert "exceed" in classes["hypotheses"]["c5_free"]["omitted"]
+        assert classes["hypotheses"]["c5_free"] is False
         assert [row["vertex"] for row in classes["vertices"]] == labels
         assert classes["equivalence_holds"] is True
-        assert "omitted" in report["structure"]["c5_free"]
-        assert "omitted" in report["theorems"]["theorem-main"]
+        assert report["structure"]["c5_free"] is False
+        assert report["theorems"]["theorem-main"]["conclusion_holds"] is None
         assert report["codismantlable"] == {"order": labels[:7]}
         assert report["homology"]["pd"] == 7
         assert report["covers"]["bigheight"] == 7
@@ -510,9 +509,10 @@ class TestVerify:
         assert code == 2 and out == ""
         assert f"error: cannot write {missing}" in err and "Traceback" not in err
 
-    # 13 edges: past the bouquet edge cap (12) that the d' side of theorem-pd reads
-    CAPPED = ('{"kind": "random_hypergraph", "n": 13, "max_edge_size": 2, '
-              '"edge_count": 13, "seed": 1, "count": 3}')
+    # 30 edges on 80 vertices: more minimal covers than the transversal cap,
+    # which the complex behind every check and filter reads
+    CAPPED = ('{"kind": "random_hypergraph", "n": 80, "max_edge_size": 2, '
+              '"edge_count": 30, "seed": 1, "count": 3}')
 
     def test_cap_inside_a_check_exits_three_with_omitted_instances(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -522,7 +522,7 @@ class TestVerify:
         report = json.loads(out)
         assert report["exit_status"] == 3 and report["instances_tested"] == 0
         assert report["omitted"] == [
-            {"family": 0, "index": i, "reason": "13 edges exceed cap 12"}
+            {"family": 0, "index": i, "reason": "minimal transversals exceed cap 10000"}
             for i in range(3)
         ]
 
@@ -537,20 +537,20 @@ class TestVerify:
         assert len(report["counterexamples"]) == 1 and len(report["omitted"]) == 3
         assert report["instances_tested"] == 8
 
-    FILTER_CAPPED = ('{"kind": "random_hypergraph", "n": 8, "max_edge_size": 2, '
-                     '"edge_count": 28, "seed": 1, "count": 2, "filters": ["c5_free"]}')
+    FILTER_CAPPED = CAPPED.replace('"count": 3}', '"count": 2, "filters": ["vertex_decomposable"]}')
 
     def test_cap_inside_a_filter_exits_three_with_omitted_instances(self, capsys, tmp_path):
-        """K8 has 28 edges, over the C5 search cap that its filter reads."""
+        """The vertex decomposability filter reads the complex, whose facets
+        pass the transversal cap."""
         code, out, err = run_cli(
-            capsys, "verify", "theorem-main", "--family", self.FILTER_CAPPED,
+            capsys, "verify", "theorem-reg", "--family", self.FILTER_CAPPED,
             "--out-dir", str(tmp_path),
         )
         assert code == 3 and "Traceback" not in err
         report = json.loads(out)
         assert report["exit_status"] == 3 and report["instances_tested"] == 0
         assert report["omitted"] == [
-            {"family": 0, "index": i, "reason": "28 edges exceed cycle-search cap 20"}
+            {"family": 0, "index": i, "reason": "minimal transversals exceed cap 10000"}
             for i in range(2)
         ]
 
@@ -561,7 +561,7 @@ class TestVerify:
             raise AssertionError("drew an instance")
 
         monkeypatch.setattr(generators, "random_hypergraph", no_draw)
-        family = self.FILTER_CAPPED.replace('"c5_free"', '"c5_fre"')
+        family = self.FILTER_CAPPED.replace('"vertex_decomposable"', '"c5_fre"')
         code, out, err = run_cli(capsys, "verify", "theorem-main", "--family", family,
                                  "--out-dir", str(tmp_path))
         assert code == 2 and out == ""

@@ -159,12 +159,33 @@ class TestCycles:
 
         assert find_cycle(named_instance("c4"), 5) is None
 
-    def test_caps(self, h1):
-        with pytest.raises(HyperinvError) as exc:  # undefined, not a cap
+    def test_caps(self, h1, monkeypatch):
+        """Length 1 is undefined, not a cap; no length or edge count is
+        refused, only a search past ``DEFAULT_LATTICE_CAP`` paths."""
+        with pytest.raises(HyperinvError) as exc:
             find_cycle(h1, 1)
         assert not isinstance(exc.value, SearchLimitExceeded)
+        labels = [f"x{i}" for i in range(9)]
+        c9 = build(labels, [[labels[i], labels[(i + 1) % 9]] for i in range(9)])
+        assert find_cycle(c9, 9).length == 9
+        k7 = build(labels[:7], [[u, v] for i, u in enumerate(labels[:7]) for v in labels[i + 1:7]])
+        assert find_cycle(k7, 7).vertex_ids == tuple(range(7))  # 21 edges
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 8)
+        with pytest.raises(SearchLimitExceeded, match="^cycle search paths exceed lattice cap 8$"):
+            find_cycle(c9, 9)
+
+    def test_vertices_in_one_edge_are_never_entered(self, monkeypatch):
+        """20 edges of 20 vertices that share 4: a vertex in one edge lies on
+        no cycle, so the C5 search grows 44,204 paths on the core alone.
+        Entering the 320 others, it grew more than the lattice cap."""
+        core = 0b1111
+        sunflower = from_masks([f"x{i}" for i in range(324)],
+                               [core | ((1 << 16) - 1) << (4 + 16 * i) for i in range(20)])
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 44_204)
+        assert find_cycle(sunflower, 5) is None
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 44_203)
         with pytest.raises(SearchLimitExceeded):
-            find_cycle(h1, 9)
+            find_cycle(sunflower, 5)
 
     def test_witness_deterministic(self, h1):
         assert find_cycle(h1, 2) == find_cycle(h1, 2)
@@ -181,9 +202,9 @@ class TestCycles:
         k4 = build(["a", "b", "c", "d"], [[u, v] for u in "abcd" for v in "abcd" if u < v])
         assert find_cycle(k4, 5) is None  # six edges, but only four vertices
         assert entered == []
+        assert find_cycle(four, 9) is None  # no length is refused
+        assert entered == []
         assert find_cycle(four, 4) is not None and entered == [4]
-        with pytest.raises(SearchLimitExceeded):  # the caps are checked first
-            find_cycle(four, 9)
 
 
 class TestThreeCycleCondition:
@@ -339,6 +360,23 @@ class TestLattice:
                     hypergraph.DEFAULT_LATTICE_CAP = default
         finally:
             hypergraph.DEFAULT_LATTICE_CAP = default
+
+    def test_refusal_is_kept(self, monkeypatch):
+        """A refused lattice is not built again for the next caller under
+        the same cap; a cap raised past the size it stopped at builds it."""
+        edges = [0b11, 0b1100, 0b110000, 0b11000000]  # 4 disjoint edges: 4 * 2^3 edges inside
+        hypergraph._LATTICE_MEMO.clear()
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 5)
+        message = "^edges inside the edge unions exceed lattice cap 5$"
+        with pytest.raises(SearchLimitExceeded, match=message):
+            _lattice(edges)
+        refused = hypergraph._LATTICE_MEMO[tuple(edges)]
+        assert refused[0] is None and refused[1] > 5
+        with pytest.raises(SearchLimitExceeded, match=message):
+            _lattice(edges)
+        assert hypergraph._LATTICE_MEMO[tuple(edges)] is refused  # not built again
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 32)
+        assert len(_lattice(edges)) == 15
 
 
 class TestMinimalTransversals:

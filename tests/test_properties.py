@@ -14,6 +14,7 @@ from conftest import (
     oracle_canonical_witness,
     oracle_codismantle_order,
     oracle_dprime_search,
+    oracle_has_berge_cycle,
     oracle_independence_facets,
     oracle_matching_numbers,
     oracle_minimal_sets,
@@ -244,6 +245,37 @@ def test_dprime_search_matches_the_face_by_face_oracle(h):
     want_value, want_witness = oracle_dprime_search(h, facets)
     assert value == want_value
     assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
+
+
+@st.composite
+def many_edges(draw):
+    """13 to 21 edges on 6 or 7 vertices: inputs that an edge cap on the
+    cycle search (20) or the bouquet searches (12) refused.  At least 13
+    edges of one size k in {2, 3}, then up to 21 with larger edges that
+    contain none of them."""
+    n, k = draw(st.integers(6, 7)), draw(st.integers(2, 3))
+    layer = [m for m in range(1 << n) if m.bit_count() == k]
+    edges = draw(st.lists(st.sampled_from(layer), min_size=13, max_size=21, unique=True))
+    larger = [m for m in range(1 << n) if k < m.bit_count() <= 4]
+    for m in draw(st.lists(st.sampled_from(larger), max_size=8, unique=True)):
+        if len(edges) < 21 and not any(e & m in (e, m) for e in edges):
+            edges.append(m)
+    return from_masks([f"x{i + 1}" for i in range(n)], edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_edges())
+def test_many_edges_match_the_dprime_and_berge_cycle_oracles(h):
+    """d' and its witness equal the face-by-face oracle's, and the cycle
+    search agrees with Hall's condition on vertex tuples: for C5, and for
+    the lengths 2 to 6 around it (a C5 turned up in every draw tried)."""
+    facets = oracle_independence_facets(h)
+    value, witness = dprime_invariant(h, facets)
+    want_value, want_witness = oracle_dprime_search(h, facets)
+    assert value == want_value
+    assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
+    for length in range(2, 7):
+        assert (find_cycle(h, length) is not None) == oracle_has_berge_cycle(h, length), length
 
 
 CODISMANTLE_STREAMS = st.one_of(hypergraphs(max_n=9, max_edge_size=4, max_edges=8),
