@@ -4,7 +4,8 @@ regularity, projective dimension, and the Alexander dual.
 
 The Hochster sum runs over the lcm lattice of the edges only; for reg and
 pd alone ``betti_table`` walks it largest element first, only until no
-smaller one can raise them.  Ranks are exact, over the rationals or
+smaller one can raise them, and one such walk also gives reg and pd of
+H\\x at every vertex x asked for.  Ranks are exact, over the rationals or
 GF(p), by one sparse column eliminator that pivots on units and falls
 back to fraction-free cross-multiplication on the rational entries that
 are not +-1.  The reduced chain complex includes the empty face, so
@@ -189,11 +190,12 @@ def _homology_by_rules(n: int, edges: tuple[int, ...], field: str):
 
 @dataclass(frozen=True)
 class BettiTable:
-    entries: dict  # (i, j) -> rank, zero entries omitted
+    entries: dict  # (i, j) -> rank, zero entries omitted; none from a bounded walk
     n: int
     field: str
     reg: int  # max j - i over the entries, 0 without any
     pd: int  # max i over the entries, 0 without any
+    deletions: tuple = ()  # (reg, pd) of H\x for each x asked for, by ascending id
 
     def to_json_obj(self) -> dict:
         return {
@@ -204,7 +206,7 @@ class BettiTable:
         }
 
 
-def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: bool = False) -> BettiTable:
+def betti_table(h: Hypergraph, field: str = FIELD_Q, bounded: bool = False, deletions: int = 0) -> BettiTable:
     """Exact graded Betti numbers of the quotient by the edge ideal.
 
     Hochster's formula: for a vertex subset W, the restriction of the
@@ -215,14 +217,15 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: boo
     by its labelled edges (their union is W) before any renumbering; a miss
     is compressed, sorted, sent through the rules and kept under both keys.
 
-    With ``skip`` a vertex mask S, the table is that of H\\S: Ind(H\\S)
-    restricts as Ind(H) at the W that miss S, which are the unions of the
-    edges of H\\S, so H's lattice and memo keys serve.  With ``bounded`` the
-    walk goes down the lattice by |W|: a class of H~_d at W adds
-    i = |W| - d - 1 <= |W| to pd and d + 1 <= |W| - 1 to reg (i >= 1), so it
-    stops at the first W with |W| <= pd and |W| - 1 <= reg.  That table
-    holds every entry of degree above that |W| and may lack any other: read
-    only its reg and pd.
+    With ``bounded`` only reg and pd are computed, with no entries: the walk
+    goes down the lattice by |W|, and a class of H~_d at W adds
+    i = |W| - d - 1 <= |W| to pd and d + 1 <= |W| - 1 to reg (i >= 1: W holds
+    an edge, so it is no face and d <= |W| - 2), so it stops at the first W
+    with |W| <= pd and |W| - 1 <= reg.  With ``deletions`` a vertex mask, the
+    walk also keeps a (reg, pd) row for H\\x at each x in it: Ind(H\\x)
+    restricts as Ind(H) at the W that miss x, which are the unions of the
+    edges of H\\x, so a class at W raises the row of every such x, and a
+    bounded walk stops once every row is settled.
     """
     if h.void:
         raise HyperinvError("Betti table of the void-marker hypergraph is undefined")
@@ -231,13 +234,13 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: boo
     if bounded:
         lattice = sorted(lattice, key=lambda wi: -wi[0].bit_count())
     entries: dict[tuple[int, int], int] = {}
+    rows = [[1 << x, 0, 0] for x in bit_ids(deletions)]  # bit of x, reg and pd of H\x
     reg = pd = 0
+    stop = 0 if rows else h.n  # every row is settled once |W| <= stop
     for w, inside in lattice:
         j = w.bit_count()
-        if bounded and j <= pd and j <= reg + 1:
+        if bounded and j <= pd and j <= reg + 1 and j <= stop:
             break
-        if w & skip:
-            continue
         sub = []
         while inside:
             low = inside & -inside
@@ -249,18 +252,22 @@ def betti_table(h: Hypergraph, field: str = FIELD_Q, skip: int = 0, bounded: boo
             hom = memo[key] = _subhypergraph_homology(j, tuple(sorted(_compress(sub, w))), field)
         for dim, rank in hom.items():
             i = j - dim - 1
-            if i >= 1:
+            if not bounded:
                 entries[(i, j)] = entries.get((i, j), 0) + rank
-                if i > pd:
-                    pd = i
-                if dim >= reg:
-                    reg = dim + 1
-    return BettiTable(entries, h.n - skip.bit_count(), field, reg, pd)
+            if i > pd:
+                pd = i
+            if dim >= reg:
+                reg = dim + 1
+            for row in rows:
+                if not w & row[0] and (dim >= row[1] or i > row[2]):
+                    row[1], row[2] = max(row[1], dim + 1), max(row[2], i)
+                    stop = min(min(p, r + 1) for _, r, p in rows)
+    return BettiTable(entries, h.n, field, reg, pd, tuple((r, p) for _, r, p in rows))
 
 
-def _reg_pd(h: Hypergraph, field: str = FIELD_Q, skip: int = 0) -> tuple[int, int]:
-    """(reg, pd) of H, or of H\\S for the vertex mask ``skip``, by the bounded walk."""
-    t = betti_table(h, field, skip, bounded=True)
+def _reg_pd(h: Hypergraph, field: str = FIELD_Q) -> tuple[int, int]:
+    """(reg, pd) of H, by the bounded walk."""
+    t = betti_table(h, field, bounded=True)
     return t.reg, t.pd
 
 

@@ -131,10 +131,12 @@ class Profile:
     @_cached
     def shedding_splits(self) -> list[tuple[str, tuple[int, int], tuple[int, int]]]:
         """(x, (reg, pd) of H\\x, (reg, pd) of H/x) at each shedding x whose H/x is
-        not void: H\\x is walked on H's lattice, H/x (restricting to links) on its own."""
+        not void: every H\\x row comes from one walk of H's lattice, in ascending
+        id as the shedding vertices are, H/x (restricting to links) from its own."""
         h = self.h
         ctrs = [(x, ctr) for x in self.shedding_vertices if not (ctr := contraction(h, x)).void]
-        dels = [_reg_pd(h, skip=1 << h.vertex_id(x)) for x, _ in ctrs]  # one lattice
+        mask = sum(1 << h.vertex_id(x) for x, _ in ctrs)
+        dels = betti_table(h, bounded=True, deletions=mask).deletions if ctrs else ()
         return [(x, dele, _reg_pd(ctr)) for (x, ctr), dele in zip(ctrs, dels)]
 
     def codominated_witness(self, x: str) -> Optional[int]:

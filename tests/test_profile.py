@@ -4,6 +4,7 @@ per report and per suite check, and d runs only where it is read."""
 import json
 import sys
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -65,17 +66,17 @@ def counts(monkeypatch):
                     if value is orig:
                         monkeypatch.setattr(mod, attr, wrapped)
     # the d' walk takes masks: keyed by its edges, vertex count and facets;
-    # a Betti table by H, field, skipped vertices and bound, so that the
-    # reg and pd walks of H and of H\\x on H's lattice count apart
+    # a Betti table by H, field, bound and the vertices whose H\\x rows it
+    # keeps, so that H's reg and pd walk and the walk of its rows count apart
     walk, table = bouquets._dprime_walk, homological.betti_table
 
     def counted_walk(edges, n, facets):
         seen[("_dprime_walk", tuple(edges), n, tuple(facets))] += 1
         return walk(edges, n, facets)
 
-    def counted_table(h, field="Q", skip=0, bounded=False):
-        seen[("betti_table", _key(h), field, skip, bounded)] += 1
-        return table(h, field, skip, bounded)
+    def counted_table(h, field="Q", bounded=False, deletions=0):
+        seen[("betti_table", _key(h), field, bounded, deletions)] += 1
+        return table(h, field, bounded, deletions)
 
     for mod in modules:
         if getattr(mod, "_dprime_walk", None) is walk:
@@ -124,7 +125,7 @@ def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys
         capsys.readouterr()
         tested = counts[("is_codominated", _key(h))]
         assert max(_profiled(counts).values()) == 1, counts.most_common(3)
-        assert (("betti_table", _key(h), "Q", 0, True) in counts) == (not flags)
+        assert (("betti_table", _key(h), "Q", True, 0) in counts) == (not flags)
         # d is read by the report and by prop-cd, and computed once for both
         assert _d_searches(counts) == 1
         # each vertex once, for the rows and the elimination order, plus the
@@ -223,3 +224,25 @@ def test_profile_reads_d_prime_from_bouquets_when_d_was_read(counts):
     want = bouquets.dprime_invariant(p.h, p.complex.facets)[1].to_json_obj(p.h)
     assert json.dumps(p.dprime[1].to_json_obj(p.h)) == json.dumps(
         p.bouquets.witnesses["d_prime"].to_json_obj(p.h)) == json.dumps(want)
+
+
+def test_shedding_rows_read_each_restriction_once(monkeypatch):
+    """Every H\\x row comes from one walk of H's lattice: once H's own reg
+    and pd are read, the rows of K10 look up each restriction of K10 (keyed
+    by its labelled edges) at most once, not once per vertex that it misses."""
+    h = from_masks([f"x{i}" for i in range(10)],
+                   [1 << a | 1 << b for a, b in combinations(range(10), 2)])
+    p = profile_of(h)
+    assert p.reg_pd == (1, 9)
+    gets = Counter()
+
+    class CountingMemo(dict):
+        def get(self, key, default=None):
+            gets[key] += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(homological, "_SUBGRAPH_HOMOLOGY_MEMO",
+                        CountingMemo(homological._SUBGRAPH_HOMOLOGY_MEMO))
+    assert [dele for _, dele, _ in p.shedding_splits] == [(1, 8)] * 10
+    own = [c for key, c in gets.items() if key[0] == "Q" and set(key[1:]) <= set(h.edges)]
+    assert own and max(own) == 1
