@@ -57,7 +57,7 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, _lattice, bit_ids, edge_sort_key
+from .hypergraph import Hypergraph, _faces, _lattice, bit_ids, edge_sort_key
 from .matchings import classify_family
 
 # candidates either search may score: a root set R for d'; for d, a root
@@ -195,8 +195,8 @@ def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[i
     """d' and the first root set R that reaches it (empty when no R touches
     an edge: no edges, or only singleton edges), on edge masks over vertex
     ids 0..n-1.  Root sets R are the faces of the independence complex
-    (given by its ``facets``) inside the edge support, in ascending mask
-    order; a root set that also holds vertices in no edge scores the same
+    (given by its ``facets``) inside the edge support, collected by the one
+    face walk, ``_faces``, and scored in ascending mask order; a root set that also holds vertices in no edge scores the same
     as its part inside the support, which comes first.  Each R is scored in
     closed form (``_freed_count``), unless its edge union, or that union's
     part outside R with the roots that share an edge, cannot beat the best
@@ -204,15 +204,7 @@ def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[i
     ``SearchLimitExceeded``, so it scores at most that many root sets, in
     O(|R| + edges) steps each."""
     support = reduce(or_, edges, 0)
-    cap = DEFAULT_CANDIDATE_CAP
-    faces = set()
-    for f in {f & support for f in facets}:
-        r = f
-        while r:
-            faces.add(r)
-            if len(faces) > cap:
-                raise SearchLimitExceeded(f"d' search candidates exceed cap {cap}")
-            r = (r - 1) & f
+    faces = _faces({f & support for f in facets}, DEFAULT_CANDIDATE_CAP, "d' search candidates")
     star = [0] * n  # vertex id -> union of the edges through it
     for e in edges:
         for v in bit_ids(e):

@@ -26,8 +26,9 @@ degree d has H~_d(K/w) and H~_d(K\\w) both nonzero Mayer-Vietoris splits:
 H~_d(K) = H~_d(K\\w) + H~_{d-1}(K/w) (Adamaszek, J. Combin. Theory Ser. A
 119, 2012); a cone K\\w (a suspension) and a cone link (Engstrom's fold
 lemma) are its special cases, and a side whose edges miss a vertex is not
-built, as (a) makes it zero; (d) otherwise the faces of K are enumerated,
-on at most ``DEFAULT_HOMOLOGY_CAP`` vertices.
+built, as (a) makes it zero; (d) otherwise the faces of K, collected by the
+d' search's face walk ``_faces`` against its cap, ``DEFAULT_CANDIDATE_CAP``
+in ``bouquets``, go to the eliminator in ascending mask order.
 """
 
 from __future__ import annotations
@@ -37,21 +38,20 @@ from functools import reduce
 from math import gcd, isqrt
 from operator import or_
 
+from . import bouquets
 from .complexes import SimplicialComplex
-from .errors import HyperinvError, SizeLimitExceeded, UnknownField
+from .errors import HyperinvError, UnknownField
 from .hypergraph import (
     Hypergraph,
-    _all_faces,
     _compress,
     _contract,
     _deleted,
+    _faces,
     _lattice,
     _minimal_transversals,
     bit_ids,
     from_masks,
 )
-
-DEFAULT_HOMOLOGY_CAP = 14
 
 FIELD_Q = "Q"
 
@@ -120,9 +120,10 @@ def _rank(columns: list[dict[int, int]], field: str) -> int:
 
 def _homology_from_faces(faces: set[int], field: str) -> dict[int, int]:
     """Reduced Betti numbers keyed by dimension, zero entries omitted:
-    faces minus the ranks of the boundary maps out of and into each dimension."""
+    faces minus the ranks of the boundary maps out of and into each dimension,
+    whose columns go to the eliminator in ascending mask order."""
     by_dim: dict[int, list[int]] = {}
-    for f in faces:
+    for f in sorted(faces):
         by_dim.setdefault(f.bit_count() - 1, []).append(f)
     rank = {d: _rank([_boundary(f) for f in fs], field) for d, fs in by_dim.items()}
     betti = {d: len(fs) - rank[d] - rank.get(d + 1, 0) for d, fs in by_dim.items()}
@@ -182,10 +183,10 @@ def _homology_by_rules(n: int, edges: tuple[int, ...], field: str):
         lk, dl = sides
         if lk.keys().isdisjoint(dl):  # so every map H~_d(lk) -> H~_d(dl) is zero
             return {d: dl.get(d, 0) + lk.get(d - 1, 0) for d in {*dl, *(d + 1 for d in lk)}}
-    if n > DEFAULT_HOMOLOGY_CAP:  # (d)
-        raise SizeLimitExceeded(f"homology fallback on {n} vertices exceeds cap {DEFAULT_HOMOLOGY_CAP}")
-    facets = tuple(full & ~c for c in _minimal_transversals(edges))
-    return _homology_from_faces(_all_faces(facets), field)
+    facets = [full & ~c for c in _minimal_transversals(edges)]  # (d)
+    faces = _faces(facets, bouquets.DEFAULT_CANDIDATE_CAP, "homology fallback faces")
+    faces.add(0)  # the empty face: the edges have a transversal, so there is a facet
+    return _homology_from_faces(faces, field)
 
 
 @dataclass(frozen=True)

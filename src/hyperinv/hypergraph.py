@@ -92,15 +92,18 @@ def _maximal(masks: set[int]) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-def _all_faces(facets: Iterable[int]) -> set[int]:
-    """Every subset of every facet, walked as the submasks of each facet."""
-    faces: set[int] = set()
+def _faces(facets: Iterable[int], cap: int, what: str) -> set[int]:
+    """The nonempty faces spanned by ``facets``: the nonzero submasks of each.
+    Past ``cap`` collected, a cap its caller reads at call time, it raises
+    ``SearchLimitExceeded``: "<what> exceed cap <cap>"."""
+    faces = set()
     for f in facets:
         s = f
         while s:
             faces.add(s)
+            if len(faces) > cap:
+                raise SearchLimitExceeded(f"{what} exceed cap {cap}")
             s = (s - 1) & f
-        faces.add(0)
     return faces
 
 
@@ -346,17 +349,18 @@ def three_cycle_edge_condition(h: Hypergraph) -> bool:
 
     A 3-cycle on the unordered edge triple {A, B, C} exists iff the three
     pairwise intersections admit distinct representatives, so the check
-    runs over edge triples instead of replaying the generic search.
+    runs over edge triples instead of replaying the generic search: only
+    those with an edge C of three or more vertices, each once, as C with two
+    earlier edges that meet it (canonical order puts smaller edges first).
     """
     edges = h.edges
-    for a, b, c in combinations(edges, 3):
-        if max(a.bit_count(), b.bit_count(), c.bit_count()) == 2:
+    for k, c in enumerate(edges):
+        if c.bit_count() < 3:
             continue
-        iab, ibc, ica = a & b, b & c, c & a
-        if ica and any(
-            ica & ~(1 << u) & ~(1 << v) for u in bit_ids(iab) for v in bit_ids(ibc) if v != u
-        ):
-            return False
+        for a, b in combinations([e for e in edges[:k] if e & c], 2):
+            iab, ibc, ica = a & b, b & c, c & a
+            if any(ica & ~(1 << u) & ~(1 << v) for u in bit_ids(iab) for v in bit_ids(ibc) if v != u):
+                return False
     return True
 
 

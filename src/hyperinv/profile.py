@@ -125,8 +125,9 @@ class Profile:
 
     @_cached
     def reg_pd(self) -> tuple[int, int]:
-        """(reg, pd) over Q, by the bounded Hochster walk."""
-        return _reg_pd(self.h)
+        """(reg, pd) over Q, off the table ``betti`` built, else by the bounded walk."""
+        table = self._betti.get(FIELD_Q)
+        return (table.reg, table.pd) if table else _reg_pd(self.h)
 
     @_cached
     def shedding_splits(self) -> list[tuple[str, tuple[int, int], tuple[int, int]]]:

@@ -32,8 +32,9 @@ def dprime_of(h):
 
 
 def rp2_homology():
-    """Reduced homology of RP2 over F2, which only the face fallback answers;
-    a kept answer would do no work, so the memo starts empty."""
+    """Reduced homology of RP2 over F2, which only the face fallback answers,
+    from its 31 nonempty faces; a kept answer would do no work, so the memo
+    starts empty."""
     homological._SUBGRAPH_HOMOLOGY_MEMO.clear()
     return reduced_homology(rp2(), "F2")
 
@@ -61,8 +62,7 @@ CAPS = [
     (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_of(three_disjoint_edges()),
      "d' search candidates exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 4, c4_stem_choices, "stem choices exceed cap {cap}"),
-    (homological, "DEFAULT_HOMOLOGY_CAP", 6, rp2_homology,
-     "homology fallback on 6 vertices exceeds cap {cap}"),
+    (bouquets, "DEFAULT_CANDIDATE_CAP", 31, rp2_homology, "homology fallback faces exceed cap {cap}"),
 ]
 
 

@@ -302,8 +302,8 @@ class TestInvariants:
                 super().add(item)
                 stored.append(len(self))
 
-        # the walk's set() resolves to the module global before the builtin
-        monkeypatch.setattr(bouquets, "set", CountedSet, raising=False)
+        # the face walk's set() resolves to its module's global before the builtin
+        monkeypatch.setattr(hypergraph, "set", CountedSet, raising=False)
         labels = [f"x{i + 1}" for i in range(12)]
         path = tmp_path / "edge12.json"
         path.write_text(json.dumps({"vertices": labels, "edges": [labels]}))

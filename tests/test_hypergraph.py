@@ -1,5 +1,6 @@
 """Construction, deletion/contraction, cycle search, uniformity, covers."""
 
+import itertools
 import json
 import random
 import time
@@ -238,6 +239,42 @@ class TestThreeCycleCondition:
                 all(e.bit_count() == 2 for e in w.edge_masks) for w in _cycles(h, 3)
             )
             assert three_cycle_edge_condition(h) == all_small
+
+    @staticmethod
+    def oracle(h):
+        """Every unordered edge triple, with brute-force distinct
+        representatives of its three pairwise intersections."""
+        return not any(
+            max(a.bit_count(), b.bit_count(), c.bit_count()) > 2
+            and any(len({u, v, w}) == 3
+                    for u in bit_ids(a & b) for v in bit_ids(b & c) for w in bit_ids(c & a))
+            for a, b, c in itertools.combinations(h.edges, 3)
+        )
+
+    def test_matches_all_triples_oracle(self):
+        """Seeded antichains with a few singleton edges and edges of up to
+        five vertices; 1,775 of the 3,000 hold."""
+        rng = random.Random(3)
+        verdicts = []
+        for _ in range(3000):
+            n = rng.randint(4, 9)
+            masks = {mask_of(rng.sample(range(n), 1 if rng.random() < 0.05 else rng.randint(2, min(5, n))))
+                     for _ in range(rng.randint(3, 14))}
+            h = from_masks([f"v{i}" for i in range(n)], [m for m in masks if not any(o != m and o & m == o for o in masks)])
+            verdicts.append(self.oracle(h))
+            assert three_cycle_edge_condition(h) == verdicts[-1], h.edges
+        assert sum(verdicts) == 1775
+
+    def test_graphs_read_no_triple(self, monkeypatch):
+        """On a graph every 3-cycle has edges of two vertices: K30 reads no
+        pair of edges, where reading all triples took seconds."""
+        labels = [f"x{i}" for i in range(30)]
+        k30 = build(labels, [[a, b] for i, a in enumerate(labels) for b in labels[i + 1:]])
+        read = []
+        real = hypergraph.combinations
+        monkeypatch.setattr(hypergraph, "combinations", lambda xs, k: read.append(k) or real(xs, k))
+        assert three_cycle_edge_condition(k30)
+        assert read == []
 
 
 class TestUniformity:

@@ -12,9 +12,11 @@ import hyperinv.bouquets as bouquets
 import hyperinv.decomposition as decomposition
 import hyperinv.homological as homological
 import hyperinv.hypergraph as hypergraph
+from conftest import rp2
 from hyperinv import (
     SUITES,
     check_instance,
+    complex_to_hypergraph,
     from_masks,
     named_instance,
     profile_of,
@@ -114,9 +116,9 @@ def _profiled(counts):
 
 @pytest.mark.parametrize("flags", [["--skip-homology"], []])
 def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys, flags):
-    """Also with homology: the reg and pd checks share the walks of H, and
-    the recursion checks those of the deletions and contractions at the
-    shedding vertices."""
+    """Also with homology: the reg and pd checks read H's reg and pd off the
+    report's Betti table, and the recursion checks share the walks of the
+    deletions and contractions at the shedding vertices."""
     for k, h in enumerate(instances()):
         path = tmp_path / f"instance-{k}.json"
         path.write_text(h.to_json())
@@ -125,7 +127,8 @@ def test_invariants_report_computes_each_invariant_once(counts, tmp_path, capsys
         capsys.readouterr()
         tested = counts[("is_codominated", _key(h))]
         assert max(_profiled(counts).values()) == 1, counts.most_common(3)
-        assert (("betti_table", _key(h), "Q", True, 0) in counts) == (not flags)
+        assert counts[("betti_table", _key(h), "Q", False, 0)] == (not flags)
+        assert ("betti_table", _key(h), "Q", True, 0) not in counts
         # d is read by the report and by prop-cd, and computed once for both
         assert _d_searches(counts) == 1
         # each vertex once, for the rows and the elimination order, plus the
@@ -211,6 +214,20 @@ def test_filter_verdicts_are_reused_by_the_check(counts, tmp_path):
     assert rep.hypotheses_passed > 0
     assert max(_profiled(counts).values()) == 1
     assert sum(c for key, c in counts.items() if key[0] == "find_cycle") == 64
+
+
+def test_reg_pd_is_read_off_the_built_table(counts):
+    """After ``betti("Q")``, reading reg and pd walks nothing.  A table over
+    another field is not read: RP2's table over F2 has reg 3 and pd 4, and
+    over Q reg 2 and pd 3."""
+    p = profile_of(from_masks(named_instance("c5").labels, named_instance("c5").edges))
+    table = p.betti("Q")
+    counts.clear()
+    assert p.reg_pd == (table.reg, table.pd) == (2, 3)
+    assert not any(key[0] == "betti_table" for key in counts)
+    p = profile_of(complex_to_hypergraph(rp2()))
+    assert (p.betti("F2").reg, p.betti("F2").pd) == (3, 4)
+    assert p.reg_pd == (2, 3)
 
 
 def test_profile_reads_d_prime_from_bouquets_when_d_was_read(counts):

@@ -382,9 +382,10 @@ def test_bounded_walk_gives_the_oracle_reg_and_pd(h):
     equal those of the oracle table, and one walk with every vertex asked
     for gives each H\\x row as the oracle table of deletion(H, x) does."""
     for field, p in (("Q", None), ("F2", 2)):
-        assert _reg_pd(h, field) == _oracle_reg_pd(h, p), field
+        oracle = _oracle_reg_pd(h, p)
+        assert _reg_pd(h, field) == oracle, field
         walk = betti_table(h, field, bounded=True, deletions=h.full_mask)
-        assert (walk.reg, walk.pd) == _oracle_reg_pd(h, p), field
+        assert (walk.reg, walk.pd) == oracle, field
         rows = tuple(_oracle_reg_pd(deletion(h, x), p) for x in h.labels)
         assert walk.deletions == rows, field
 
