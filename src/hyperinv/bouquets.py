@@ -11,13 +11,16 @@ faces of the independence complex (submasks of the maximal independent
 sets), and per-edge root assignments.  The d maximization ranges over
 induced matchings (the chosen stem system), a hub vertex inside each
 chosen stem (a member of the final stem intersection), and assignments
-of the remaining edges to hubs they contain.
+of the remaining edges to hubs they contain, over the induced matchings
+that ``matching_invariants`` records as it computes c.
 
 Each search is one pass.  It scores every candidate by its flower count
-on bitmasks, in a fixed order with strict improvement.  The first best
-candidate wins, and only its bouquet set is built and classified, once.
-``dprime_invariant`` runs the d' search alone: ``_dprime_walk`` (d' and the
-winning R), then ``_dprime_witness`` on R; ``bouquet_invariants`` adds d.
+on bitmasks, in a fixed order with strict improvement, up to its ceiling:
+d skips an induced matching whose edges and the edges meeting them span
+no more vertices than the best, and d' stops at the edge support.  The
+first best candidate wins, and only its bouquet set is built and
+classified, once.  ``dprime_invariant`` runs the d' search alone: ``_dprime_walk``
+(d' and the winning R) over ``_root_sets``, then ``_dprime_witness`` on R.
 
 A root set R scores the vertices outside R of the union of the edges
 that meet R, plus its freed roots.  An edge meeting R in one root is
@@ -47,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import prod
 from operator import and_, or_
 from typing import Optional, Sequence
 
@@ -57,8 +61,8 @@ from .errors import (
     NotSemiStronglyDisjoint,
     SearchLimitExceeded,
 )
-from .hypergraph import Hypergraph, _faces, _lattice, bit_ids, edge_sort_key
-from .matchings import classify_family
+from .hypergraph import Hypergraph, _faces, bit_ids, edge_sort_key
+from .matchings import classify_family, matching_invariants
 
 # candidates either search may score: a root set R for d'; for d, a root
 # choice of a stem grouping, or a grouping or hub choice that a flower
@@ -157,7 +161,7 @@ class BouquetInvariants:
 
 def dprime_invariant(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
     """d' with its witness, without the d search; ``facets`` span the independence complex."""
-    best, best_r = _dprime_walk(h.edges, h.n, facets)
+    best, best_r = _dprime_walk(h.edges, h.n, _root_sets(h.edges, facets))
     return best, _dprime_witness(h, best_r)
 
 
@@ -165,13 +169,14 @@ def bouquet_invariants(
     h: Hypergraph,
     facets: Sequence[int],
     dprime: Optional[tuple[int, BouquetSet]] = None,
+    induced: Optional[Sequence[int]] = None,
 ) -> BouquetInvariants:
-    """d and d' with their witnesses; ``dprime``, when known, is what
-    ``dprime_invariant`` returned for the same arguments.  Every step of
-    either search counts against ``DEFAULT_CANDIDATE_CAP`` or is bounded
-    by it (see the README's caps section)."""
+    """d and d' with their witnesses; ``dprime`` and ``induced``, when known,
+    are ``dprime_invariant`` for the same arguments and ``matching_invariants(h).induced``.
+    Every step of either search counts against ``DEFAULT_CANDIDATE_CAP`` or
+    is bounded by it (see the README's caps section)."""
     dp_val, dp_wit = dprime_invariant(h, facets) if dprime is None else dprime
-    d_val, d_wit = _d_search(h)
+    d_val, d_wit = _d_search(h, matching_invariants(h).induced if induced is None else induced)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
 
@@ -191,26 +196,28 @@ def _dprime_witness(h: Hypergraph, best_r: int) -> BouquetSet:
     return classify_bouquet_set(h, bouquets)
 
 
-def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[int, int]:
+def _root_sets(edges: Sequence[int], facets: Sequence[int]) -> list[int]:
+    """The d' root sets, ascending: the faces spanned by ``facets`` inside the edge support (a
+    root set scores as its part there), by ``_faces``, past ``DEFAULT_CANDIDATE_CAP`` refused."""
+    support = reduce(or_, edges, 0)
+    return sorted(_faces({f & support for f in facets}, DEFAULT_CANDIDATE_CAP, "d' search candidates"))
+
+
+def _dprime_walk(edges: Sequence[int], n: int, root_sets: Sequence[int]) -> tuple[int, int]:
     """d' and the first root set R that reaches it (empty when no R touches
     an edge: no edges, or only singleton edges), on edge masks over vertex
-    ids 0..n-1.  Root sets R are the faces of the independence complex
-    (given by its ``facets``) inside the edge support, collected by the one
-    face walk, ``_faces``, and scored in ascending mask order; a root set that also holds vertices in no edge scores the same
-    as its part inside the support, which comes first.  Each R is scored in
-    closed form (``_freed_count``), unless its edge union, or that union's
-    part outside R with the roots that share an edge, cannot beat the best
-    so far.  At the first root set past ``DEFAULT_CANDIDATE_CAP`` it raises
-    ``SearchLimitExceeded``, so it scores at most that many root sets, in
-    O(|R| + edges) steps each."""
-    support = reduce(or_, edges, 0)
-    faces = _faces({f & support for f in facets}, DEFAULT_CANDIDATE_CAP, "d' search candidates")
+    ids 0..n-1, scoring the ascending ``root_sets`` of ``_root_sets``.  Each R
+    is scored in closed form (``_freed_count``), unless its edge union, or
+    that union's part outside R with the roots that share an edge, cannot
+    beat the best so far.  No R scores more than the edge support, so the
+    walk stops once the best reaches it.  Each R costs O(|R| + edges) steps."""
+    support = reduce(or_, edges, 0).bit_count()
     star = [0] * n  # vertex id -> union of the edges through it
     for e in edges:
         for v in bit_ids(e):
             star[v] |= e
     best, best_r = 0, 0
-    for r_mask in sorted(faces):
+    for r_mask in root_sets:
         roots = bit_ids(r_mask)
         union = 0
         for v in roots:
@@ -229,6 +236,8 @@ def _dprime_walk(edges: Sequence[int], n: int, facets: Sequence[int]) -> tuple[i
         size = base + _freed_count([c for e in edges if (c := e & r_mask) & (c - 1)])
         if size > best:
             best, best_r = size, r_mask
+            if best == support:
+                break
     return best, best_r
 
 
@@ -271,31 +280,25 @@ def _max_freed(commons: list[int]) -> tuple[int, tuple[int, ...]]:
 # d : strongly disjoint maximization
 
 
-def _induced_matchings(h: Hypergraph) -> list[tuple[int, ...]]:
-    """Pairwise disjoint edge sets with no other edge inside their union,
-    ascending by union: the edges inside each union W of the lcm lattice,
-    when their sizes sum to |W|."""
-    edges = h.edges
-    found = []
-    for w, inside in _lattice(edges):
-        free, ids = w.bit_count(), bit_ids(inside)  # |W| minus the sizes of the edges inside
-        for i in ids:
-            free -= edges[i].bit_count()
-        if not free:
-            found.append(tuple(edges[i] for i in ids))
-    return found
-
-
-def _d_search(h: Hypergraph) -> tuple[int, BouquetSet]:
-    """Each (matching, hubs, assignment) is scored on masks; the first best
-    one records its stem groups and single-stem roots, and only it is
+def _d_search(h: Hypergraph, induced: Sequence[int]) -> tuple[int, BouquetSet]:
+    """Each (matching, hubs, assignment) is scored on masks, over the
+    ``induced`` matchings as edge-index masks, ascending by union; the first
+    best one records its stem groups and single-stem roots, and only it is
     turned into bouquets.  Past ``DEFAULT_CANDIDATE_CAP`` scored candidates
     it raises ``SearchLimitExceeded``."""
     cap, over = DEFAULT_CANDIDATE_CAP, f"d search candidates exceed cap {DEFAULT_CANDIDATE_CAP}"
     best_val, best = 0, ([], ())
     scored = 0
-    for matching in _induced_matchings(h):
-        rest = [e for e in h.edges if e not in matching]
+    for ids in induced:
+        matching = [h.edges[i] for i in bit_ids(ids)]
+        union = reduce(or_, matching)
+        # each stem meets the matching: if no hub choice can beat the best, count each as cut
+        if reduce(or_, [e for e in h.edges if e & union]).bit_count() <= best_val:
+            scored += prod(e.bit_count() for e in matching)
+            if scored > cap:
+                raise SearchLimitExceeded(over)
+            continue
+        rest = [e for i, e in enumerate(h.edges) if not ids >> i & 1]
         for hubs in product(*[bit_ids(e) for e in matching]):
             slot = {1 << hub: i for i, hub in enumerate(hubs)}
             hub_mask = sum(slot)

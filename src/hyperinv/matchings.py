@@ -67,6 +67,7 @@ class MatchingInvariants:
     m: int
     h: Hypergraph
     optima: dict  # name -> edge-index tuple of the witness
+    induced: tuple[int, ...]  # index masks of the induced matchings, ascending by union: d's stems
 
     @cached_property
     def witnesses(self) -> dict:
@@ -85,7 +86,7 @@ def matching_invariants(h: Hypergraph) -> MatchingInvariants:
     edges = h.edges
     through = [sum(1 << j for j, e in enumerate(edges) if e >> v & 1) for v in range(h.n)]
     perfect = {0: (0, 0)}  # W -> (k, index mask of its least perfect matching of k edges)
-    c, c_ids, c_prime, c_prime_ids, m, m_ids = 0, (), 0, (), 0, ()
+    c, c_ids, c_prime, c_prime_ids, m, m_ids, induced = 0, (), 0, (), 0, (), []
     for union, inside in _lattice(edges):
         size, best = union.bit_count(), None
         for i in bit_ids(inside & through[(union & -union).bit_length() - 1]):
@@ -96,6 +97,8 @@ def matching_invariants(h: Hypergraph) -> MatchingInvariants:
                     best = k, got  # of two sets of k, the lesser holds their least difference
         if best:
             perfect[union] = best
+            if best[1] == inside:  # W's edges match it
+                induced.append(inside)
             if size - best[0] > m or 0 < size - best[0] == m and bit_ids(best[1]) < m_ids:
                 m, m_ids = size - best[0], bit_ids(best[1])
         weight = size - inside.bit_count()
@@ -104,9 +107,10 @@ def matching_invariants(h: Hypergraph) -> MatchingInvariants:
         ids = bit_ids(inside)
         if weight > c_prime or weight == c_prime and ids < c_prime_ids:
             c_prime, c_prime_ids = weight, ids
-        if best and best[1] == inside and (weight > c or ids < c_ids):  # W's edges match it
+        if best and best[1] == inside and (weight > c or ids < c_ids):
             c, c_ids = weight, ids
-    return MatchingInvariants(c, c_prime, m, h, {"c": c_ids, "c_prime": c_prime_ids, "m": m_ids})
+    optima = {"c": c_ids, "c_prime": c_prime_ids, "m": m_ids}
+    return MatchingInvariants(c, c_prime, m, h, optima, tuple(induced))
 
 
 def is_two_collage(h: Hypergraph, collage: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bouquets import BouquetInvariants, BouquetSet, _dprime_walk, _dprime_witness, bouquet_invariants
+from .bouquets import BouquetInvariants, BouquetSet, _dprime_walk, _dprime_witness, _root_sets, bouquet_invariants
 from .complexes import SimplicialComplex, _split, independence_complex, vertex_decomposable
 from .decomposition import EliminationOrder, is_codismantlable, is_codominated
 from .errors import HyperinvError, SearchLimitExceeded
@@ -90,13 +90,17 @@ class Profile:
 
     @_cached
     def bouquets(self) -> BouquetInvariants:
-        """d and d' with their witnesses; d' is read from ``dprime``."""
-        return bouquet_invariants(self.h, self.complex.facets, dprime=self.dprime)
+        """d and d' with their witnesses, off ``dprime`` and the induced matchings of ``matchings``."""
+        return bouquet_invariants(self.h, self.complex.facets, self.dprime, self.matchings.induced)
+
+    @_cached
+    def root_sets(self) -> list[int]:
+        return _root_sets(self.h.edges, self.complex.facets)
 
     @_cached
     def dprime_walk(self) -> tuple[int, int]:
         """d' and the root set that reaches it first, by the walk alone."""
-        return _dprime_walk(self.h.edges, self.h.n, self.complex.facets)
+        return _dprime_walk(self.h.edges, self.h.n, self.root_sets)
 
     @_cached
     def dprime(self) -> tuple[int, BouquetSet]:

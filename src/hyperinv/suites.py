@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .bouquets import _dprime_walk, cover_from_bouquets
-from .complexes import _split, dimension
+from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
 from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
@@ -177,18 +178,21 @@ def _corollary_codis(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
 
 
 def _lemmas_dprime(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
-    # Ind(H/x) and Ind(H\x) are the link and deletion of x in Ind(H), on H's vertex ids
-    dp = p.dprime_walk[0]
-    rows = []
-    ok = True
+    # Ind(H/x) and Ind(H\x) are the link and deletion of x in Ind(H) ({x} is no edge), so
+    # their root sets are H's R through x, as R ^ x, and the R that miss x, inside their
+    # edge support: its independent sets, so equal edges (H\x2 = H\x3 on h1) walk once.
+    dp, walked, rows = p.dprime_walk[0], {}, []
     for x in p.shedding_vertices:
-        bit = 1 << h.vertex_id(x)
-        link, del_facets, _ = _split(p.complex.facets, bit)
-        dp_ctr = _dprime_walk(_contract(h.edges, bit), h.n, link)[0]  # {x} is no edge
-        dp_del = _dprime_walk([e for e in h.edges if not e & bit], h.n, del_facets)[0]
-        good = dp_ctr <= dp and dp_del + 1 <= dp
-        ok = ok and good
-        rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
+        bit, row = 1 << h.vertex_id(x), {"vertex": x}
+        for name, edges, through in (("d_prime_contraction", _contract(h.edges, bit), bit),
+                                     ("d_prime_deletion", [e for e in h.edges if not e & bit], 0)):
+            if (key := tuple(edges)) not in walked:
+                out = ~reduce(or_, edges, 0)
+                kept = [r for s in p.root_sets if s & through == through and (r := s ^ through) and not r & out]
+                walked[key] = _dprime_walk(edges, h.n, kept)[0] if kept else 0
+            row[name] = walked[key]
+        rows.append(row)
+    ok = all(r["d_prime_contraction"] <= dp and r["d_prime_deletion"] + 1 <= dp for r in rows)
     return ok, dict(d_prime=dp, shedding=rows)
 
 

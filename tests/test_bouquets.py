@@ -277,7 +277,8 @@ def test_each_search_classifies_one_bouquet_set(monkeypatch):
     monkeypatch.setattr(bouquets, "classify_bouquet_set", counted)
     for _, h in witness_cases():
         facets = maximal_independent_sets(h)
-        for name, search in (("d", lambda: bouquets._d_search(h)),
+        induced = matching_invariants(h).induced
+        for name, search in (("d", lambda: bouquets._d_search(h, induced)),
                              ("d'", lambda: bouquets.dprime_invariant(h, facets))):
             calls.clear()
             search()

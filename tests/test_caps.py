@@ -9,6 +9,7 @@ import hyperinv.homological as homological
 import hyperinv.hypergraph as hypergraph
 from conftest import rp2
 from hyperinv import (
+    bouquet_invariants,
     classify_bouquet_set,
     dprime_invariant,
     find_cycle,
@@ -44,6 +45,16 @@ def c5_cycle():
     return find_cycle(named_instance("c5"), 5)
 
 
+def paw_bouquets():
+    """The paw: the triangle x1 x2 x4 with the pendant edge x1 x3.  The d'
+    walk collects 6 root sets, then d scores 8 candidates; d = 3 is reached
+    before its last induced matching, {x2, x4}, whose edges and the edges
+    that meet it span only x1, x2, x4, so its 2 hub choices are cut off
+    together and counted as 2."""
+    h = from_masks(["x1", "x2", "x3", "x4"], [0b11, 0b101, 0b1001, 0b1010])
+    return bouquet_invariants(h, maximal_independent_sets(h))
+
+
 def c4_stem_choices():
     """Two bouquets of C4 at opposite roots: none of the 2 * 2 stem choices
     is an induced matching, so all four are tried."""
@@ -61,6 +72,7 @@ CAPS = [
     (hypergraph, "DEFAULT_LATTICE_CAP", 5, c5_cycle, "cycle search paths exceed lattice cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_of(three_disjoint_edges()),
      "d' search candidates exceed cap {cap}"),
+    (bouquets, "DEFAULT_CANDIDATE_CAP", 8, paw_bouquets, "d search candidates exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 4, c4_stem_choices, "stem choices exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 31, rp2_homology, "homology fallback faces exceed cap {cap}"),
 ]

@@ -286,15 +286,15 @@ class TestInvariants:
 
     def test_capped_dprime_walks_once_up_to_the_cap(self, capsys, tmp_path, monkeypatch):
         """One 12-vertex edge has 2^12 - 2 nonempty independent sets.  The
-        d' walk stops at the first root set over the cap, and the profile
-        keeps the error for every later read of d', so one report walks
-        once and stores cap + 1 root sets."""
+        walk that collects the d' root sets stops at the first one over the
+        cap, and the profile keeps the error for every later read of d' and
+        of the root sets, so one report walks once and stores cap + 1."""
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 100)
         walks, stored = [], []
-        walk = bouquets._dprime_walk
+        walk = bouquets._root_sets
         for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
-            if getattr(mod, "_dprime_walk", None) is walk:
-                monkeypatch.setattr(mod, "_dprime_walk",
+            if getattr(mod, "_root_sets", None) is walk:
+                monkeypatch.setattr(mod, "_root_sets",
                                     lambda *args: walks.append(args) or walk(*args))
 
         class CountedSet(set):

@@ -1,5 +1,6 @@
 """Reduced homology, Betti tables, reg/pd, Alexander duality."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    RP2_FACETS,
     oracle_betti_table,
     oracle_minimal_nonfaces,
     oracle_minimal_sets,
@@ -514,6 +516,42 @@ class TestClosedForms:
         assert faces == []
 
 
+def flag_rp2(seed):
+    """A flag triangulation of RP2 on 11 vertices, the fewest a flag one can
+    have: the barycentric subdivision of the 6-vertex RP2 (31 vertices,
+    flag), with edges contracted in a seeded order while the edge meets the
+    link condition (the common neighbours of its ends are the apexes of its
+    two triangles), keeping only flag results.  Triangles as vertex sets."""
+    faces = sorted({frozenset(c) for t in RP2_FACETS for k in (1, 2, 3) for c in combinations(t, k)},
+                   key=sorted)
+    tri = {frozenset(faces.index(frozenset(c)) for c in (v, e, t))
+           for t in RP2_FACETS for e in combinations(t, 2) for v in e}
+    rng = random.Random(seed)
+    while True:
+        edges = sorted({pair for t in tri for pair in combinations(sorted(t), 2)})
+        rng.shuffle(edges)
+        for a, b in edges:
+            apexes = {v for t in tri if {a, b} <= t for v in t} - {a, b}
+            common = {v for t in tri if a in t for v in t} & {v for t in tri if b in t for v in t}
+            new = {frozenset(a if v == b else v for v in t) for t in tri if not {a, b} <= t}
+            if common - {a, b} == apexes and is_flag(new):
+                tri = new
+                break
+        else:
+            return tri
+
+
+def is_flag(tri):
+    """Every clique of the 1-skeleton is a face: each 3-clique is a
+    triangle, and there is no 4-clique."""
+    near = {}
+    for t in tri:
+        for v in t:
+            near.setdefault(v, set()).update(t - {v})
+    triangles = {frozenset((a, b, c)) for a in near for b in near[a] for c in near[a] & near[b]}
+    return triangles <= tri and not any(near[a] & near[b] & near[c] for a, b, c in map(tuple, tri))
+
+
 class TestPublishedTheorems:
     """Theorems from the literature that share no code with the paper's suites."""
 
@@ -532,6 +570,25 @@ class TestPublishedTheorems:
                 complement.add_nodes_from(range(n))
                 assert (reg_and_pd(g)["reg"] == 1) == nx.is_chordal(complement), g.edges
         assert total == 1094
+
+    def test_flag_rp2_complement_graph_depends_on_the_field(self):
+        """Graph Betti numbers can depend on the field from 11 vertices on
+        (Katzman, J. Combin. Theory Ser. A 113, 2006): G is the complement
+        of the 1-skeleton of a flag triangulation of RP2, so Ind(G) is that
+        triangulation, and the torsion of H_1(RP2) adds two entries over F2
+        at the full vertex set."""
+        tri = flag_rp2(0)
+        ids = {v: i for i, v in enumerate(sorted(set().union(*tri)))}
+        masks = sorted(sum(1 << ids[v] for v in t) for t in tri)
+        assert (len(ids), len(masks)) == (11, 20) and is_flag(tri)
+        skeleton = {m & ~(1 << i) for m in masks for i in bit_ids(m)}
+        g = from_masks([f"v{i}" for i in range(11)],
+                       [m for a, b in combinations(range(11), 2) if (m := 1 << a | 1 << b) not in skeleton])
+        assert len(g.edges) == 25 and independence_complex(g).facets == tuple(masks)
+        tables = {field: betti_table(g, field) for field in ("Q", "F2", "F3")}
+        assert [(t.reg, t.pd) for t in tables.values()] == [(2, 8), (3, 9), (2, 8)]
+        assert tables["F3"].entries == tables["Q"].entries
+        assert tables["F2"].entries == {**tables["Q"].entries, (8, 11): 1, (9, 11): 1}
 
 
 class TestAlexanderDuality:

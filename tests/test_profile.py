@@ -67,14 +67,14 @@ def counts(monkeypatch):
                 for attr, value in list(vars(mod).items()):
                     if value is orig:
                         monkeypatch.setattr(mod, attr, wrapped)
-    # the d' walk takes masks: keyed by its edges, vertex count and facets;
+    # the d' walk takes masks: keyed by its edges, vertex count and root sets;
     # a Betti table by H, field, bound and the vertices whose H\\x rows it
     # keeps, so that H's reg and pd walk and the walk of its rows count apart
     walk, table = bouquets._dprime_walk, homological.betti_table
 
-    def counted_walk(edges, n, facets):
-        seen[("_dprime_walk", tuple(edges), n, tuple(facets))] += 1
-        return walk(edges, n, facets)
+    def counted_walk(edges, n, root_sets):
+        seen[("_dprime_walk", tuple(edges), n, tuple(root_sets))] += 1
+        return walk(edges, n, root_sets)
 
     def counted_table(h, field="Q", bounded=False, deletions=0):
         seen[("betti_table", _key(h), field, bounded, deletions)] += 1
@@ -87,7 +87,7 @@ def counts(monkeypatch):
             monkeypatch.setattr(mod, "betti_table", counted_table)
     d_search = bouquets._d_search
     monkeypatch.setattr(bouquets, "_d_search",
-                        counted("_d_search", lambda h: d_search(h)))
+                        counted("_d_search", lambda h, induced: d_search(h, induced)))
     codominated = decomposition.is_codominated
     for mod in modules:
         if getattr(mod, "is_codominated", None) is codominated:
@@ -161,18 +161,21 @@ def test_one_report_dualizes_its_input_once(monkeypatch, tmp_path, capsys):
     for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
         if getattr(mod, "maximal_independent_sets", None) is mis:
             monkeypatch.setattr(mod, "maximal_independent_sets", counted)
-    walk = bouquets._dprime_walk
+    def traced(walk):
+        def inside(*args):
+            in_search.append(args)
+            try:
+                return walk(*args)
+            finally:
+                in_search.pop()
+        return inside
 
-    def traced(*args):
-        in_search.append(args)
-        try:
-            return walk(*args)
-        finally:
-            in_search.pop()
-
-    for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
-        if getattr(mod, "_dprime_walk", None) is walk:
-            monkeypatch.setattr(mod, "_dprime_walk", traced)
+    # the d' search: its root sets, then its walk over them
+    for name in ("_root_sets", "_dprime_walk"):
+        walk = getattr(bouquets, name)
+        for mod in [m for n, m in list(sys.modules.items()) if n.startswith("hyperinv.")]:
+            if getattr(mod, name, None) is walk:
+                monkeypatch.setattr(mod, name, traced(walk))
     for k, h in enumerate(instances()):
         path = tmp_path / f"instance-{k}.json"
         path.write_text(h.to_json())

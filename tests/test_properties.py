@@ -42,7 +42,7 @@ from hyperinv import (
     reg_and_pd,
     vertex_decomposable,
 )
-from hyperinv.bouquets import _freed_count, _induced_matchings, _max_freed
+from hyperinv.bouquets import _freed_count, _max_freed
 from hyperinv.complexes import dimension
 from hyperinv.decomposition import _codismantle_order, _codominated
 from hyperinv.errors import Unsatisfiable
@@ -536,9 +536,10 @@ def test_canonical_witness_is_the_least_rotation_or_reflection(h):
 @given(hypergraphs(max_n=8, max_edge_size=4, max_edges=10))
 @example(from_masks([f"x{i + 1}" for i in range(8)], [0b11, 0b1100, 0b110000, 0b11000000]))
 def test_induced_matchings_match_brute_force(h):
-    """The induced matchings read from the lcm lattice are the edge subsets
-    that are pairwise disjoint with no other edge inside their union, in
-    edge order, ascending by union."""
+    """The induced matchings that the matchings pass reads from the lcm
+    lattice, as edge-index masks, are the edge subsets that are pairwise
+    disjoint with no other edge inside their union, in edge order,
+    ascending by union."""
     found = []
     for k in range(1, len(h.edges) + 1):
         for family in combinations(h.edges, k):
@@ -546,7 +547,25 @@ def test_induced_matchings_match_brute_force(h):
             inside = tuple(e for e in h.edges if e & union == e)
             if sum(e.bit_count() for e in family) == union.bit_count() and inside == family:
                 found.append((union, family))
-    assert _induced_matchings(h) == [m for _, m in sorted(found)]
+    induced = matching_invariants(h).induced
+    assert [tuple(h.edges[i] for i in bit_ids(m)) for m in induced] == [m for _, m in sorted(found)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=8))
+@example(from_masks(["x1", "x2", "x3"], []))
+@example(from_masks(["x1", "x2", "x3", "x4"], [0b0001, 0b0110, 0b1010]))
+@example(from_masks(["x1", "x2"], [0b01, 0b10]))
+def test_profile_bouquets_match_a_direct_call(h):
+    """The profile's d and d' read the induced matchings of its matchings
+    pass and the root sets of its d' walk; a direct call computes both.
+    Edgeless inputs and singleton edges are drawn too."""
+    direct = bouquet_invariants(h, maximal_independent_sets(h))
+    via = profile_of(from_masks(h.labels, h.edges)).bouquets  # a new object: a new profile
+    assert (via.d, via.d_prime) == (direct.d, direct.d_prime)
+    for name in ("d", "d_prime"):
+        got, want = (json.dumps(b.witnesses[name].to_json_obj(h)) for b in (via, direct))
+        assert got == want, name
 
 
 def _draw(draw_fn, spec, index):
