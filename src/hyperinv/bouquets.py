@@ -19,8 +19,10 @@ on bitmasks, in a fixed order with strict improvement, up to its ceiling:
 d skips an induced matching whose edges and the edges meeting them span
 no more vertices than the best, and d' stops at the edge support.  The
 first best candidate wins, and only its bouquet set is built and
-classified, once.  ``dprime_invariant`` runs the d' search alone: ``_dprime_walk``
-(d' and the winning R) over ``_root_sets``, then ``_dprime_witness`` on R.
+classified, once.  Both entry points take H alone and read its profile:
+``dprime_invariant(h)`` is its ``dprime`` entry (``_dprime_walk`` over
+``_root_sets``, then ``_dprime_witness`` on the winning R), and
+``bouquet_invariants(h)`` adds the d search over its induced matchings.
 
 A root set R scores the vertices outside R of the union of the edges
 that meet R, plus its freed roots.  An edge meeting R in one root is
@@ -62,7 +64,7 @@ from .errors import (
     SearchLimitExceeded,
 )
 from .hypergraph import Hypergraph, _faces, bit_ids, edge_sort_key
-from .matchings import classify_family, matching_invariants
+from .matchings import classify_family
 
 # candidates either search may score: a root set R for d'; for d, a root
 # choice of a stem grouping, or a grouping or hub choice that a flower
@@ -159,24 +161,23 @@ class BouquetInvariants:
     witnesses: dict  # name -> BouquetSet
 
 
-def dprime_invariant(h: Hypergraph, facets: Sequence[int]) -> tuple[int, BouquetSet]:
-    """d' with its witness, without the d search; ``facets`` span the independence complex."""
-    best, best_r = _dprime_walk(h.edges, h.n, _root_sets(h.edges, facets))
-    return best, _dprime_witness(h, best_r)
+def _profile(h: Hypergraph):
+    from .profile import profile_of  # the profile module builds on this one
+    return profile_of(h)
 
 
-def bouquet_invariants(
-    h: Hypergraph,
-    facets: Sequence[int],
-    dprime: Optional[tuple[int, BouquetSet]] = None,
-    induced: Optional[Sequence[int]] = None,
-) -> BouquetInvariants:
-    """d and d' with their witnesses; ``dprime`` and ``induced``, when known,
-    are ``dprime_invariant`` for the same arguments and ``matching_invariants(h).induced``.
-    Every step of either search counts against ``DEFAULT_CANDIDATE_CAP`` or
+def dprime_invariant(h: Hypergraph) -> tuple[int, BouquetSet]:
+    """d' with its witness, without the d search: the ``dprime`` entry of H's profile."""
+    return _profile(h).dprime
+
+
+def bouquet_invariants(h: Hypergraph) -> BouquetInvariants:
+    """d and d' with their witnesses: d' from H's profile, d searched over its
+    induced matchings; every step counts against ``DEFAULT_CANDIDATE_CAP`` or
     is bounded by it (see the README's caps section)."""
-    dp_val, dp_wit = dprime_invariant(h, facets) if dprime is None else dprime
-    d_val, d_wit = _d_search(h, matching_invariants(h).induced if induced is None else induced)
+    p = _profile(h)
+    dp_val, dp_wit = p.dprime
+    d_val, d_wit = _d_search(h, p.matchings.induced)
     return BouquetInvariants(d_val, dp_val, {"d": d_wit, "d_prime": dp_wit})
 
 
@@ -382,11 +383,9 @@ def cover_from_bouquets(h: Hypergraph, bset: BouquetSet) -> int:
     """Minimal vertex cover of H inside the flower set of an optimal
     semi-strongly disjoint bouquet set.  Optimality is checked against
     the d' of H's profile."""
-    from .profile import profile_of  # the profile module builds on this one
-
     if not bset.semi_strongly_disjoint:
         raise NotSemiStronglyDisjoint("bouquet set has dependent roots")
-    d_prime = profile_of(h).dprime_walk[0]
+    d_prime = _profile(h).dprime_walk[0]
     if bset.flowers.bit_count() != d_prime:
         raise NotOptimalWitness(
             f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}"

@@ -9,7 +9,6 @@ from functools import partial, reduce
 from operator import or_
 from typing import Callable, Optional, Sequence
 
-from .complexes import independence_complex, is_shedding
 from .hypergraph import Hypergraph, _neighborhood_minus, bit_ids, deletion
 
 
@@ -34,8 +33,14 @@ def _codominated(edges: Sequence[int], bx: int) -> Optional[int]:
     return None
 
 
+def _profile(h: Hypergraph):
+    from .profile import profile_of  # the profile module builds on this one
+    return profile_of(h)
+
+
 def is_shedding_vertex(h: Hypergraph, x: str) -> bool:
-    return is_shedding(independence_complex(h), x)
+    """Whether x is a shedding vertex of the independence complex, read from H's profile."""
+    return _profile(h).shedding[h.vertex_id(x)]
 
 
 @dataclass(frozen=True)
@@ -67,9 +72,7 @@ def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
 
     Its first step reads the codominated witnesses of H's profile.
     """
-    from .profile import profile_of  # the profile module builds on this one
-
-    first = profile_of(h).codominated_witness
+    first = _profile(h).codominated_witness
     order = _codismantle_order(h.edges, lambda bx: first(h.labels[bx.bit_length() - 1]))
     if order is None:
         return None
@@ -104,9 +107,7 @@ def theorem_main_report(h: Hypergraph) -> VertexClassification:
     """Per-vertex shedding/codominated table with the equivalence verdict,
     read from H's profile.  The rows need no cycle search: when the C5
     search hits its cap, only that hypothesis is marked omitted."""
-    from .profile import profile_of  # the profile module builds on this one
-
-    p = profile_of(h)
+    p = _profile(h)
     rows = tuple(
         {
             "vertex": x,

@@ -90,8 +90,8 @@ class Profile:
 
     @_cached
     def bouquets(self) -> BouquetInvariants:
-        """d and d' with their witnesses, off ``dprime`` and the induced matchings of ``matchings``."""
-        return bouquet_invariants(self.h, self.complex.facets, self.dprime, self.matchings.induced)
+        """d and d' with their witnesses; ``bouquet_invariants`` reads ``dprime`` and ``matchings``."""
+        return bouquet_invariants(self.h)
 
     @_cached
     def root_sets(self) -> list[int]:

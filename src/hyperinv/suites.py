@@ -16,7 +16,7 @@ from functools import partial, reduce
 from operator import or_
 from typing import Callable, Optional, Sequence
 
-from .bouquets import _dprime_walk, cover_from_bouquets
+from .bouquets import _dprime_walk
 from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
 from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
@@ -158,11 +158,10 @@ def _theorem_final(h: Hypergraph, p: Profile) -> tuple[bool, dict]:
     d_prime, witness = p.dprime
     covers = p.covers
     pd = p.reg_pd[1]
-    cover = cover_from_bouquets(h, witness)
-    flowers = witness.flowers
-    # Theorem final (ii): with size-two stems the flower set itself covers
-    flowers_are_cover = flowers in covers.covers
-    ok = covers.bigheight == pd == d_prime and flowers_are_cover and cover == flowers
+    # Theorem final (ii): with size-two stems an optimal flower set is a minimal cover
+    flowers_are_cover = witness.flowers in covers.covers
+    optimal = witness.semi_strongly_disjoint and witness.flowers.bit_count() == d_prime
+    ok = covers.bigheight == pd == d_prime and optimal and flowers_are_cover
     return ok, dict(
         bigheight=covers.bigheight,
         pd=pd,
@@ -273,7 +272,7 @@ _TABLE = (
       _fam(n=6, max_edge_size=3, edge_count=4, seed=31, count=300,
            filters=("c2_free", "c5_free", "vertex_decomposable")))),
     ("theorem-pd", ("no_singleton_edges", "vertex_decomposable"), _theorem_pd, True,
-     "on vertex-decomposable instances pd <= d'",
+     "on vertex-decomposable instances with no singleton edges, pd <= d'",
      (_fam(kind="all_graphs", n=4, filters=("vertex_decomposable",)),
       _fam(n=6, max_edge_size=3, edge_count=4, seed=37, count=300,
            filters=("vertex_decomposable",)))),
@@ -289,7 +288,7 @@ _TABLE = (
       _fam(n=6, max_edge_size=3, edge_count=4, seed=41, count=300,
            filters=("c5_free", "three_cycle_condition", "vertex_decomposable")))),
     ("lemmas-dprime", ("no_singleton_edges",), _lemmas_dprime, False,
-     "at a shedding vertex x, d'(H/x) <= d'(H) and d'(H\\x)+1 <= d'(H)",
+     "with no singleton edges, at a shedding x, d'(H/x) <= d'(H) and d'(H\\x)+1 <= d'(H)",
      (_GRAPHS4, _fam(n=6, max_edge_size=3, edge_count=4, seed=43, count=200))),
     ("recursion-pd", ("vertex_decomposable",), _recursion_pd, True,
      "at a shedding vertex of a vertex-decomposable instance, "

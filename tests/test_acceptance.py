@@ -25,7 +25,6 @@ from hyperinv import (
     is_codominated,
     is_shedding_vertex,
     matching_invariants,
-    maximal_independent_sets,
     named_instance,
     reg_and_pd,
     replay_elimination,
@@ -252,7 +251,7 @@ def test_criterion_09_pd_bounded_by_d_prime():
     for src in streams:
         for h in src:
             total += 1
-            dprime = dprime_invariant(h, maximal_independent_sets(h))[0]
+            dprime = dprime_invariant(h)[0]
             if reg_and_pd(h)["pd"] > dprime:
                 bad += 1
     _report(9, bad == 0, f"pd <= d' on {total} vertex-decomposable instances, {bad} bad")
@@ -265,13 +264,13 @@ def test_criterion_10_bigheight_pd_dprime_on_vd_graphs():
         total += 1
         bh = minimal_vertex_covers(h).bigheight
         pd = reg_and_pd(h)["pd"]
-        dp = dprime_invariant(h, maximal_independent_sets(h))[0]
+        dp = dprime_invariant(h)[0]
         if not (bh == pd == dp):
             bad += 1
     spots = all(
         minimal_vertex_covers(g).bigheight
         == reg_and_pd(g)["pd"]
-        == dprime_invariant(g, maximal_independent_sets(g))[0]
+        == dprime_invariant(g)[0]
         == v
         for g, v in [
             (named_instance("star3"), 3),

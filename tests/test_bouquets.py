@@ -19,7 +19,6 @@ from hyperinv import (
     from_masks,
     make_bouquet,
     matching_invariants,
-    maximal_independent_sets,
     minimal_vertex_covers,
     named_instance,
     random_hypergraph,
@@ -121,14 +120,14 @@ class TestInvariants:
         }
         for name, (d, dp) in expected.items():
             h = named_instance(name)
-            inv = bouquet_invariants(h, maximal_independent_sets(h))
+            inv = bouquet_invariants(h)
             assert (inv.d, inv.d_prime) == (d, dp), name
 
     def test_matches_oracle_on_graphs_n4(self):
         for h in enumerate_graphs(4):
             if len(h.edges) > 4:
                 continue  # oracle enumeration cost
-            inv = bouquet_invariants(h, maximal_independent_sets(h))
+            inv = bouquet_invariants(h)
             assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
     def test_matches_oracle_on_random_hypergraphs(self):
@@ -139,12 +138,12 @@ class TestInvariants:
             h = random_hypergraph(spec, i)
             if len(h.edges) > 4:
                 continue
-            inv = bouquet_invariants(h, maximal_independent_sets(h))
+            inv = bouquet_invariants(h)
             assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
     def test_witnesses_revalidate(self):
         for h in tiny_hypergraphs():
-            inv = bouquet_invariants(h, maximal_independent_sets(h))
+            inv = bouquet_invariants(h)
             w = inv.witnesses
             assert w["d"].strongly_disjoint
             assert w["d"].flowers.bit_count() == inv.d
@@ -170,7 +169,7 @@ class TestInvariants:
         inside the candidate cap."""
         labels = [f"x{i}" for i in range(10)]
         k10 = build(labels, [[u, v] for i, u in enumerate(labels) for v in labels[i + 1:]])
-        inv = bouquet_invariants(k10, maximal_independent_sets(k10))
+        inv = bouquet_invariants(k10)
         assert (inv.d, inv.d_prime) == (9, 9)
         assert inv.witnesses["d"].strongly_disjoint and inv.witnesses["d_prime"].semi_strongly_disjoint
 
@@ -178,37 +177,40 @@ class TestInvariants:
         """Three disjoint edges: d' scores the 3^3 - 1 nonempty root sets,
         d scores 122 candidates (a counted value: the flower ceilings cut
         some of the 5^3 - 1, and 2 hub choices count one each); one
-        candidate over the cap raises."""
-        h = from_masks([f"x{i}" for i in range(6)], [0b11, 0b1100, 0b110000])
-        facets = maximal_independent_sets(h)
+        candidate over the cap raises.  A refusal of d' is kept by the
+        profile of its object, so each cap is tried on a new object."""
+
+        def fresh():
+            return from_masks([f"x{i}" for i in range(6)], [0b11, 0b1100, 0b110000])
+
         assert bouquets.DEFAULT_CANDIDATE_CAP == 500_000
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 122)
-        inv = bouquet_invariants(h, facets)
+        inv = bouquet_invariants(fresh())
         assert (inv.d, inv.d_prime) == (3, 3)
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 121)
         with pytest.raises(SearchLimitExceeded, match="^d search candidates exceed cap 121$"):
-            bouquet_invariants(h, facets)
+            bouquet_invariants(fresh())
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 26)
-        assert dprime_invariant(h, facets)[0] == 3
+        assert dprime_invariant(fresh())[0] == 3
         monkeypatch.setattr(bouquets, "DEFAULT_CANDIDATE_CAP", 25)
         with pytest.raises(SearchLimitExceeded, match="^d' search candidates exceed cap 25$"):
-            dprime_invariant(h, facets)
+            dprime_invariant(fresh())
 
     def test_edgeless(self):
-        inv = bouquet_invariants(build(["a"], []), (1,))
+        inv = bouquet_invariants(build(["a"], []))
         assert (inv.d, inv.d_prime) == (0, 0)
 
 
 class TestCoverFromBouquets:
     def test_star_cover(self, star3):
-        inv = bouquet_invariants(star3, maximal_independent_sets(star3))
+        inv = bouquet_invariants(star3)
         cover = cover_from_bouquets(star3, inv.witnesses["d_prime"])
         assert sorted(star3.edge_labels(cover)) == ["x2", "x3", "x4"]
         assert cover in minimal_vertex_covers(star3).covers
 
     def test_cover_always_minimal_within_flowers(self):
         for h in tiny_hypergraphs():
-            inv = bouquet_invariants(h, maximal_independent_sets(h))
+            inv = bouquet_invariants(h)
             bset = inv.witnesses["d_prime"]
             cover = cover_from_bouquets(h, bset)
             assert cover & ~bset.flowers == 0
@@ -256,7 +258,7 @@ def witness_cases():
 
 
 def witness_record(name, h):
-    inv = bouquet_invariants(h, maximal_independent_sets(h))
+    inv = bouquet_invariants(h)
     return {
         "name": name,
         "instance": h.to_json_obj(),
@@ -276,10 +278,9 @@ def test_each_search_classifies_one_bouquet_set(monkeypatch):
 
     monkeypatch.setattr(bouquets, "classify_bouquet_set", counted)
     for _, h in witness_cases():
-        facets = maximal_independent_sets(h)
         induced = matching_invariants(h).induced
         for name, search in (("d", lambda: bouquets._d_search(h, induced)),
-                             ("d'", lambda: bouquets.dprime_invariant(h, facets))):
+                             ("d'", lambda: bouquets.dprime_invariant(h))):
             calls.clear()
             search()
             assert len(calls) == 1, name
@@ -302,7 +303,6 @@ def test_dprime_entry_point_matches_bouquet_invariants():
     for want in golden:
         obj = want["instance"]
         h = build(obj["vertices"], obj["edges"])
-        facets = maximal_independent_sets(h)
-        value, witness = dprime_invariant(h, facets)
-        assert value == bouquet_invariants(h, facets).d_prime == len(want["d_prime"]["flowers"])
+        value, witness = dprime_invariant(h)
+        assert value == bouquet_invariants(h).d_prime == len(want["d_prime"]["flowers"])
         assert witness.to_json_obj(h) == want["d_prime"], want["name"]

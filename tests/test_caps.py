@@ -16,7 +16,6 @@ from hyperinv import (
     from_masks,
     matching_invariants,
     make_bouquet,
-    maximal_independent_sets,
     minimal_vertex_covers,
     named_instance,
     reduced_homology,
@@ -26,10 +25,6 @@ from hyperinv.errors import SearchLimitExceeded
 
 def three_disjoint_edges():
     return from_masks([f"x{i}" for i in range(6)], [0b11, 0b1100, 0b110000])
-
-
-def dprime_of(h):
-    return dprime_invariant(h, maximal_independent_sets(h))
 
 
 def rp2_homology():
@@ -52,7 +47,7 @@ def paw_bouquets():
     that meet it span only x1, x2, x4, so its 2 hub choices are cut off
     together and counted as 2."""
     h = from_masks(["x1", "x2", "x3", "x4"], [0b11, 0b101, 0b1001, 0b1010])
-    return bouquet_invariants(h, maximal_independent_sets(h))
+    return bouquet_invariants(h)
 
 
 def c4_stem_choices():
@@ -70,7 +65,7 @@ CAPS = [
     (hypergraph, "DEFAULT_LATTICE_CAP", 10, lambda: matching_invariants(named_instance("h1")),
      "edges inside the edge unions exceed lattice cap {cap}"),
     (hypergraph, "DEFAULT_LATTICE_CAP", 5, c5_cycle, "cycle search paths exceed lattice cap {cap}"),
-    (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_of(three_disjoint_edges()),
+    (bouquets, "DEFAULT_CANDIDATE_CAP", 26, lambda: dprime_invariant(three_disjoint_edges()),
      "d' search candidates exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 8, paw_bouquets, "d search candidates exceed cap {cap}"),
     (bouquets, "DEFAULT_CANDIDATE_CAP", 4, c4_stem_choices, "stem choices exceed cap {cap}"),

@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hyperinv.bouquets as bouquets
 import hyperinv.hypergraph as hypergraph
+import hyperinv.profile as profile
 from conftest import disjoint_edges_and_c5
 import hyperinv
-from hyperinv import named_instance
+from hyperinv import classify_bouquet_set, make_bouquet, named_instance
 from hyperinv.cli import main
 from hyperinv.errors import HyperinvError
 from hyperinv.generators import FILTERS
@@ -337,6 +338,27 @@ class TestCheck:
         assert code == 0
         res = json.loads(out)
         assert res["details"]["bigheight"] == 3
+
+    def test_theorem_final_with_a_failing_witness_exits_one(self, capsys, tmp_path, monkeypatch):
+        """A d' witness that fails the conclusion is a counterexample, not an
+        input error: rooted at x1, p3's stem x1x2 leaves one flower, x2, for
+        d' = 2.  {x2} is a minimal cover, so only |F| = d' fails."""
+
+        def one_flower(h, roots):
+            stem = next(e for e in h.edges if h.edge_labels(e) == ("x1", "x2"))
+            return classify_bouquet_set(h, [make_bouquet(h, [stem], 1 << h.vertex_id("x1"))])
+
+        monkeypatch.setattr(profile, "_dprime_witness", one_flower)
+        path = tmp_path / "p3.json"
+        path.write_text(named_instance("p3").to_json())
+        code, out, err = run_cli(capsys, "check", str(path), "--theorem", "theorem-final")
+        assert code == 1
+        assert json.loads(out) == {
+            "conclusion_holds": False,
+            "details": {"bigheight": 2, "d_prime": 2, "flowers_minimal_cover": True, "pd": 2},
+            "hypotheses_hold": True,
+        }
+        assert "VIOLATED" in err
 
     @pytest.mark.parametrize("theorem", ["theorem-pd", "lemmas-dprime"])
     def test_singleton_edge_is_outside_the_hypotheses(self, capsys, tmp_path, theorem):

@@ -241,7 +241,7 @@ def test_profile_reads_d_prime_from_bouquets_when_d_was_read(counts):
     assert p.dprime_walk[0] == 5
     assert p.bouquets.d_prime == p.dprime[0] == 5
     assert sum(c for key, c in counts.items() if key[0] == "_dprime_walk") == 1
-    want = bouquets.dprime_invariant(p.h, p.complex.facets)[1].to_json_obj(p.h)
+    want = bouquets.dprime_invariant(p.h)[1].to_json_obj(p.h)
     assert json.dumps(p.dprime[1].to_json_obj(p.h)) == json.dumps(
         p.bouquets.witnesses["d_prime"].to_json_obj(p.h)) == json.dumps(want)
 

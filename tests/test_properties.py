@@ -4,9 +4,11 @@ import json
 from functools import partial, reduce
 from itertools import combinations
 from operator import or_
+from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+import hyperinv.hypergraph as hypergraph
 from conftest import (
     disjoint_edges_and_c5,
     oracle_betti_table,
@@ -19,6 +21,7 @@ from conftest import (
     oracle_matching_numbers,
     oracle_minimal_sets,
     oracle_random_hypergraph,
+    oracle_split,
 )
 from hyperinv import (
     betti_table,
@@ -208,7 +211,7 @@ def test_chain_c_d_dprime(h):
     if not h.edges:
         return
     c = matching_invariants(h).c
-    b = bouquet_invariants(h, maximal_independent_sets(h))
+    b = bouquet_invariants(h)
     assert c <= b.d <= b.d_prime
 
 
@@ -216,11 +219,12 @@ def test_chain_c_d_dprime(h):
 @given(hypergraphs(max_n=6, max_edge_size=3, max_edges=5))
 @example(from_masks([f"x{i + 1}" for i in range(5)], [0b00001, 0b00110, 0b01100]))
 @example(from_masks([f"x{i + 1}" for i in range(3)], [0b001, 0b010]))
+@example(from_masks(["x1", "x2", "x3"], []))
 def test_bouquet_numbers_match_oracle(h):
     """Singleton edges and vertices in no edge are drawn too: the first
     example has the singleton {x1} and the free x5, the second only
-    singletons and the free x3."""
-    inv = bouquet_invariants(h, maximal_independent_sets(h))
+    singletons and the free x3, and the third no edge."""
+    inv = bouquet_invariants(h)
     assert (inv.d, inv.d_prime) == oracle_bouquet_numbers(h)
 
 
@@ -241,7 +245,7 @@ def test_dprime_search_matches_the_face_by_face_oracle(h):
     """Same d' and the same witness, tie-breaks included; singleton edges
     and vertices in no edge are drawn too."""
     facets = oracle_independence_facets(h)
-    value, witness = dprime_invariant(h, facets)
+    value, witness = dprime_invariant(h)
     want_value, want_witness = oracle_dprime_search(h, facets)
     assert value == want_value
     assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
@@ -270,7 +274,7 @@ def test_many_edges_match_the_dprime_and_berge_cycle_oracles(h):
     search agrees with Hall's condition on vertex tuples: for C5, and for
     the lengths 2 to 6 around it (a C5 turned up in every draw tried)."""
     facets = oracle_independence_facets(h)
-    value, witness = dprime_invariant(h, facets)
+    value, witness = dprime_invariant(h)
     want_value, want_witness = oracle_dprime_search(h, facets)
     assert value == want_value
     assert json.dumps(witness.to_json_obj(h)) == json.dumps(want_witness.to_json_obj(h))
@@ -313,6 +317,21 @@ def test_codominated_implies_shedding(h):
     for x in h.labels:
         if is_codominated(h, x) is not None:
             assert is_shedding_vertex(h, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs())
+def test_shedding_vertices_match_the_oracle_off_one_complex(h):
+    """Each vertex sheds as the oracle splits the oracle's facets, and all
+    of H's vertices are read off one dualization of H."""
+    h = from_masks(h.labels, h.edges)  # a new object: a new profile
+    dualize, calls = hypergraph._minimal_transversals, []
+    with mock.patch.object(hypergraph, "_minimal_transversals",
+                           lambda edges: calls.append(edges) or dualize(edges)):
+        got = [is_shedding_vertex(h, x) for x in h.labels]
+    facets = oracle_independence_facets(h)
+    assert got == [oracle_split(facets, i)[2] for i in range(h.n)]
+    assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,8 +444,8 @@ def test_shedding_rows_on_masks_match_the_relabelled_hypergraphs(h):
     for x in shedding:
         ctr, rest = contraction(h, x), deletion(h, x)
         if not ctr.void:
-            dp_ctr = dprime_invariant(ctr, maximal_independent_sets(ctr))[0]
-            dp_del = dprime_invariant(rest, maximal_independent_sets(rest))[0]
+            dp_ctr = dprime_invariant(ctr)[0]
+            dp_del = dprime_invariant(rest)[0]
             lemma_rows.append({"vertex": x, "d_prime_contraction": dp_ctr, "d_prime_deletion": dp_del})
             splits.append((x, *((t.reg, t.pd) for t in (betti_table(rest), betti_table(ctr)))))
     h = from_masks(h.labels, h.edges)  # a new object: a new profile
@@ -446,7 +465,7 @@ def test_every_value_ignores_labels(pair):
 
     def values(h):
         inv = matching_invariants(h)
-        binv = bouquet_invariants(h, maximal_independent_sets(h))
+        binv = bouquet_invariants(h)
         return (
             inv.c, inv.c_prime, inv.m, binv.d, binv.d_prime,
             vertex_decomposable(independence_complex(h)),
@@ -549,23 +568,6 @@ def test_induced_matchings_match_brute_force(h):
                 found.append((union, family))
     induced = matching_invariants(h).induced
     assert [tuple(h.edges[i] for i in bit_ids(m)) for m in induced] == [m for _, m in sorted(found)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(hypergraphs(max_n=8, max_edge_size=4, max_edges=8))
-@example(from_masks(["x1", "x2", "x3"], []))
-@example(from_masks(["x1", "x2", "x3", "x4"], [0b0001, 0b0110, 0b1010]))
-@example(from_masks(["x1", "x2"], [0b01, 0b10]))
-def test_profile_bouquets_match_a_direct_call(h):
-    """The profile's d and d' read the induced matchings of its matchings
-    pass and the root sets of its d' walk; a direct call computes both.
-    Edgeless inputs and singleton edges are drawn too."""
-    direct = bouquet_invariants(h, maximal_independent_sets(h))
-    via = profile_of(from_masks(h.labels, h.edges)).bouquets  # a new object: a new profile
-    assert (via.d, via.d_prime) == (direct.d, direct.d_prime)
-    for name in ("d", "d_prime"):
-        got, want = (json.dumps(b.witnesses[name].to_json_obj(h)) for b in (via, direct))
-        assert got == want, name
 
 
 def _draw(draw_fn, spec, index):
