@@ -18,8 +18,6 @@ from .complexes import (
     SimplicialComplex,
     dimension,
     independence_complex,
-    is_shedding,
-    link_and_deletion,
     vertex_decomposable,
 )
 from .decomposition import (
@@ -36,7 +34,6 @@ from .generators import (
     FamilySpec,
     enumerate_graphs,
     family_from_json,
-    filter_stream,
     named_instance,
     random_hypergraph,
     stream,
@@ -63,7 +60,6 @@ from .hypergraph import (
     from_masks,
     maximal_independent_sets,
     minimal_vertex_covers,
-    neighborhood_minus,
     three_cycle_edge_condition,
     uniformity_profile,
 )
@@ -115,7 +111,6 @@ __all__ = [
     "dprime_invariant",
     "enumerate_graphs",
     "family_from_json",
-    "filter_stream",
     "find_cycle",
     "from_json",
     "from_json_obj",
@@ -124,10 +119,8 @@ __all__ = [
     "independent_set_from_semi_induced",
     "is_codismantlable",
     "is_codominated",
-    "is_shedding",
     "is_shedding_vertex",
     "is_two_collage",
-    "link_and_deletion",
     "make_bouquet",
     "matching_invariants",
     "maximal_independent_sets",
@@ -135,7 +128,6 @@ __all__ = [
     "minimal_nonfaces",
     "minimal_vertex_covers",
     "named_instance",
-    "neighborhood_minus",
     "profile_of",
     "random_hypergraph",
     "reduced_homology",

@@ -56,13 +56,7 @@ from math import prod
 from operator import and_, or_
 from typing import Optional, Sequence
 
-from .errors import (
-    HyperinvError,
-    InvalidBouquet,
-    NotOptimalWitness,
-    NotSemiStronglyDisjoint,
-    SearchLimitExceeded,
-)
+from .errors import HyperinvError, SearchLimitExceeded
 from .hypergraph import Hypergraph, _faces, bit_ids, edge_sort_key
 from .matchings import classify_family
 
@@ -90,22 +84,22 @@ def make_bouquet(h: Hypergraph, stems: Sequence[int], roots: Optional[int] = Non
     """Validate and canonicalize one bouquet of H."""
     stem_list = sorted(set(stems), key=edge_sort_key)
     if len(stem_list) != len(stems):
-        raise InvalidBouquet("repeated stem inside one bouquet")
+        raise HyperinvError("repeated stem inside one bouquet")
     if not stem_list:
-        raise InvalidBouquet("bouquet needs at least one stem")
+        raise HyperinvError("bouquet needs at least one stem")
     for s in stem_list:
         if s not in h.edges:
-            raise InvalidBouquet(f"stem is not an edge: {bit_ids(s)}")
+            raise HyperinvError(f"stem is not an edge: {bit_ids(s)}")
     if len(stem_list) >= 2:
         inter = reduce(and_, stem_list)
         if not inter:
-            raise InvalidBouquet("stems have empty common intersection")
+            raise HyperinvError("stems have empty common intersection")
         if roots is not None and roots != inter:
-            raise InvalidBouquet("roots of a multi-stem bouquet must equal the stem intersection")
+            raise HyperinvError("roots of a multi-stem bouquet must equal the stem intersection")
         return Bouquet(tuple(stem_list), inter)
     stem = stem_list[0]
     if roots is None or roots == 0 or roots & ~stem or roots == stem:
-        raise InvalidBouquet("single-stem roots must be a nonempty proper subset of the stem")
+        raise HyperinvError("single-stem roots must be a nonempty proper subset of the stem")
     return Bouquet((stem,), roots)
 
 
@@ -141,7 +135,7 @@ def classify_bouquet_set(h: Hypergraph, bouquets: Sequence[Bouquet]) -> BouquetS
         roots |= b.roots
         stems.extend(b.stems)
     if len(set(stems)) != len(stems):
-        raise InvalidBouquet("an edge is a stem of two bouquets")
+        raise HyperinvError("an edge is a stem of two bouquets")
     semi = not any(e & roots == e for e in h.edges)  # the roots are independent
     strong, cap = not bouquets, DEFAULT_CANDIDATE_CAP  # some choice of one stem each is induced
     for tried, choice in enumerate(product(*[b.stems for b in bouquets]) if bouquets else (), 1):
@@ -384,12 +378,10 @@ def cover_from_bouquets(h: Hypergraph, bset: BouquetSet) -> int:
     semi-strongly disjoint bouquet set.  Optimality is checked against
     the d' of H's profile."""
     if not bset.semi_strongly_disjoint:
-        raise NotSemiStronglyDisjoint("bouquet set has dependent roots")
+        raise HyperinvError("bouquet set has dependent roots")
     d_prime = _profile(h).dprime_walk[0]
     if bset.flowers.bit_count() != d_prime:
-        raise NotOptimalWitness(
-            f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}"
-        )
+        raise HyperinvError(f"|F|={bset.flowers.bit_count()} does not realize d'={d_prime}")
     stem_set = set(bset.stems)
     ordered = [e for e in h.edges if e not in stem_set] + [e for e in h.edges if e in stem_set]
     cover = 0

@@ -6,9 +6,10 @@ no faces at all.  The last two both arise from contracting singleton
 edges and both count as vertex decomposable.
 
 One split primitive, ``_split``, gives the link and deletion of a vertex
-and whether it sheds; every shedding question and the memoized
-vertex-decomposability walk ``_vd_verdict`` read it.  Only
-``complex_from_facets``, which takes face lists from outside, normalizes.
+and whether it sheds, over the same ground set; the shedding flags of a
+profile and the memoized vertex-decomposability walk ``_vd_verdict`` read
+it.  Only ``complex_from_facets``, which takes face lists from outside,
+normalizes.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import UnknownVertex
-from .hypergraph import (
-    Hypergraph,
-    _compress,
-    _maximal,
-    bit_ids,
-    maximal_independent_sets,
-)
+from .hypergraph import Hypergraph, _compress, _maximal, maximal_independent_sets
 
 KIND_VOID = "void"
 KIND_EMPTY = "empty"
@@ -46,15 +40,6 @@ class SimplicialComplex:
         if self.facets == (0,):
             return KIND_EMPTY
         return KIND_ORDINARY
-
-    def vertex_id(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownVertex(f"unknown vertex {label!r}") from None
-
-    def facet_labels(self) -> list[list[str]]:
-        return [[self.labels[i] for i in bit_ids(f)] for f in self.facets]
 
 
 def complex_from_facets(labels: Sequence[str], facet_masks: Sequence[int]) -> SimplicialComplex:
@@ -80,25 +65,11 @@ def _split(facets: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], tuple[in
     return link, tuple(sorted(misses + kept)), not kept
 
 
-def link_and_deletion(d: SimplicialComplex, x: str) -> tuple[SimplicialComplex, SimplicialComplex]:
-    """(link, deletion) of the vertex, both on the ground set minus x."""
-    i = d.vertex_id(x)
-    link, dele, _ = _split(d.facets, 1 << i)
-    labels = d.labels[:i] + d.labels[i + 1 :]
-    keep = (1 << d.n) - 1 & ~(1 << i)
-    return tuple(SimplicialComplex(labels, tuple(_compress(f, keep))) for f in (link, dele))
-
-
 def dimension(d: SimplicialComplex) -> Optional[int]:
     """Max facet size minus one; -1 for {∅}; None for the void complex."""
     if d.kind == KIND_VOID:
         return None
     return max(f.bit_count() for f in d.facets) - 1
-
-
-def is_shedding(d: SimplicialComplex, x: str) -> bool:
-    """True iff no facet of del(x) is a face of lk(x)."""
-    return _split(d.facets, 1 << d.vertex_id(x))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ report."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import or_
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph, _neighborhood_minus, bit_ids, deletion
 
@@ -49,21 +49,23 @@ class EliminationOrder:
 
 
 def _codismantle_order(
-    edges: Sequence[int], witness: Callable[[int], Optional[int]]
+    edges: Sequence[int], first: Sequence[Optional[int]]
 ) -> Optional[list[int]]:
     """An elimination order (vertex ids) of canonical edge masks, or None:
     while edges remain, delete the least-id codominated vertex.  The first
-    step asks ``witness(bx)``, later ones ``_codominated`` on the edges left.
+    step reads ``first``, the least witness of each vertex by id, later ones
+    ask ``_codominated`` on the edges left.
     Greedy is exact: deleting any codominated vertex of a codismantlable
     hypergraph leaves a codismantlable one (the lemma in the README)."""
     order = []
+    witness = first.__getitem__
     while edges:
-        i = next((i for i in bit_ids(reduce(or_, edges)) if witness(1 << i) is not None), None)
+        i = next((i for i in bit_ids(reduce(or_, edges)) if witness(i) is not None), None)
         if i is None:
             return None
         order.append(i)
         edges = [e for e in edges if not e >> i & 1]
-        witness = partial(_codominated, edges)
+        witness = lambda i, edges=edges: _codominated(edges, 1 << i)
     return order
 
 
@@ -72,8 +74,7 @@ def is_codismantlable(h: Hypergraph) -> Optional[EliminationOrder]:
 
     Its first step reads the codominated witnesses of H's profile.
     """
-    first = _profile(h).codominated_witness
-    order = _codismantle_order(h.edges, lambda bx: first(h.labels[bx.bit_length() - 1]))
+    order = _codismantle_order(h.edges, _profile(h).codominated)
     if order is None:
         return None
     return EliminationOrder(tuple(h.labels[i] for i in order))

@@ -3,6 +3,10 @@ random hypergraphs, named worked examples, and hypothesis filters.
 
 Every stream is reproducible from its spec alone; random instances are
 seeded per index so workers can regenerate any shard independently.
+``stream`` is the one filtered source: the (index, instance) pairs of a
+family that pass its filters.  A spec the generators cannot meet, such as
+a graph enumeration past its vertex bound, is an input error: a plain
+``HyperinvError``, never a cap.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Optional
 
-from .errors import HyperinvError, SizeLimitExceeded, Unsatisfiable, UnknownFilter
+from .errors import HyperinvError
 from .hypergraph import (
     Hypergraph,
     build,
@@ -94,7 +98,7 @@ def enumerate_graphs(n: int, dedup: bool = False) -> Iterator[Hypergraph]:
     ``dedup`` tries all n! relabelings of each, so it stops at 6 vertices."""
     top = MAX_DEDUP_VERTICES if dedup else MAX_ENUM_VERTICES
     if not 1 <= n <= top:
-        raise SizeLimitExceeded(f"graph enumeration{' with dedup' if dedup else ''} supports 1..{top} vertices")
+        raise HyperinvError(f"graph enumeration{' with dedup' if dedup else ''} supports 1..{top} vertices")
     labels = _labels(n)
     pairs = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
     seen: set[tuple[int, ...]] = set()
@@ -132,7 +136,7 @@ def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
     """
     n = spec.n
     if spec.max_edge_size < 2 or n < 2:
-        raise Unsatisfiable("need at least two vertices and edge size two")
+        raise HyperinvError("need at least two vertices and edge size two")
     rng = _RNG
     rng.seed(f"{spec.seed}:{index}")  # the state Random(seed) starts in
     getrandbits = rng.getrandbits
@@ -156,7 +160,7 @@ def random_hypergraph(spec: FamilySpec, index: int) -> Hypergraph:
             if m not in edges:
                 break
         else:
-            raise Unsatisfiable(f"cannot place {spec.edge_count} distinct edges")
+            raise HyperinvError(f"cannot place {spec.edge_count} distinct edges")
         if any(e & m == e for e in edges):
             continue  # the draw contains an existing edge: discard the superset
         edges = [e for e in edges if e & m != m or e == m]
@@ -212,19 +216,11 @@ FILTERS: dict[str, Callable[[Hypergraph], bool]] = {
 def check_filters(names) -> None:
     for name in names:
         if name not in FILTERS:
-            raise UnknownFilter(f"unknown filter {name!r}; have {sorted(FILTERS)}")
+            raise HyperinvError(f"unknown filter {name!r}; have {sorted(FILTERS)}")
 
 
 def passes_filters(h: Hypergraph, names) -> bool:
     return all(FILTERS[name](h) for name in names)
-
-
-def filter_stream(src: Iterator, names) -> Iterator:
-    check_filters(names)
-    for item in src:
-        h = item[1] if isinstance(item, tuple) else item
-        if passes_filters(h, names):
-            yield item
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +246,7 @@ def raw_stream(spec: FamilySpec, shard: int = 0, jobs: int = 1) -> Iterator[tupl
 
 
 def stream(spec: FamilySpec, shard: int = 0, jobs: int = 1) -> Iterator[tuple[int, Hypergraph]]:
-    """The instances of ``raw_stream`` that pass the family's filters."""
+    """The (index, instance) pairs of ``raw_stream`` that pass the family's
+    filters; an unknown filter is refused before any draw."""
     check_filters(spec.filters)
-    return filter_stream(raw_stream(spec, shard, jobs), spec.filters)
+    return ((i, h) for i, h in raw_stream(spec, shard, jobs) if passes_filters(h, spec.filters))

@@ -40,7 +40,7 @@ from operator import or_
 
 from . import bouquets
 from .complexes import SimplicialComplex
-from .errors import HyperinvError, UnknownField
+from .errors import HyperinvError
 from .hypergraph import (
     Hypergraph,
     _compress,
@@ -65,7 +65,7 @@ def parse_field(text: str) -> str:
         p = int(t[1:])
         if 2 <= p < 1 << 31 and all(p % q for q in range(2, isqrt(p) + 1)):
             return f"F{p}"
-    raise UnknownField(f"unknown field {text!r}: use q, or f<p> for a prime p below 2^31")
+    raise HyperinvError(f"unknown field {text!r}: use q, or f<p> for a prime p below 2^31")
 
 
 def _boundary(f: int) -> dict[int, int]:

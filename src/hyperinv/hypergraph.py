@@ -18,7 +18,7 @@ in ``homological`` are the transversals of its facet complements.  Past
 
 One renumbering primitive, ``_compress``, moves masks onto the set bits
 of a vertex mask, in ascending order: deletion and contraction of a
-vertex, the link and deletion of a vertex in ``complexes`` and the
+vertex, the vertex-decomposability walk in ``complexes`` and the
 Hochster restrictions in ``homological`` use it.  Contraction needs no
 antichain normalization: the edges through x, less x, are kept, and an
 edge that misses x drops iff it contains one of them.
@@ -40,16 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    AntichainViolation,
-    DuplicateEdge,
-    EmptyEdge,
-    HyperinvError,
-    NoEdges,
-    SameVertex,
-    SearchLimitExceeded,
-    UnknownVertex,
-)
+from .errors import HyperinvError, SearchLimitExceeded
 
 DEFAULT_TRANSVERSAL_CAP = 10_000
 DEFAULT_LATTICE_CAP = 20 << 19  # edges inside the edge unions, summed: at most 20 * 2^19 for 20 edges
@@ -152,7 +143,7 @@ class Hypergraph:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise UnknownVertex(f"unknown vertex {label!r}") from None
+            raise HyperinvError(f"unknown vertex {label!r}") from None
 
     def edge_labels(self, mask: int) -> tuple[str, ...]:
         return tuple(self.labels[i] for i in bit_ids(mask))
@@ -179,23 +170,21 @@ def build(vertex_labels: Sequence[str], edge_lists: Sequence[Sequence[str]]) -> 
     masks = []
     for edge in edge_lists:
         if not edge:
-            raise EmptyEdge("empty edge")
+            raise HyperinvError("empty edge")
         ids = []
         for lab in edge:
             if lab not in index:
-                raise UnknownVertex(f"unknown vertex {lab!r} in edge {tuple(edge)}")
+                raise HyperinvError(f"unknown vertex {lab!r} in edge {tuple(edge)}")
             ids.append(index[lab])
         m = mask_of(ids)
         if m.bit_count() < len(ids):
             raise HyperinvError(f"edge {tuple(edge)} names a vertex twice")
         if m in masks:
-            raise DuplicateEdge(f"duplicate edge {tuple(sorted(edge))}")
+            raise HyperinvError(f"duplicate edge {tuple(sorted(edge))}")
         masks.append(m)
     for a, b in combinations(masks, 2):
         if a & b == a or a & b == b:
-            raise AntichainViolation(
-                f"edge containment between {bit_ids(a)} and {bit_ids(b)}"
-            )
+            raise HyperinvError(f"edge containment between {bit_ids(a)} and {bit_ids(b)}")
     masks.sort(key=edge_sort_key)
     return Hypergraph(labels, tuple(masks))
 
@@ -256,16 +245,9 @@ def contraction(h: Hypergraph, x: str) -> Hypergraph:
     return from_masks(h.labels[:i] + h.labels[i + 1 :], _contracted(h.edges, h.n, i))
 
 
-def neighborhood_minus(h: Hypergraph, x: str, y: str) -> set[int]:
-    """{E \\ {x} : E edge, x in E, y not in E}, as a set of masks."""
-    ix, iy = h.vertex_id(x), h.vertex_id(y)
-    if ix == iy:
-        raise SameVertex(f"vertices coincide: {x!r}")
-    return _neighborhood_minus(h.edges, 1 << ix, 1 << iy)
-
-
 def _neighborhood_minus(edges: Sequence[int], bx: int, by: int) -> set[int]:
-    """``neighborhood_minus`` on the bits of two distinct vertices."""
+    """{E \\ {x} : E edge, x in E, y not in E}, as a set of masks, on the bits
+    of two distinct vertices x and y."""
     return {e & ~bx for e in edges if e & bx and not e & by}
 
 
@@ -277,12 +259,6 @@ class CycleWitness:
     @property
     def length(self) -> int:
         return len(self.vertex_ids)
-
-    def as_labels(self, h: Hypergraph) -> dict:
-        return {
-            "vertices": [h.labels[i] for i in self.vertex_ids],
-            "edges": [list(h.edge_labels(e)) for e in self.edge_masks],
-        }
 
 
 def _cycles(h: Hypergraph, n: int) -> Iterator[CycleWitness]:
@@ -377,7 +353,7 @@ def c2_free(h: Hypergraph) -> bool:
 def uniformity_profile(h: Hypergraph) -> dict:
     """Edge-cardinality uniformity and the pairwise d-1 intersection property."""
     if not h.edges:
-        raise NoEdges("hypergraph has no edges")
+        raise HyperinvError("hypergraph has no edges")
     sizes = {e.bit_count() for e in h.edges}
     d = sizes.pop() if len(sizes) == 1 else None
     strong = False

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import hypergraph
-from .errors import NotSemiInduced, SearchLimitExceeded, UnknownEdge
+from .errors import HyperinvError, SearchLimitExceeded
 from .hypergraph import Hypergraph, _lattice, bit_ids
 
 
@@ -43,9 +43,9 @@ def classify_family(h: Hypergraph, family: Sequence[int]) -> EdgeFamily:
     edges = []
     for e in family:
         if e not in h.edges:
-            raise UnknownEdge(f"not an edge of this hypergraph: {bit_ids(e)}")
+            raise HyperinvError(f"not an edge of this hypergraph: {bit_ids(e)}")
         if e in edges:
-            raise UnknownEdge(f"repeated edge in family: {bit_ids(e)}")
+            raise HyperinvError(f"repeated edge in family: {bit_ids(e)}")
         edges.append(e)
     edges.sort(key=lambda e: h.edges.index(e))
     union = 0
@@ -118,7 +118,7 @@ def is_two_collage(h: Hypergraph, collage: Sequence[int]) -> bool:
     member: iff the edge is nonempty and has at most one vertex outside it."""
     for c in collage:
         if c not in h.edges:
-            raise UnknownEdge(f"not an edge of this hypergraph: {bit_ids(c)}")
+            raise HyperinvError(f"not an edge of this hypergraph: {bit_ids(c)}")
     return all(e and any((e & ~c).bit_count() <= 1 for c in collage) for e in h.edges)
 
 
@@ -151,7 +151,7 @@ def independent_set_from_semi_induced(h: Hypergraph, family: Sequence[int]) -> i
     """
     fam = classify_family(h, family)
     if not fam.semi_induced:
-        raise NotSemiInduced("family is not a semi-induced matching")
+        raise HyperinvError("family is not a semi-induced matching")
     s = union = 0
     for e in fam.edges:
         union |= e

@@ -55,7 +55,6 @@ class Profile:
     def __init__(self, h: Hypergraph) -> None:
         self.h = h
         self._betti: dict[str, BettiTable] = {}
-        self._codominated: dict[str, Optional[int]] = {}
         self._cap_errors: dict[str, HyperinvError] = {}
 
     @_cached
@@ -144,16 +143,10 @@ class Profile:
         dels = betti_table(h, bounded=True, deletions=mask).deletions if ctrs else ()
         return [(x, dele, _reg_pd(ctr)) for (x, ctr), dele in zip(ctrs, dels)]
 
-    def codominated_witness(self, x: str) -> Optional[int]:
-        """The least codominated witness of x, or None."""
-        if x not in self._codominated:
-            self._codominated[x] = is_codominated(self.h, x)
-        return self._codominated[x]
-
     @_cached
     def codominated(self) -> tuple[Optional[int], ...]:
         """The least codominated witness of each vertex, by id, or None."""
-        return tuple(self.codominated_witness(x) for x in self.h.labels)
+        return tuple(is_codominated(self.h, x) for x in self.h.labels)
 
     @_cached
     def codismantle_order(self) -> Optional[EliminationOrder]:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .bouquets import _dprime_walk
 from .complexes import dimension
 from .decomposition import replay_elimination, theorem_main_report
-from .errors import HyperinvError, SearchLimitExceeded, UnknownSuite
+from .errors import HyperinvError, SearchLimitExceeded
 from .generators import FILTERS, FamilySpec, check_filters, passes_filters, stream
 from .hypergraph import Hypergraph, _contract, c2_free, is_graph
 from .matchings import (
@@ -312,7 +312,7 @@ SUITES: dict[str, Suite] = {
 
 def get_suite(name: str) -> Suite:
     if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; have {sorted(SUITES)}")
+        raise HyperinvError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     return SUITES[name]
 
 

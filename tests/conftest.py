@@ -24,7 +24,7 @@ import pytest
 
 from hyperinv import build, deletion, from_masks, is_codominated, named_instance
 from hyperinv.complexes import complex_from_facets
-from hyperinv.errors import Unsatisfiable
+from hyperinv.errors import HyperinvError
 from hyperinv.hypergraph import bit_ids
 
 
@@ -430,7 +430,7 @@ def oracle_random_hypergraph(spec, index):
     rng = random.Random(f"{spec.seed}:{index}")
     n = spec.n
     if spec.max_edge_size < 2 or n < 2:
-        raise Unsatisfiable("need at least two vertices and edge size two")
+        raise HyperinvError("need at least two vertices and edge size two")
     edges = []
     for _ in range(spec.edge_count):
         for _attempt in range(200):
@@ -441,7 +441,7 @@ def oracle_random_hypergraph(spec, index):
             if m not in edges:
                 break
         else:
-            raise Unsatisfiable(f"cannot place {spec.edge_count} distinct edges")
+            raise HyperinvError(f"cannot place {spec.edge_count} distinct edges")
         if any(e & m == e for e in edges):
             continue
         edges = [e for e in edges if e & m != m or e == m]

@@ -24,9 +24,7 @@ from hyperinv import (
     random_hypergraph,
 )
 from hyperinv.errors import (
-    InvalidBouquet,
-    NotOptimalWitness,
-    NotSemiStronglyDisjoint,
+    HyperinvError,
     SearchLimitExceeded,
 )
 from hyperinv.generators import FamilySpec
@@ -55,24 +53,24 @@ class TestMakeBouquet:
     def test_multi_stem_empty_intersection_rejected(self, h1):
         e1 = edge_by_labels(h1, ["x1", "x2", "x3"])
         e3 = edge_by_labels(h1, ["x4", "x5", "x6"])
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match="^stems have empty common intersection$"):
             make_bouquet(h1, [e1, e3])
 
     def test_single_stem_root_rules(self, p3):
         e = p3.edges[0]
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match="^single-stem roots must be a nonempty proper subset of the stem$"):
             make_bouquet(p3, [e])  # roots required
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match="^single-stem roots must be a nonempty proper subset of the stem$"):
             make_bouquet(p3, [e], e)  # roots must be proper
         b = make_bouquet(p3, [e], 1 << p3.vertex_id("x2"))
         assert b.flowers == e & ~b.roots
 
     def test_non_edge_stem_rejected(self, p3):
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match=r"^stem is not an edge: \(0, 2\)$"):
             make_bouquet(p3, [0b101], 0b001)
 
     def test_wrong_roots_on_multi_stem(self, p3):
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match="^roots of a multi-stem bouquet must equal the stem intersection$"):
             make_bouquet(p3, list(p3.edges), 1 << p3.vertex_id("x1"))
 
 
@@ -100,7 +98,7 @@ class TestClassification:
     def test_shared_stem_rejected(self, p3):
         b1 = make_bouquet(p3, [p3.edges[0]], 1 << p3.vertex_id("x2"))
         b2 = make_bouquet(p3, list(p3.edges))
-        with pytest.raises(InvalidBouquet):
+        with pytest.raises(HyperinvError, match="^an edge is a stem of two bouquets$"):
             classify_bouquet_set(p3, [b1, b2])
 
     def test_empty_set_classifies_disjoint(self, p3):
@@ -219,7 +217,7 @@ class TestCoverFromBouquets:
     def test_rejects_non_optimal_witness(self, star3):
         b = make_bouquet(star3, [star3.edges[0]], 1 << star3.vertex_id("x1"))
         bs = classify_bouquet_set(star3, [b])
-        with pytest.raises(NotOptimalWitness):
+        with pytest.raises(HyperinvError, match=r"^\|F\|=1 does not realize d'=3$"):
             cover_from_bouquets(star3, bs)
 
     def test_rejects_dependent_roots(self, p3):
@@ -227,7 +225,7 @@ class TestCoverFromBouquets:
         b2 = make_bouquet(p3, [edge_by_labels(p3, ["x2", "x3"])], vmask(p3, ["x3"]))
         bs = classify_bouquet_set(p3, [b1, b2])
         assert not bs.semi_strongly_disjoint
-        with pytest.raises(NotSemiStronglyDisjoint):
+        with pytest.raises(HyperinvError, match="^bouquet set has dependent roots$"):
             cover_from_bouquets(p3, bs)
 
 

@@ -97,6 +97,22 @@ class TestInvariants:
         assert code == 2
         assert "duplicate edge" in err
 
+    @pytest.mark.parametrize(
+        "edges, line",
+        [
+            ('[["a", "b"], []]', "error: empty edge"),
+            ('[["a", "z"]]', "error: unknown vertex 'z' in edge ('a', 'z')"),
+            ('[["a", "b", "c"], ["a", "b"]]', "error: edge containment between (0, 1, 2) and (0, 1)"),
+        ],
+        ids=["empty-edge", "unknown-vertex", "edge-inside-edge"],
+    )
+    def test_instance_errors_exit_two(self, capsys, tmp_path, edges, line):
+        """Every input error has the one class, so only its line tells it apart."""
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"vertices": ["a", "b", "c"], "edges": {edges}}}')
+        code, out, err = run_cli(capsys, "invariants", str(path))
+        assert (code, out, err) == (2, "", line + "\n")
+
     def test_edge_naming_a_vertex_twice_exit_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": ["a", "b"], "edges": [["a", "a"]]}')

@@ -9,13 +9,12 @@ from hyperinv import (
     build,
     dimension,
     independence_complex,
-    is_shedding,
-    link_and_deletion,
+    is_shedding_vertex,
     named_instance,
     vertex_decomposable,
 )
-from hyperinv.complexes import SimplicialComplex, complex_from_facets
-from hyperinv.hypergraph import contraction
+from hyperinv.complexes import SimplicialComplex, _split, complex_from_facets
+from hyperinv.hypergraph import _compress, contraction
 
 
 class TestIndependenceComplex:
@@ -49,23 +48,21 @@ class TestIndependenceComplex:
 
 class TestRestriction:
     def test_link_and_deletion_p3(self, p3):
-        link, dele = link_and_deletion(independence_complex(p3), "x2")
-        assert dele.facet_labels() == [["x1", "x3"]]
-        assert link.facet_labels() == [[]]
+        link, dele, _ = _split(independence_complex(p3).facets, 1 << p3.vertex_id("x2"))
+        assert [p3.edge_labels(f) for f in dele] == [("x1", "x3")]
+        assert [p3.edge_labels(f) for f in link] == [()]
 
 
 class TestShedding:
     def test_p3_sheddings(self, p3):
-        d = independence_complex(p3)
         # del(x1) has facet {x3}, not a facet of D; del(x2) has facet {x1,x3}
-        assert not is_shedding(d, "x1")
-        assert not is_shedding(d, "x3")
-        assert is_shedding(d, "x2")
+        assert not is_shedding_vertex(p3, "x1")
+        assert not is_shedding_vertex(p3, "x3")
+        assert is_shedding_vertex(p3, "x2")
 
     def test_c5_all_shedding(self, c5):
         # every pentagon vertex sheds, yet none is codominated
-        d = independence_complex(c5)
-        assert all(is_shedding(d, x) for x in c5.labels)
+        assert all(is_shedding_vertex(c5, x) for x in c5.labels)
 
 
 class TestVertexDecomposability:
@@ -141,10 +138,10 @@ def test_split_matches_maximal_sets(d):
     """At every vertex x, the link and deletion are the maximal sets of
     f \\ x over the facets f through x and over all facets, and x sheds iff
     every facet of the deletion is a facet of the complex."""
-    for i, x in enumerate(d.labels):
+    for i in range(d.n):
         link_facets, del_facets, sheds = oracle_split(d.facets, i)
-        link, dele = link_and_deletion(d, x)
-        labels = d.labels[:i] + d.labels[i + 1:]
-        assert (link.labels, link.facets) == (labels, link_facets)
-        assert (dele.labels, dele.facets) == (labels, del_facets)
-        assert is_shedding(d, x) == sheds
+        link, dele, got = _split(d.facets, 1 << i)
+        keep = (1 << d.n) - 1 & ~(1 << i)
+        assert tuple(_compress(link, keep)) == link_facets
+        assert tuple(_compress(dele, keep)) == del_facets
+        assert got == sheds

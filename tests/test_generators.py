@@ -1,18 +1,18 @@
 """Instance generators: enumeration counts, determinism, filters."""
 
 import hashlib
+import re
 from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from hyperinv import enumerate_graphs, generators, random_hypergraph
-from hyperinv.errors import SizeLimitExceeded, UnknownFilter, Unsatisfiable
+from hyperinv.errors import HyperinvError, SearchLimitExceeded
 from hyperinv.generators import (
     FILTERS,
     FamilySpec,
     family_from_json,
-    filter_stream,
     named_instance,
     stream,
 )
@@ -43,15 +43,17 @@ class TestEnumerateGraphs:
             assert all(e.bit_count() == 2 for e in h.edges)
 
     def test_out_of_range(self):
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HyperinvError, match=r"^graph enumeration supports 1\.\.7 vertices$"):
             list(enumerate_graphs(0))
-        with pytest.raises(SizeLimitExceeded):
+        with pytest.raises(HyperinvError, match=r"^graph enumeration supports 1\.\.7 vertices$") as exc:
             list(enumerate_graphs(8))
+        assert not isinstance(exc.value, SearchLimitExceeded)  # an input error, not a cap
 
     def test_dedup_above_six_vertices_raises_before_any_graph(self):
         """Dedup tries n! relabelings of each of the 2^(n(n-1)/2) graphs."""
-        with pytest.raises(SizeLimitExceeded, match="with dedup supports 1..6 vertices"):
+        with pytest.raises(HyperinvError, match=r"^graph enumeration with dedup supports 1\.\.6 vertices$") as exc:
             next(enumerate_graphs(7, dedup=True))
+        assert not isinstance(exc.value, SearchLimitExceeded)  # an input error, not a cap
         assert next(enumerate_graphs(7)).edges == ()
 
     def test_edges_come_in_canonical_order(self):
@@ -88,7 +90,7 @@ class TestRandomHypergraph:
             for i in range(500):
                 try:
                     drawn = random_hypergraph(spec, i).edges
-                except Unsatisfiable as exc:
+                except HyperinvError as exc:
                     drawn = str(exc)
                 digest.update(f"{fields}:{i}:{drawn}\n".encode())
         assert digest.hexdigest() == GOLDEN_DRAWS_SHA256
@@ -112,7 +114,7 @@ class TestRandomHypergraph:
 
     def test_unsatisfiable(self):
         spec = FamilySpec(kind="random_hypergraph", n=2, max_edge_size=2, edge_count=2, seed=0)
-        with pytest.raises(Unsatisfiable):
+        with pytest.raises(HyperinvError, match="^cannot place 2 distinct edges$"):
             random_hypergraph(spec, 0)
 
 
@@ -163,8 +165,9 @@ class TestFilters:
         assert 0 < len(kept) < len(draws)
 
     def test_unknown_filter(self):
-        with pytest.raises(UnknownFilter):
-            list(filter_stream(iter([]), ["nope"]))
+        message = f"unknown filter 'nope'; have {sorted(FILTERS)}"
+        with pytest.raises(HyperinvError, match=f"^{re.escape(message)}$"):
+            stream(FamilySpec(kind="named", name="p3", filters=("nope",)))
 
     def test_filtered_stream_subset(self):
         spec = FamilySpec(
@@ -190,8 +193,6 @@ class TestSpecs:
         assert family_from_json(json.dumps(spec.to_json_obj())) == spec
 
     def test_unknown_field_rejected(self):
-        from hyperinv.errors import HyperinvError
-
         with pytest.raises(HyperinvError):
             family_from_json('{"kind": "all_graphs", "bogus": 1}')
 
@@ -210,8 +211,6 @@ class TestSpecs:
         ],
     )
     def test_field_types_checked(self, text):
-        from hyperinv.errors import HyperinvError
-
         with pytest.raises(HyperinvError):
             family_from_json(text)
 

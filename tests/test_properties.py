@@ -35,9 +35,7 @@ from hyperinv import (
     independent_set_from_semi_induced,
     is_codismantlable,
     is_codominated,
-    is_shedding,
     is_shedding_vertex,
-    link_and_deletion,
     matching_invariants,
     maximal_independent_sets,
     minimal_vertex_covers,
@@ -46,9 +44,9 @@ from hyperinv import (
     vertex_decomposable,
 )
 from hyperinv.bouquets import _freed_count, _max_freed
-from hyperinv.complexes import dimension
+from hyperinv.complexes import SimplicialComplex, _split, dimension
 from hyperinv.decomposition import _codismantle_order, _codominated
-from hyperinv.errors import Unsatisfiable
+from hyperinv.errors import HyperinvError
 from hyperinv.generators import FamilySpec, _labels, random_hypergraph
 from hyperinv.homological import _reg_pd
 from hyperinv.hypergraph import (
@@ -117,7 +115,10 @@ def test_link_and_deletion_are_the_split_complexes(h):
     contraction has a void link, and a void marker stays void."""
 
     def split(delta, g, x):
-        link, dele = link_and_deletion(delta, x)
+        i = delta.labels.index(x)
+        labels, keep = delta.labels[:i] + delta.labels[i + 1:], (1 << delta.n) - 1 & ~(1 << i)
+        link, dele = (SimplicialComplex(labels, tuple(_compress(f, keep)))
+                      for f in _split(delta.facets, 1 << i)[:2])
         ctr, rest = contraction(g, x), deletion(g, x)
         assert link.labels == ctr.labels and dele.labels == rest.labels
         assert link.facets == maximal_independent_sets(ctr)
@@ -293,7 +294,7 @@ CODISMANTLE_STREAMS = st.one_of(hypergraphs(max_n=9, max_edge_size=4, max_edges=
 def test_codismantle_search_matches_the_oracle(h):
     """The greedy loop on edge masks finds the order (or None) of the
     backtracking search that builds each deleted hypergraph."""
-    order = _codismantle_order(h.edges, partial(_codominated, h.edges))
+    order = _codismantle_order(h.edges, [_codominated(h.edges, 1 << i) for i in range(h.n)])
     want = oracle_codismantle_order(h, partial(is_codominated, h), set())
     assert (None if order is None else [h.labels[i] for i in order]) == want
 
@@ -439,7 +440,7 @@ def test_shedding_rows_on_masks_match_the_relabelled_hypergraphs(h):
     for a void contraction).  The d' lemmas assume no singleton edge."""
     delta = independence_complex(h)
     support = reduce(or_, h.edges, 0)
-    shedding = [x for i, x in enumerate(h.labels) if support >> i & 1 and is_shedding(delta, x)]
+    shedding = [x for i, x in enumerate(h.labels) if support >> i & 1 and _split(delta.facets, 1 << i)[2]]
     lemma_rows, splits = [], []
     for x in shedding:
         ctr, rest = contraction(h, x), deletion(h, x)
@@ -573,7 +574,7 @@ def test_induced_matchings_match_brute_force(h):
 def _draw(draw_fn, spec, index):
     try:
         h = draw_fn(spec, index)
-    except Unsatisfiable as exc:
+    except HyperinvError as exc:
         return str(exc)
     return h.labels, h.edges
 

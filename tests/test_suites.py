@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -19,7 +20,7 @@ from hyperinv import (
     random_hypergraph,
     run_suite,
 )
-from hyperinv.errors import UnknownSuite
+from hyperinv.errors import HyperinvError
 from hyperinv.generators import FamilySpec
 from hyperinv.hypergraph import Hypergraph
 
@@ -45,7 +46,8 @@ def test_registry_complete():
 
 
 def test_unknown_suite():
-    with pytest.raises(UnknownSuite):
+    message = f"unknown suite 'nope'; have {sorted(SUITES)}"
+    with pytest.raises(HyperinvError, match=f"^{re.escape(message)}$"):
         check_instance("nope", named_instance("p3"))
 
 
