@@ -8,8 +8,9 @@ Exit codes: 0 success / no counterexample, 1 counterexample found,
 2 input error, or an output file or standard output that cannot be
 written, 3 search or size cap exceeded (partial report emitted),
 4 internal error (traceback on standard error).
-Reports go to standard output as JSON with stable key order; a short
-human-readable summary goes to standard error.
+Reports go to standard output as JSON with stable key order, written by
+``suites.report_text`` (as are ``--out`` files); a short human-readable
+summary goes to standard error.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .generators import FamilySpec, family_from_json
 from .homological import parse_field
 from .hypergraph import Hypergraph, c2_free, from_json, uniformity_profile
 from .profile import profile_of
-from .suites import SUITES, check_instance, run_suite, write_json
+from .suites import SUITES, check_instance, report_text, run_suite, write_json
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -50,7 +51,7 @@ def _load_instance(path: str) -> Hypergraph:
 def _emit(obj: dict) -> None:
     """Write one report to standard output; a closed stdout is an input error."""
     try:
-        sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(report_text(obj) + "\n")
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # the flush at shutdown would fail again and print a warning

@@ -184,7 +184,8 @@ def build(vertex_labels: Sequence[str], edge_lists: Sequence[Sequence[str]]) -> 
         masks.append(m)
     for a, b in combinations(masks, 2):
         if a & b == a or a & b == b:
-            raise HyperinvError(f"edge containment between {bit_ids(a)} and {bit_ids(b)}")
+            a, b = (tuple(labels[i] for i in bit_ids(m)) for m in (a, b))
+            raise HyperinvError(f"edge containment between {a} and {b}")
     masks.sort(key=edge_sort_key)
     return Hypergraph(labels, tuple(masks))
 
@@ -386,20 +387,30 @@ def _lattice(edges: Sequence[int]) -> tuple[tuple[int, int], ...]:
     pass the cap) raises ``SearchLimitExceeded`` iff the whole lattice's
     size passes ``DEFAULT_LATTICE_CAP``, holding at most twice the cap unions.
     A refusal is kept too, with the size it stopped at: only a cap raised
-    to that size builds again."""
+    to that size builds again.  The size only grows with the edge set, and
+    k pairwise disjoint edges alone give k * 2^(k-1), so a greedy matching
+    past the cap refuses before any merge pass."""
     cap, key = DEFAULT_LATTICE_CAP, tuple(edges)
     kept = _LATTICE_MEMO.get(key)
     if kept is None or kept[0] is None and kept[1] <= cap:  # new, or refused under a smaller cap
-        inside = {0: 0}
-        for j, e in enumerate(edges):
-            bit = 1 << j
-            for w, m in list(inside.items()):
-                u = w | e
-                inside[u] = inside.get(u, 0) | m | bit
-            if len(inside) * (j + 1) > cap and sum(map(int.bit_count, inside.values())) > cap:
-                break
-        size = sum(map(int.bit_count, inside.values()))  # past the cap iff the loop broke
-        del inside[0]
+        size = len(edges) << len(edges) >> 1  # E * 2^(E-1), the most E edges give
+        if size > cap:
+            covered = k = 0
+            for e in edges:
+                if e and not e & covered:
+                    covered, k = covered | e, k + 1
+            size = k << k >> 1
+        if size <= cap:
+            inside = {0: 0}
+            for j, e in enumerate(edges):
+                bit = 1 << j
+                for w, m in list(inside.items()):
+                    u = w | e
+                    inside[u] = inside.get(u, 0) | m | bit
+                if len(inside) * (j + 1) > cap and sum(map(int.bit_count, inside.values())) > cap:
+                    break
+            size = sum(map(int.bit_count, inside.values()))  # past the cap iff the loop broke
+            del inside[0]
         _LATTICE_MEMO.clear()
         kept = _LATTICE_MEMO[key] = (tuple(sorted(inside.items())) if size <= cap else None), size
     if kept[1] > cap:  # refused, or kept under a larger cap

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from json.encoder import encode_basestring_ascii as _quote  # the C escaper json.dumps uses
 from operator import or_
 from typing import Callable, Optional, Sequence
 
@@ -409,11 +411,77 @@ def _fork_shards(name: str, fams: Sequence[FamilySpec], workers: int) -> list[tu
             os.waitpid(pid, 0)
 
 
+def _indented_json(obj) -> str:
+    """The text of ``report_text``'s ``json.dumps`` call for str keys and
+    str, int, bool, None, list, tuple and dict values, in one pass: before
+    Python 3.13 that call runs the pure-Python encoder, one generator
+    frame per nesting level.  A list of only str or only int items is one
+    join.  Any other type raises ``TypeError``."""
+    out: list[str] = []
+    put = out.append
+
+    def write(v, pad: str) -> None:
+        if isinstance(v, str):
+            put(_quote(v))
+        elif v is None:
+            put("null")
+        elif v is True:
+            put("true")
+        elif v is False:
+            put("false")
+        elif isinstance(v, int):
+            put(int.__repr__(v))
+        elif isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            inner = pad + "  "
+            lead, sep = "{\n" + inner, ",\n" + inner
+            for k in sorted(v):
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                put(lead + _quote(k) + ": ")
+                write(v[k], inner)
+                lead = sep
+            put("\n" + pad + "}")
+        elif isinstance(v, (list, tuple)):
+            if not v:
+                put("[]")
+                return
+            inner = pad + "  "
+            sep = ",\n" + inner
+            if all(type(x) is str for x in v):
+                put("[\n" + inner + sep.join(map(_quote, v)) + "\n" + pad + "]")
+            elif all(type(x) is int for x in v):
+                put("[\n" + inner + sep.join(map(int.__repr__, v)) + "\n" + pad + "]")
+            else:
+                lead = "[\n" + inner
+                for x in v:
+                    put(lead)
+                    write(x, inner)
+                    lead = sep
+                put("\n" + pad + "]")
+        else:
+            raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    write(obj, "")
+    return "".join(out)
+
+
+def report_text(obj) -> str:
+    """Every indented report's text, ``json.dumps(obj, indent=2,
+    sort_keys=True)``.  From Python 3.13 the C encoder honours ``indent``
+    and is faster than ``_indented_json``, so it writes the text there."""
+    if sys.version_info >= (3, 13):
+        return json.dumps(obj, indent=2, sort_keys=True)
+    return _indented_json(obj)
+
+
 def write_json(path: str, obj) -> None:
     """Write obj as stable JSON; a failed write is an input error."""
     try:
         with open(path, "w") as fh:
-            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+            fh.write(report_text(obj) + "\n")
     except OSError as exc:
         raise HyperinvError(f"cannot write {path}: {exc}") from exc
 

@@ -102,7 +102,7 @@ class TestInvariants:
         [
             ('[["a", "b"], []]', "error: empty edge"),
             ('[["a", "z"]]', "error: unknown vertex 'z' in edge ('a', 'z')"),
-            ('[["a", "b", "c"], ["a", "b"]]', "error: edge containment between (0, 1, 2) and (0, 1)"),
+            ('[["a", "b", "c"], ["a", "b"]]', "error: edge containment between ('a', 'b', 'c') and ('a', 'b')"),
         ],
         ids=["empty-edge", "unknown-vertex", "edge-inside-edge"],
     )

@@ -63,7 +63,7 @@ class TestBuild:
             build(["a"], [["a", "z"]])
 
     def test_antichain_violation_rejected(self):
-        with pytest.raises(HyperinvError, match=r"^edge containment between \(0, 1\) and \(0, 1, 2\)$"):
+        with pytest.raises(HyperinvError, match=r"^edge containment between \('a', 'b'\) and \('a', 'b', 'c'\)$"):
             build(["a", "b", "c"], [["a", "b"], ["a", "b", "c"]])
 
     def test_json_round_trip(self, h1):
@@ -406,6 +406,20 @@ class TestLattice:
         assert hypergraph._LATTICE_MEMO[tuple(edges)] is refused  # not built again
         monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 32)
         assert len(_lattice(edges)) == 15
+
+    def test_matching_past_the_cap_refuses_before_merging(self, monkeypatch):
+        """k disjoint edges alone give k * 2^(k-1) edges inside their unions,
+        so 7 of them refuse at cap 100 with that size kept, before any merge
+        pass (a merge would stop at 6 edges, 6 * 2^5 = 192); 5 of them, at
+        exactly cap 80, are admitted."""
+        disjoint = [0b11 << 2 * i for i in range(7)]
+        hypergraph._LATTICE_MEMO.clear()
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 100)
+        with pytest.raises(SearchLimitExceeded, match="^edges inside the edge unions exceed lattice cap 100$"):
+            _lattice(disjoint)
+        assert hypergraph._LATTICE_MEMO == {tuple(disjoint): (None, 448)}
+        monkeypatch.setattr(hypergraph, "DEFAULT_LATTICE_CAP", 80)
+        assert len(_lattice(disjoint[:5])) == 31
 
 
 class TestMinimalTransversals:

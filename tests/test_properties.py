@@ -6,6 +6,7 @@ from itertools import combinations
 from operator import or_
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperinv.hypergraph as hypergraph
@@ -59,6 +60,7 @@ from hyperinv.hypergraph import (
     find_cycle,
     mask_of,
 )
+from hyperinv.suites import _indented_json
 
 
 @st.composite
@@ -596,3 +598,38 @@ def test_random_draws_match_a_freshly_seeded_oracle(draws):
         assert got == _draw(oracle_random_hypergraph, spec, index)
         if not isinstance(got, str):
             assert got[0] is _labels(spec.n)
+
+
+_TEXT = st.text(st.characters(exclude_categories=())  # lone surrogates included
+                | st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\ud800", "\udfff", "\U0001f600"]))
+_INTS = st.integers() | st.integers(-(1 << 256), 1 << 256)
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | _INTS | _TEXT,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=5).map(tuple)
+                  | st.dictionaries(_TEXT, kids, max_size=5)
+                  | st.lists(_TEXT, max_size=5) | st.lists(_INTS, max_size=5)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"a": [], "b": {}, "c": [[], {}, ()]})
+@example({"k": ["x", "y"], "n": [1, -2], "t": ("x", 3)})
+def test_indented_json_is_json_dumps(value):
+    """The report writer gives the bytes of the indented, key-sorted
+    ``json.dumps`` on every report value type, on every Python version."""
+    assert _indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_indented_json_edge_cases():
+    """A bool is no int in a list of ints, a float has no writer, and an
+    empty report is ``{}``."""
+    assert _indented_json([True, 1]) == json.dumps([True, 1], indent=2) == "[\n  true,\n  1\n]"
+    assert _indented_json([1, True]) == "[\n  1,\n  true\n]"
+    with pytest.raises(TypeError):
+        _indented_json({"x": 0.5})
+    assert _indented_json({}) == "{}"
